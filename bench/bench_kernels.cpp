@@ -6,10 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <numbers>
 
 #include "amr/criteria.hpp"
 #include "amr/solver.hpp"
 #include "core/block_store.hpp"
+#include "core/face_flux.hpp"
 #include "core/forest.hpp"
 #include "core/ghost.hpp"
 #include "physics/advection.hpp"
@@ -88,6 +90,43 @@ void BM_MhdSecondOrder(benchmark::State& state) {
       SpatialOrder::Second);
 }
 BENCHMARK(BM_MhdSecondOrder)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_MhdHlld2D(benchmark::State& state) {
+  // The ot2d_mhd kernel, the microbenchmark for its traced
+  // physics.kernel_ns_per_cell: 2D MHD, second order, van Leer, HLLD, face
+  // fluxes recorded for flux correction. The block holds the Orszag-Tang
+  // initial state at the root-level spacing (1/32), so the faces fall in
+  // every region of the HLLD wave fan as they do in the run.
+  using Phys = IdealMhd<2>;
+  const int m = static_cast<int>(state.range(0));
+  Phys phys;
+  BlockLayout<2> lay(IVec<2>(m), 2, Phys::NVAR);
+  AlignedBuffer uin(lay.block_doubles()), uout(lay.block_doubles());
+  const RVec<2> dx{1.0 / 32, 1.0 / 32};
+  const double pi = std::numbers::pi;
+  const double b0 = 1.0 / std::sqrt(4.0 * pi);
+  for_each_cell<2>(lay.ghosted_box(), [&](IVec<2> p) {
+    const double x = (p[0] + 0.5) * dx[0], y = (p[1] + 0.5) * dx[1];
+    const Phys::State u = phys.from_primitive(
+        25.0 / (36.0 * pi),
+        {-std::sin(2.0 * pi * y), std::sin(2.0 * pi * x), 0.0},
+        {-b0 * std::sin(2.0 * pi * y), b0 * std::sin(4.0 * pi * x), 0.0},
+        5.0 / (12.0 * pi));
+    for (int v = 0; v < Phys::NVAR; ++v)
+      uin.data()[v * lay.field_stride() + lay.offset(p)] = u[v];
+  });
+  FaceFluxStorage<2> face_fluxes;
+  face_fluxes.allocate(lay);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fv_block_update<2, Phys>(
+        lay, uin.data(), uout.data(), phys, dx, 1e-4, SpatialOrder::Second,
+        LimiterKind::VanLeer, FluxScheme::Hlld, &face_fluxes));
+    benchmark::DoNotOptimize(uout.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * lay.interior_cells());
+}
+BENCHMARK(BM_MhdHlld2D)->Arg(8)->Arg(16);
 
 void BM_GhostFillUniform(benchmark::State& state) {
   // Same-level exchange over a periodic uniform 4^3-block forest.

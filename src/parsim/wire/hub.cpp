@@ -24,6 +24,9 @@ struct ByteQueue {
     data.insert(data.end(), p, p + n);
   }
   void pop_into(void* out, std::size_t n) {
+    // An empty queue's data() may be null, and memcpy from null is
+    // undefined even for n == 0.
+    if (n == 0) return;
     std::memcpy(out, data.data() + head, n);
     head += n;
     if (head == data.size()) {

@@ -84,8 +84,11 @@ struct Euler {
   /// state variable v is read from pL[v*sL + i] / pR[v*sR + i] (stride-1 in
   /// i), flux component v is written to F[v*lane + i]. Evaluates exactly
   /// the expressions of flux_and_speeds + the Rusanov combine per face, as
-  /// flat branch-free loops the compiler can vectorize; results are
-  /// bitwise identical to the per-face path. The sweep direction is a
+  /// flat branch-free loops; results are bitwise identical to the per-face
+  /// path. GCC 12 vectorizes the loop only with -fno-math-errno plus
+  /// SSE4.2 or later (the AB_NATIVE_ARCH bench builds): at the baseline
+  /// ISA the errno path of std::sqrt is control flow, and SSE2 has no
+  /// 64-bit integer compare for the bit-cast max. The sweep direction is a
   /// template parameter so the momentum-component selection is resolved at
   /// compile time.
   template <int dirc>

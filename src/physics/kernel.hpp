@@ -121,14 +121,23 @@ inline void flux_row(const Phys& phys, FluxScheme scheme, int dir,
                      std::int64_t strideR, double* F, std::int64_t lane,
                      int nf) {
   using State = typename Phys::State;
-  // Physics-provided row forms (flat vectorizable loops over the lanes,
-  // bitwise identical to the per-face evaluation) take precedence.
+  // Physics-provided row forms (branch-free loops over the lanes, bitwise
+  // identical to the per-face evaluation) take precedence.
   if constexpr (requires {
                   phys.rusanov_flux_row(dir, pL, strideL, pR, strideR, F,
                                         lane, nf);
                 }) {
     if (scheme == FluxScheme::Rusanov) {
       phys.rusanov_flux_row(dir, pL, strideL, pR, strideR, F, lane, nf);
+      return;
+    }
+  }
+  if constexpr (requires {
+                  phys.hlld_flux_row(dir, pL, strideL, pR, strideR, F, lane,
+                                     nf);
+                }) {
+    if (scheme == FluxScheme::Hlld) {
+      phys.hlld_flux_row(dir, pL, strideL, pR, strideR, F, lane, nf);
       return;
     }
   }

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "physics/lanes.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/vec.hpp"
@@ -145,11 +146,14 @@ struct IdealMhd {
   /// state variable v is read from pL[v*sL + i] / pR[v*sR + i] (stride-1 in
   /// i), flux component v is written to F[v*lane + i]. Evaluates exactly
   /// the expressions of flux_and_speeds + the Rusanov combine per face, as
-  /// flat branch-free loops the compiler can vectorize; the only per-face
-  /// branches of the scalar path (pressure and discriminant clamps) become
-  /// 0.5*(x + |x|), which differs only in the sign of a zero the downstream
-  /// arithmetic cannot observe. The sweep direction is a template parameter
-  /// so component selection is resolved at compile time.
+  /// flat branch-free loops; the only per-face branches of the scalar path
+  /// (pressure and discriminant clamps) become 0.5*(x + |x|), which
+  /// differs only in the sign of a zero the downstream arithmetic cannot
+  /// observe. GCC 12 vectorizes the loop only with -fno-math-errno plus
+  /// SSE4.2 or later (the AB_NATIVE_ARCH bench builds): at the baseline
+  /// ISA the errno path of std::sqrt is control flow, and SSE2 has no
+  /// 64-bit integer compare for the bit-cast max. The sweep direction is a
+  /// template parameter so component selection is resolved at compile time.
   template <int dirc>
   void rusanov_flux_row_impl(const double* AB_RESTRICT pL, std::int64_t sL,
                              const double* AB_RESTRICT pR, std::int64_t sR,
@@ -496,6 +500,227 @@ struct IdealMhd {
       physical_flux(uR, fk);
       for (int k = 0; k < NVAR; ++k)
         F[k] = fk[k] + sr * (usr[k] - uR[k]) + srs * (ussr[k] - usr[k]);
+    }
+  }
+
+  /// Row form of hlld_flux over `nf` faces, with the lane contract of
+  /// rusanov_flux_row: face i's left/right state variable v is read from
+  /// pL[v*sL + i] / pR[v*sR + i], flux component v is written to
+  /// F[v*lane + i]. Each face gets exactly the bits hlld_flux returns.
+  ///
+  /// Faces are solved two at a time in f64x2 lanes, an odd last face in a
+  /// double (src/physics/lanes.hpp). hlld_lanes evaluates every region of
+  /// the wave fan with hlld_flux's expressions in its order of operations
+  /// and turns each branch into a mask select, so a lane carries no control
+  /// flow. The lanes are explicit because the library's -O3 build does not
+  /// vectorize this loop: std::sqrt keeps its errno path as a branch and the
+  /// guarded divisions are not speculated.
+  void hlld_flux_row(int dir, const double* pL, std::int64_t sL,
+                     const double* pR, std::int64_t sR, double* F,
+                     std::int64_t lane, int nf) const {
+    if (dir == 0) {
+      hlld_flux_row_impl<0>(pL, sL, pR, sR, F, lane, nf);
+    } else if (dir == 1) {
+      hlld_flux_row_impl<1>(pL, sL, pR, sR, F, lane, nf);
+    } else if constexpr (D >= 3) {
+      hlld_flux_row_impl<2>(pL, sL, pR, sR, F, lane, nf);
+    }
+  }
+
+  template <int dirc>
+  void hlld_flux_row_impl(const double* AB_RESTRICT pL, std::int64_t sL,
+                          const double* AB_RESTRICT pR, std::int64_t sR,
+                          double* AB_RESTRICT F, std::int64_t lane,
+                          int nf) const {
+    using lanes::f64x2;
+    int i = 0;
+    for (; i + lanes::kWidth<f64x2> <= nf; i += lanes::kWidth<f64x2>)
+      hlld_lanes<dirc, f64x2>(pL + i, sL, pR + i, sR, F + i, lane);
+    if (i < nf) hlld_lanes<dirc, double>(pL + i, sL, pR + i, sR, F + i, lane);
+  }
+
+  /// hlld_flux for the lanes::kWidth<V> faces starting at pL / pR / F.
+  template <int dirc, class V>
+  void hlld_lanes(const double* AB_RESTRICT pL, std::int64_t sL,
+                  const double* AB_RESTRICT pR, std::int64_t sR,
+                  double* AB_RESTRICT F, std::int64_t lane) const {
+    using Mask = decltype(V{} < V{});
+    using lanes::mnot;
+    using lanes::select;
+    const V zero = lanes::broadcast<V>(0.0);
+    const double g = gamma;
+    const double gm1 = g - 1.0;
+
+    // Primitive decompositions (decompose + pressure in hlld_flux). Its
+    // |B|^2 and |m|^2 sums start from 0.0; 0.0 + x*x is x*x for every x.
+    struct Side {
+      V q[NVAR];
+      V rho, u, p, pt, e, b2;
+      V v[3], b[3];
+    };
+    auto decompose = [&](const double* AB_RESTRICT p, std::int64_t s) {
+      Side d;
+      for (int k = 0; k < NVAR; ++k) d.q[k] = lanes::load<V>(p + k * s);
+      d.rho = d.q[irho()];
+      for (int k = 0; k < 3; ++k) {
+        d.v[k] = d.q[imom(k)] / d.rho;
+        d.b[k] = d.q[imag(k)];
+      }
+      d.b2 = d.b[0] * d.b[0] + d.b[1] * d.b[1] + d.b[2] * d.b[2];
+      V ke = d.q[imom(0)] * d.q[imom(0)] + d.q[imom(1)] * d.q[imom(1)] +
+             d.q[imom(2)] * d.q[imom(2)];
+      ke = ke * (0.5 / d.rho);
+      d.p = gm1 * (d.q[ieng()] - ke - 0.5 * d.b2);
+      d.u = d.v[dirc];
+      d.pt = d.p + 0.5 * d.b2;
+      d.e = d.q[ieng()];
+      return d;
+    };
+    auto fast_speed_of = [&](const Side& d) {
+      const V p = select(d.p < 0.0, zero, d.p);
+      const V a2 = g * p / d.rho;
+      const V ca2 = d.b2 / d.rho;
+      const V cad2 = d.b[dirc] * d.b[dirc] / d.rho;
+      const V s = a2 + ca2;
+      V disc = s * s - 4.0 * a2 * cad2;
+      disc = select(disc < 0.0, zero, disc);
+      return lanes::sqrt(0.5 * (s + lanes::sqrt(disc)));
+    };
+    const Side l = decompose(pL, sL), r = decompose(pR, sR);
+    const V bn = 0.5 * (l.b[dirc] + r.b[dirc]);
+    const V cfl = fast_speed_of(l), cfr = fast_speed_of(r);
+    const V sl = lanes::min(l.u - cfl, r.u - cfr);
+    const V sr = lanes::max(l.u + cfl, r.u + cfr);
+
+    const V dl = (sl - l.u) * l.rho;
+    const V dr = (sr - r.u) * r.rho;
+    const V sm = (dr * r.u - dl * l.u - r.pt + l.pt) / (dr - dl);
+    const V pts = l.pt + dl * (sm - l.u);
+
+    // Outer star states; a degenerate denominator switches off the
+    // tangential field.
+    struct Star {
+      V rho, e, vdotb;
+      V v[3], b[3];
+    };
+    auto make_star = [&](const Side& d, V sk) {
+      Star st;
+      const V rsk = d.rho * (sk - d.u);
+      const V rsk2 = rsk * (sk - d.u);
+      st.rho = rsk / (sk - sm);
+      const V denom = rsk * (sk - sm) - bn * bn;
+      const Mask regular =
+          lanes::fabs(denom) > 1e-12 * (rsk2 + bn * bn + 1e-300);
+      const V chi = (sm - d.u) / denom;
+      const V psi = (rsk2 - bn * bn) / denom;
+      for (int k = 0; k < 3; ++k) {
+        if (k == dirc) {
+          st.v[k] = sm;
+          st.b[k] = bn;
+        } else {
+          st.v[k] = select(regular, d.v[k] - bn * d.b[k] * chi, d.v[k]);
+          st.b[k] = select(regular, d.b[k] * psi, zero);
+        }
+      }
+      const V vb = 0.0 + d.v[0] * d.b[0] + d.v[1] * d.b[1] + d.v[2] * d.b[2];
+      st.vdotb =
+          0.0 + st.v[0] * st.b[0] + st.v[1] * st.b[1] + st.v[2] * st.b[2];
+      st.e = ((sk - d.u) * d.e - d.pt * d.u + pts * sm +
+              bn * (vb - st.vdotb)) /
+             (sk - sm);
+      return st;
+    };
+    const Star stl = make_star(l, sl), str = make_star(r, sr);
+    const V sqrl = lanes::sqrt(stl.rho), sqrr = lanes::sqrt(str.rho);
+    const V sls = sm - lanes::fabs(bn) / sqrl;
+    const V srs = sm + lanes::fabs(bn) / sqrr;
+
+    // Double-star state.
+    const V sgn = select(bn >= 0.0, lanes::broadcast<V>(1.0),
+                         lanes::broadcast<V>(-1.0));
+    const V denom2 = sqrl + sqrr;
+    V vss[3], bss[3];
+    for (int k = 0; k < 3; ++k) {
+      if (k == dirc) {
+        vss[k] = sm;
+        bss[k] = bn;
+      } else {
+        vss[k] = (sqrl * stl.v[k] + sqrr * str.v[k] +
+                  sgn * (str.b[k] - stl.b[k])) /
+                 denom2;
+        bss[k] = (sqrl * str.b[k] + sqrr * stl.b[k] +
+                  sgn * sqrl * sqrr * (str.v[k] - stl.v[k])) /
+                 denom2;
+      }
+    }
+    const V vbss = 0.0 + vss[0] * bss[0] + vss[1] * bss[1] + vss[2] * bss[2];
+
+    // hlld_flux's branches in its order: supersonic left, supersonic right;
+    // then with bn == 0 the star state on sm's side; else the left star
+    // (sls >= 0), the right star (srs <= 0), or the double star on sm's
+    // side. `left` picks the side whose state, flux and stars are used.
+    const Mask super_l = sl >= 0.0;
+    const Mask sub = mnot(super_l | (sr <= 0.0));
+    const Mask bn0 = bn == 0.0;
+    const Mask sm_pos = sm >= 0.0;
+    const Mask star_l = sls >= 0.0;
+    const Mask star_r = srs <= 0.0;
+    const Mask dstar = sub & mnot(bn0 | star_l | star_r);
+    const Mask left =
+        super_l | (sub & ((bn0 & sm_pos) |
+                          (mnot(bn0) & (star_l | (mnot(star_r) & sm_pos)))));
+
+    V q[NVAR];
+    for (int k = 0; k < NVAR; ++k) q[k] = select(left, l.q[k], r.q[k]);
+    Star st;
+    st.rho = select(left, stl.rho, str.rho);
+    st.e = select(left, stl.e, str.e);
+    st.vdotb = select(left, stl.vdotb, str.vdotb);
+    for (int k = 0; k < 3; ++k) {
+      st.v[k] = select(left, stl.v[k], str.v[k]);
+      st.b[k] = select(left, stl.b[k], str.b[k]);
+    }
+    const V sk = select(left, sl, sr);
+    const V sks = select(left, sls, srs);
+    const V dess = select(left, sqrl, sqrr) * sgn * (st.vdotb - vbss);
+    const V ess = select(left, st.e - dess, st.e + dess);
+
+    // Physical flux of the chosen side (flux()); its total pressure is the
+    // decomposition's, from the same pressure and |B|^2 sums.
+    const V ptot = select(left, l.pt, r.pt);
+    const V inv_rho = 1.0 / q[irho()];
+    const V vd = q[imom(dirc)] * inv_rho;
+    const V bd = q[imag(dirc)];
+    const V vdotb = 0.0 + q[imom(0)] * inv_rho * q[imag(0)] +
+                    q[imom(1)] * inv_rho * q[imag(1)] +
+                    q[imom(2)] * inv_rho * q[imag(2)];
+    V fk[NVAR];
+    fk[irho()] = q[imom(dirc)];
+    for (int k = 0; k < 3; ++k) {
+      fk[imom(k)] = q[imom(k)] * vd - bd * q[imag(k)];
+      fk[imag(k)] = q[imag(k)] * vd - q[imom(k)] * inv_rho * bd;
+    }
+    fk[imom(dirc)] = fk[imom(dirc)] + ptot;
+    fk[imag(dirc)] = zero;
+    fk[ieng()] = (q[ieng()] + ptot) * vd - bd * vdotb;
+
+    // Star and double-star conserved states (pack in hlld_flux).
+    V us[NVAR], uss[NVAR];
+    us[irho()] = st.rho;
+    uss[irho()] = st.rho;
+    for (int k = 0; k < 3; ++k) {
+      us[imom(k)] = st.rho * st.v[k];
+      us[imag(k)] = st.b[k];
+      uss[imom(k)] = st.rho * vss[k];
+      uss[imag(k)] = bss[k];
+    }
+    us[ieng()] = st.e;
+    uss[ieng()] = ess;
+
+    for (int k = 0; k < NVAR; ++k) {
+      const V fs = fk[k] + sk * (us[k] - q[k]);
+      const V fss = fs + sks * (uss[k] - us[k]);
+      lanes::store<V>(F + k * lane, select(dstar, fss, select(sub, fs, fk[k])));
     }
   }
 

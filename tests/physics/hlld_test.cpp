@@ -1,12 +1,18 @@
 // HLLD approximate Riemann solver for ideal MHD (Miyoshi & Kusano 2005).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "amr/solver.hpp"
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
 #include "physics/mhd.hpp"
+#include "support/rng.hpp"
 #include "util/aligned.hpp"
 
 namespace ab {
@@ -168,6 +174,223 @@ TEST(Hlld, BlastStaysPhysical) {
       ASSERT_TRUE(std::isfinite(phys.pressure(s)));
     });
   }
+}
+
+// --- hlld_flux_row against the per-face solver -------------------------
+
+// The regions of the wave fan hlld_flux can return, plus the clamp and
+// degenerate-denominator arms the row form turns into selects.
+enum Arm {
+  kSupersonicLeft,
+  kSupersonicRight,
+  kBn0StarLeft,
+  kBn0StarRight,
+  kStarLeft,
+  kStarRight,
+  kDoubleStarLeft,
+  kDoubleStarRight,
+  kDegenerateStar,     // a star state in the flux had its Bt switched off
+  kPressureClamp,      // a side's fast speed clamped p < 0 to 0
+  kDiscriminantClamp,  // a side's fast-speed discriminant was clamped
+  kNumArms
+};
+constexpr const char* kArmNames[kNumArms] = {
+    "supersonic left",  "supersonic right",  "bn=0 star left",
+    "bn=0 star right",  "star left",         "star right",
+    "double star left", "double star right", "degenerate star",
+    "pressure clamp",   "discriminant clamp"};
+
+/// Marks in `hit` the arms hlld_flux(uL, uR, dir) takes, recomputing its
+/// branch conditions with its expressions.
+template <int D>
+void mark_arms(const IdealMhd<D>& phys, const typename IdealMhd<D>::State& uL,
+               const typename IdealMhd<D>::State& uR, int dir,
+               std::array<std::int64_t, kNumArms>& hit) {
+  using M = IdealMhd<D>;
+  auto clamps = [&](const typename M::State& q) {
+    double b2 = 0.0;
+    for (int i = 0; i < 3; ++i) b2 += q[M::imag(i)] * q[M::imag(i)];
+    double p = phys.pressure(q);
+    if (p < 0.0) {
+      ++hit[kPressureClamp];
+      p = 0.0;
+    }
+    const double rho = q[M::irho()];
+    const double a2 = phys.gamma * p / rho;
+    const double cad2 = q[M::imag(dir)] * q[M::imag(dir)] / rho;
+    const double s = a2 + b2 / rho;
+    if (s * s - 4.0 * a2 * cad2 < 0.0) ++hit[kDiscriminantClamp];
+    return phys.pressure(q) + 0.5 * b2;  // total pressure
+  };
+  const double ptl = clamps(uL), ptr = clamps(uR);
+  const double ul = uL[M::imom(dir)] / uL[M::irho()];
+  const double ur = uR[M::imom(dir)] / uR[M::irho()];
+  const double bn = 0.5 * (uL[M::imag(dir)] + uR[M::imag(dir)]);
+  const double cfl = phys.fast_speed(uL, dir), cfr = phys.fast_speed(uR, dir);
+  const double sl = std::min(ul - cfl, ur - cfr);
+  const double sr = std::max(ul + cfl, ur + cfr);
+  if (sl >= 0.0) {
+    ++hit[kSupersonicLeft];
+    return;
+  }
+  if (sr <= 0.0) {
+    ++hit[kSupersonicRight];
+    return;
+  }
+  const double dl = (sl - ul) * uL[M::irho()];
+  const double dr = (sr - ur) * uR[M::irho()];
+  const double sm = (dr * ur - dl * ul - ptr + ptl) / (dr - dl);
+  // Star density and whether the star's denominator is degenerate.
+  auto star = [&](const typename M::State& q, double u, double sk,
+                  bool& degenerate) {
+    const double rho = q[M::irho()];
+    const double denom = rho * (sk - u) * (sk - sm) - bn * bn;
+    degenerate = !(std::fabs(denom) >
+                   1e-12 * (rho * (sk - u) * (sk - u) + bn * bn + 1e-300));
+    return rho * (sk - u) / (sk - sm);
+  };
+  bool degl = false, degr = false;
+  const double rhol = star(uL, ul, sl, degl), rhor = star(uR, ur, sr, degr);
+  bool degenerate = false;
+  if (bn == 0.0) {
+    ++hit[sm >= 0.0 ? kBn0StarLeft : kBn0StarRight];
+    degenerate = sm >= 0.0 ? degl : degr;
+  } else if (sm - std::fabs(bn) / std::sqrt(rhol) >= 0.0) {
+    ++hit[kStarLeft];
+    degenerate = degl;
+  } else if (sm + std::fabs(bn) / std::sqrt(rhor) <= 0.0) {
+    ++hit[kStarRight];
+    degenerate = degr;
+  } else {
+    ++hit[sm >= 0.0 ? kDoubleStarLeft : kDoubleStarRight];
+    degenerate = degl || degr;
+  }
+  if (degenerate) ++hit[kDegenerateStar];
+}
+
+/// A row of `n` random cells in one of several regimes: drifting through
+/// the face (supersonic), no normal field (bn = 0) or none at all, or a
+/// field along `dir` with at most a tiny tangential part (degenerate stars,
+/// and p = bn^2 / gamma for discriminants that round below zero). Some
+/// cells repeat their neighbour, some have p < 0.
+template <int D>
+std::vector<typename IdealMhd<D>::State> fuzz_row(const IdealMhd<D>& phys,
+                                                  int dir, int n,
+                                                  testing::SplitMix64& rng) {
+  using M = IdealMhd<D>;
+  const double sign = rng.below(2) == 0 ? 1.0 : -1.0;
+  const double drift = rng.below(3) == 0 ? sign * rng.uniform(1.0, 8.0) : 0.0;
+  const bool zero_bn = rng.below(6) == 0;
+  const bool hydro = zero_bn && rng.below(2) == 0;  // B = 0: the HLLC limit
+  const bool aligned = !zero_bn && rng.below(5) == 0;
+  const double bn_aligned = sign * rng.uniform(0.5, 2.5);
+  std::vector<typename M::State> cells;
+  for (int c = 0; c < n; ++c) {
+    if (c > 0 && rng.below(aligned ? 2 : 6) == 0) {
+      cells.push_back(cells.back());
+      continue;
+    }
+    const double rho = rng.uniform(0.2, 2.0);
+    double p = rng.uniform(0.05, 2.0);
+    double v[3], b[3];
+    for (int k = 0; k < 3; ++k) {
+      v[k] = rng.uniform(-2.0, 2.0);
+      b[k] = rng.uniform(-1.5, 1.5);
+    }
+    v[dir] += drift;
+    if (zero_bn) b[dir] = 0.0;
+    if (hydro) b[0] = b[1] = b[2] = 0.0;
+    if (aligned) {
+      // Bt = 0, or small enough that the star denominator still rounds
+      // below the degeneracy threshold while the switched-off field shows.
+      const double bt = rng.below(2) == 0 ? 0.0 : 1e-7;
+      for (int k = 0; k < 3; ++k)
+        b[k] = k == dir ? bn_aligned : bt * rng.uniform(-1.0, 1.0);
+      if (rng.below(2) == 0) p = b[dir] * b[dir] / phys.gamma;
+    }
+    if (rng.below(16) == 0) p = -rng.uniform(0.01, 0.3);
+    typename M::State u{};
+    u[M::irho()] = rho;
+    double ke = 0.0, b2 = 0.0;
+    for (int k = 0; k < 3; ++k) {
+      u[M::imom(k)] = rho * v[k];
+      u[M::imag(k)] = b[k];
+      ke += v[k] * v[k];
+      b2 += b[k] * b[k];
+    }
+    u[M::ieng()] = p / (phys.gamma - 1.0) + 0.5 * rho * ke + 0.5 * b2;
+    cells.push_back(u);
+  }
+  return cells;
+}
+
+/// Fuzzes hlld_flux_row(dir) against hlld_flux face by face, for rows of
+/// nf in {1, 2, 8, 9} in lane-scratch layout (separate left/right lanes at
+/// stride `lane`) and in block layout (one cell row at a field stride,
+/// pR = pL + 1, as first-order sweeps pass it). Both flux buffers start
+/// from the same sentinel, so writes past nf also show as mismatches.
+template <int D>
+void fuzz_hlld_row(const IdealMhd<D>& phys, int dir, std::uint64_t seed,
+                   std::array<std::int64_t, kNumArms>& hit) {
+  using M = IdealMhd<D>;
+  constexpr int NV = M::NVAR;
+  testing::SplitMix64 rng(seed);
+  for (int nf : {1, 2, 8, 9}) {
+    const std::int64_t lane = (nf + 2 + 7) & ~7;
+    const std::int64_t fs = lane + 3;  // odd: unaligned pairs
+    for (bool block_stride : {false, true}) {
+      for (int row = 0; row < 400; ++row) {
+        // Face i sits between cells i and i + 1.
+        const auto cells = fuzz_row<D>(phys, dir, nf + 1, rng);
+        std::vector<double> in(2 * NV * fs, 0.0);
+        const std::int64_t stride = block_stride ? fs : lane;
+        double* pL = in.data() + (block_stride ? 1 : 0);
+        double* pR = block_stride ? pL + 1 : pL + NV * lane;
+        for (int i = 0; i < nf; ++i)
+          for (int v = 0; v < NV; ++v) {
+            pL[v * stride + i] = cells[i][v];
+            pR[v * stride + i] = cells[i + 1][v];
+          }
+        std::vector<double> row_flux(NV * lane), face_flux(NV * lane);
+        std::fill(row_flux.begin(), row_flux.end(), -1234.5);
+        std::fill(face_flux.begin(), face_flux.end(), -1234.5);
+        phys.hlld_flux_row(dir, pL, stride, pR, stride, row_flux.data(), lane,
+                           nf);
+        for (int i = 0; i < nf; ++i) {
+          typename M::State f;
+          phys.hlld_flux(cells[i], cells[i + 1], dir, f);
+          for (int v = 0; v < NV; ++v) face_flux[v * lane + i] = f[v];
+          mark_arms<D>(phys, cells[i], cells[i + 1], dir, hit);
+        }
+        for (int i = 0; i < nf; ++i)
+          for (int v = 0; v < NV; ++v)
+            ASSERT_EQ(0, std::memcmp(&row_flux[v * lane + i],
+                                     &face_flux[v * lane + i], sizeof(double)))
+                << "D=" << D << " dir=" << dir << " nf=" << nf
+                << " block_stride=" << block_stride << " seed=" << seed
+                << " row=" << row << " face=" << i << " var=" << v << ": "
+                << row_flux[v * lane + i] << " vs " << face_flux[v * lane + i];
+        ASSERT_EQ(0, std::memcmp(row_flux.data(), face_flux.data(),
+                                 row_flux.size() * sizeof(double)))
+            << "hlld_flux_row wrote past nf=" << nf << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Hlld, RowMatchesPerFaceBitwise) {
+  std::array<std::int64_t, kNumArms> hit{};
+  IdealMhd<2> phys2;
+  phys2.gamma = 1.4;
+  for (int dir = 0; dir < 2; ++dir)
+    fuzz_hlld_row<2>(phys2, dir, testing::splitmix64(20 + dir), hit);
+  IdealMhd<3> phys3;
+  for (int dir = 0; dir < 3; ++dir)
+    fuzz_hlld_row<3>(phys3, dir, testing::splitmix64(30 + dir), hit);
+  // Every arm of the per-face branch tree was exercised, so no select in
+  // the row form went untested.
+  for (int a = 0; a < kNumArms; ++a)
+    EXPECT_GT(hit[a], 0) << "no face took the " << kArmNames[a] << " arm";
 }
 
 TEST(Hlld, SchemeRejectedForPhysicsWithoutIt) {

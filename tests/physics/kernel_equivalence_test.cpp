@@ -114,6 +114,29 @@ TEST(KernelEquivalence, Mhd3DAllLimitersAndSchemes) {
         expect_bitwise_equal<3>(phys, state_of, order, lim, scheme);
 }
 
+// The 2D HLLD path ot2d_mhd runs: at m = 8 (its block shape) a dim-0 row
+// has nf0 = 9 faces, so the two-lane row form ends on a one-face tail; at
+// m = 9 the dim-0 rows are even (nf0 = 10) and the transverse rows odd.
+template <int D>
+typename IdealMhd<D>::State smooth_mhd(const IdealMhd<D>& phys, IVec<D> p) {
+  const double phase = 0.35 * p[0] + 0.5 * p[1];
+  return phys.from_primitive(
+      1.0 + 0.3 * std::sin(phase),
+      {0.9 * std::cos(phase), -0.7 * std::sin(1.3 * phase), 0.1},
+      {0.3 + 0.3 * std::sin(0.8 * phase), 0.4 * std::cos(phase), 0.05},
+      0.8 + 0.3 * std::cos(0.7 * phase));
+}
+
+TEST(KernelEquivalence, Mhd2DHlldAllLimiters) {
+  IdealMhd<2> phys;
+  auto state_of = [&](IVec<2> p) { return smooth_mhd<2>(phys, p); };
+  for (int m : {8, 9})
+    for (SpatialOrder order : kOrders)
+      for (LimiterKind lim : kLimiters)
+        expect_bitwise_equal<2>(phys, state_of, order, lim, FluxScheme::Hlld,
+                                m);
+}
+
 TEST(KernelEquivalence, LowerDimensions) {
   Euler<1> phys1;
   auto s1 = [&](IVec<1> p) { return smooth_euler<1>(phys1, p); };
@@ -126,32 +149,43 @@ TEST(KernelEquivalence, LowerDimensions) {
     }
 }
 
-TEST(KernelEquivalence, FaceFluxRecording) {
-  Euler<3> phys;
-  BlockLayout<3> lay(IVec<3>(8), 2, Euler<3>::NVAR);
+template <int D, class Phys, class F>
+void expect_face_fluxes_equal(const Phys& phys, const F& state_of,
+                              FluxScheme scheme) {
+  BlockLayout<D> lay(IVec<D>(8), 2, Phys::NVAR);
   const std::size_t nd = static_cast<std::size_t>(lay.block_doubles());
   AlignedBuffer uin(nd), pencil(nd), reference(nd);
-  fill_block<3, Euler<3>>(lay, uin.data(),
-                          [&](IVec<3> p) { return smooth_euler<3>(phys, p); });
-  const RVec<3> dx(0.01);
+  fill_block<D, Phys>(lay, uin.data(), state_of);
+  const RVec<D> dx(0.01);
   for (SpatialOrder order : kOrders) {
-    FaceFluxStorage<3> ffa, ffb;
+    FaceFluxStorage<D> ffa, ffb;
     ffa.allocate(lay);
     ffb.allocate(lay);
-    fv_block_update<3, Euler<3>>(lay, uin.data(), pencil.data(), phys, dx,
-                                 1e-4, order, LimiterKind::VanLeer,
-                                 FluxScheme::Hll, &ffa);
-    fv_block_update_reference<3, Euler<3>>(
-        lay, uin.data(), reference.data(), phys, dx, 1e-4, order,
-        LimiterKind::VanLeer, FluxScheme::Hll, &ffb);
-    for (int dim = 0; dim < 3; ++dim)
+    fv_block_update<D, Phys>(lay, uin.data(), pencil.data(), phys, dx, 1e-4,
+                             order, LimiterKind::VanLeer, scheme, &ffa);
+    fv_block_update_reference<D, Phys>(lay, uin.data(), reference.data(),
+                                       phys, dx, 1e-4, order,
+                                       LimiterKind::VanLeer, scheme, &ffb);
+    for (int dim = 0; dim < D; ++dim)
       for (int side = 0; side < 2; ++side)
-        for_each_cell<3>(lay.interior_box(), [&](IVec<3> p) {
-          for (int v = 0; v < Euler<3>::NVAR; ++v)
+        for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
+          for (int v = 0; v < Phys::NVAR; ++v)
             ASSERT_EQ(ffa.at(dim, side, p, v), ffb.at(dim, side, p, v))
                 << "dim=" << dim << " side=" << side;
         });
   }
+}
+
+TEST(KernelEquivalence, FaceFluxRecording) {
+  Euler<3> euler;
+  expect_face_fluxes_equal<3>(
+      euler, [&](IVec<3> p) { return smooth_euler<3>(euler, p); },
+      FluxScheme::Hll);
+  // ot2d_mhd records its HLLD face fluxes for flux correction.
+  IdealMhd<2> mhd;
+  expect_face_fluxes_equal<2>(
+      mhd, [&](IVec<2> p) { return smooth_mhd<2>(mhd, p); },
+      FluxScheme::Hlld);
 }
 
 TEST(KernelEquivalence, SubBoxTilingMatchesFullUpdate) {

@@ -22,7 +22,9 @@ Exit status is 1 when any benchmark present in both files is slower than
 seed by more than --threshold (a ratio: 1.5 means "fails below 1/1.5 of the
 seed items/second"). Benchmarks missing on either side are reported but do
 not fail the check, and the seed context's compiler/flags are echoed so
-cross-configuration comparisons are visible for what they are.
+cross-configuration comparisons are visible for what they are. Files whose
+host blocks both declare a build_type, or both a native_arch, must agree on
+it; a mismatch is refused before any comparison.
 
 --obs-overhead additionally (or standalone) asserts that attaching a quiet
 Telemetry to the rank solver costs no more than --obs-overhead-max (default
@@ -85,8 +87,9 @@ def load_benchmarks(path, label):
     benches = doc.get("benchmarks", doc.get("after", []))
     context = doc.get("context", doc.get("seed_context", {}))
     host = doc.get("host", {})
-    build_type = host.get("build_type") if isinstance(host, dict) else None
-    return benches, context, build_type
+    if not isinstance(host, dict):
+        host = {}
+    return benches, context, host.get("build_type"), host.get("native_arch")
 
 
 def run_benchmarks(binary, bench_filter, repetitions):
@@ -109,7 +112,7 @@ def run_benchmarks(binary, bench_filter, repetitions):
     except json.JSONDecodeError as e:
         sys.exit(f"error: {binary} did not produce valid benchmark JSON "
                  f"({e.msg})")
-    return doc.get("benchmarks", []), doc.get("context", {}), None
+    return doc.get("benchmarks", []), doc.get("context", {}), None, None
 
 
 def check_obs_overhead(path, max_frac):
@@ -263,13 +266,15 @@ def main():
             return obs_status
         print()
 
-    seed_benches, seed_ctx, seed_bt = load_benchmarks(args.seed, "seed baseline")
+    seed_benches, seed_ctx, seed_bt, seed_na = load_benchmarks(
+        args.seed, "seed baseline")
     if args.bench_binary:
-        cur_benches, cur_ctx, cur_bt = run_benchmarks(
+        cur_benches, cur_ctx, cur_bt, cur_na = run_benchmarks(
             args.bench_binary, args.filter, args.repetitions
         )
     else:
-        cur_benches, cur_ctx, cur_bt = load_benchmarks(args.current, "current")
+        cur_benches, cur_ctx, cur_bt, cur_na = load_benchmarks(
+            args.current, "current")
 
     # Comparisons must be like-for-like: a Debug run "regressing" against a
     # Release seed (or a Release run "fixing" a Debug baseline) is a build
@@ -283,6 +288,16 @@ def main():
             f"the current run is '{cur_bt}'; rerun both under the same "
             "CMAKE_BUILD_TYPE (bench/run_benchmarks.sh enforces Release) "
             "before comparing"
+        )
+    # Likewise for AB_NATIVE_ARCH: -march=native -fno-math-errno is what
+    # lets GCC vectorize the Rusanov flux rows, so ON and OFF runs of the
+    # same code differ by the build, not by the change.
+    if seed_na and cur_na and seed_na != cur_na:
+        sys.exit(
+            f"error: native-arch mismatch — seed was built with "
+            f"AB_NATIVE_ARCH={seed_na} but the current run with "
+            f"AB_NATIVE_ARCH={cur_na}; rebuild both with the same "
+            "-DAB_NATIVE_ARCH before comparing"
         )
 
     seed_rep = representative(seed_benches)
