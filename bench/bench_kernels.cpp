@@ -66,12 +66,52 @@ void BM_EulerFirstOrder(benchmark::State& state) {
 BENCHMARK(BM_EulerFirstOrder)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_EulerSecondOrder(benchmark::State& state) {
+  // A uniform state: every slope is zero, so a limiter that branches on
+  // dm*dp <= 0 always takes its early-out and never divides here.
+  // BM_EulerBlast3D runs the same kernel on real slopes.
   Euler<3> phys;
   bench_update<Euler<3>>(state, phys,
                          phys.from_primitive(1.0, {0.5, 0.1, -0.2}, 1.0),
                          SpatialOrder::Second);
 }
 BENCHMARK(BM_EulerSecondOrder)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_EulerBlast3D(benchmark::State& state) {
+  // The blast3d_t2 kernel, the microbenchmark for its traced
+  // physics.kernel_ns_per_cell: 3D Euler, second order, van Leer, Rusanov.
+  // The block holds the run's Gaussian pressure pulse (amplitude 9, width
+  // 0.08, flow 0.6 per axis) at its finest spacing (1/128), centred on the
+  // pulse. The density follows the pressure adiabatically, as it does once
+  // the pulse starts to expand, so every variable has real slopes for the
+  // van Leer limiter.
+  using Phys = Euler<3>;
+  const int m = static_cast<int>(state.range(0));
+  Phys phys;
+  BlockLayout<3> lay(IVec<3>(m), 2, Phys::NVAR);
+  AlignedBuffer uin(lay.block_doubles()), uout(lay.block_doubles());
+  const RVec<3> dx{1.0 / 128, 1.0 / 128, 1.0 / 128};
+  for_each_cell<3>(lay.ghosted_box(), [&](IVec<3> p) {
+    double r2 = 0.0;
+    for (int d = 0; d < 3; ++d) {
+      const double x = (p[d] + 0.5 - 0.5 * m) * dx[d];
+      r2 += x * x;
+    }
+    const double pres = 1.0 + 9.0 * std::exp(-r2 / (0.08 * 0.08));
+    const Phys::State u = phys.from_primitive(
+        std::pow(pres, 1.0 / phys.gamma), {0.6, -0.6, 0.6}, pres);
+    for (int v = 0; v < Phys::NVAR; ++v)
+      uin.data()[v * lay.field_stride() + lay.offset(p)] = u[v];
+  });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fv_block_update<3, Phys>(
+        lay, uin.data(), uout.data(), phys, dx, 1e-4, SpatialOrder::Second,
+        LimiterKind::VanLeer, FluxScheme::Rusanov));
+    benchmark::DoNotOptimize(uout.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * lay.interior_cells());
+}
+BENCHMARK(BM_EulerBlast3D)->Arg(8)->Arg(16);
 
 void BM_MhdFirstOrder(benchmark::State& state) {
   IdealMhd<3> phys;

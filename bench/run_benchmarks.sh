@@ -107,6 +107,10 @@ native_arch="$(grep -E '^AB_NATIVE_ARCH:BOOL=' "$build_dir/CMakeCache.txt" \
 cxx_flags="$(grep -E '^CMAKE_CXX_FLAGS_RELEASE:' "$build_dir/CMakeCache.txt" \
   2>/dev/null | cut -d= -f2- || true)"
 git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
+# Numbers from sources that differ from HEAD do not belong to that commit.
+if ! git -C "$repo_root" diff --quiet HEAD -- src bench 2>/dev/null; then
+  git_sha="$git_sha+uncommitted"
+fi
 ncpu="$(nproc 2>/dev/null || echo unknown)"
 
 seed="$repo_root/bench/BENCH_kernels_seed.json"

@@ -6,11 +6,11 @@
 
 #include <array>
 #include <cmath>
-#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
-#include "util/aligned.hpp"
+#include "physics/lanes.hpp"
 #include "util/error.hpp"
 #include "util/vec.hpp"
 
@@ -82,120 +82,15 @@ struct Euler {
 
   /// Row form of the Rusanov flux over `nf` faces: face i's left/right
   /// state variable v is read from pL[v*sL + i] / pR[v*sR + i] (stride-1 in
-  /// i), flux component v is written to F[v*lane + i]. Evaluates exactly
-  /// the expressions of flux_and_speeds + the Rusanov combine per face, as
-  /// flat branch-free loops; results are bitwise identical to the per-face
-  /// path. GCC 12 vectorizes the loop only with -fno-math-errno plus
-  /// SSE4.2 or later (the AB_NATIVE_ARCH bench builds): at the baseline
-  /// ISA the errno path of std::sqrt is control flow, and SSE2 has no
-  /// 64-bit integer compare for the bit-cast max. The sweep direction is a
-  /// template parameter so the momentum-component selection is resolved at
-  /// compile time.
-  template <int dirc>
-  void rusanov_flux_row_impl(const double* AB_RESTRICT pL, std::int64_t sL,
-                             const double* AB_RESTRICT pR, std::int64_t sR,
-                             double* AB_RESTRICT F, std::int64_t lane,
-                             int nf) const {
-    // Hoisted per-variable unit-stride pointers. The left/right state
-    // pointers may alias each other (dim-0 passes adjacent cells of one
-    // lane) but are only read; F is only written and never overlaps the
-    // inputs — so restrict is valid and lets the vectorizer analyze the
-    // data refs.
-    const double* AB_RESTRICT rhoL = pL + irho() * sL;
-    const double* AB_RESTRICT rhoR = pR + irho() * sR;
-    const double* AB_RESTRICT engL = pL + ieng() * sL;
-    const double* AB_RESTRICT engR = pR + ieng() * sR;
-    // Named per-component momentum pointers (D <= 3); components past D-1
-    // alias component 0 and are never dereferenced — the if constexpr
-    // chains below keep every access and store straight-line so the face
-    // loop is a single basic block the vectorizer accepts.
-    const double* AB_RESTRICT mL0 = pL + imom(0) * sL;
-    const double* AB_RESTRICT mR0 = pR + imom(0) * sR;
-    const double* AB_RESTRICT mL1 = D >= 2 ? pL + imom(1) * sL : mL0;
-    const double* AB_RESTRICT mR1 = D >= 2 ? pR + imom(1) * sR : mR0;
-    const double* AB_RESTRICT mL2 = D >= 3 ? pL + imom(2) * sL : mL0;
-    const double* AB_RESTRICT mR2 = D >= 3 ? pR + imom(2) * sR : mR0;
-    double* AB_RESTRICT Frho = F + irho() * lane;
-    double* AB_RESTRICT Feng = F + ieng() * lane;
-    double* AB_RESTRICT Fm0 = F + imom(0) * lane;
-    double* AB_RESTRICT Fm1 = D >= 2 ? F + imom(1) * lane : Fm0;
-    double* AB_RESTRICT Fm2 = D >= 3 ? F + imom(2) * lane : Fm0;
-    const double* AB_RESTRICT mLd = dirc == 0 ? mL0 : (dirc == 1 ? mL1 : mL2);
-    const double* AB_RESTRICT mRd = dirc == 0 ? mR0 : (dirc == 1 ? mR1 : mR2);
-    // Local copies: the compiler must otherwise reload the member each
-    // iteration (the F stores could alias *this), which leaves the loop
-    // latch non-empty and blocks vectorization.
-    const double g = gamma;
-    const double gm1 = g - 1.0;
-    for (int i = 0; i < nf; ++i) {
-      const double rl = rhoL[i];
-      const double rr = rhoR[i];
-      const double el = engL[i];
-      const double er = engR[i];
-      const double vl = mLd[i] / rl;
-      const double vr = mRd[i] / rr;
-      double kel = mL0[i] * mL0[i];
-      double ker = mR0[i] * mR0[i];
-      if constexpr (D >= 2) {
-        kel += mL1[i] * mL1[i];
-        ker += mR1[i] * mR1[i];
-      }
-      if constexpr (D >= 3) {
-        kel += mL2[i] * mL2[i];
-        ker += mR2[i] * mR2[i];
-      }
-      kel *= 0.5 / rl;
-      ker *= 0.5 / rr;
-      const double pl = gm1 * (el - kel);
-      const double pr = gm1 * (er - ker);
-      // 0.5*(p + |p|) is bitwise-identical to (p > 0 ? p : 0.0) for any
-      // non-NaN p (doubling/halving are exact; negatives give +0.0), but
-      // branchless, which the loop vectorizer needs.
-      const double cl = std::sqrt(g * (0.5 * (pl + std::fabs(pl))) / rl);
-      const double cr = std::sqrt(g * (0.5 * (pr + std::fabs(pr))) / rr);
-      // max(|vl - cl|, |vl + cl|, |vr - cr|, |vr + cr|), in the per-face
-      // path's association order. Non-negative doubles order exactly like
-      // their bit patterns, so taking the max over the bit-cast integers
-      // matches std::max over the fabs values bit-for-bit while staying
-      // branchless (float std::max keeps a branch the vectorizer rejects).
-      std::uint64_t sb = std::bit_cast<std::uint64_t>(std::fabs(vl - cl));
-      sb = std::max(sb, std::bit_cast<std::uint64_t>(std::fabs(vl + cl)));
-      sb = std::max(sb, std::bit_cast<std::uint64_t>(std::fabs(vr - cr)));
-      sb = std::max(sb, std::bit_cast<std::uint64_t>(std::fabs(vr + cr)));
-      const double s = std::bit_cast<double>(sb);
-      Frho[i] = 0.5 * (mLd[i] + mRd[i]) - 0.5 * s * (rr - rl);
-      {
-        double fl = mL0[i] * vl;
-        double fr = mR0[i] * vr;
-        if constexpr (dirc == 0) {
-          fl += pl;
-          fr += pr;
-        }
-        Fm0[i] = 0.5 * (fl + fr) - 0.5 * s * (mR0[i] - mL0[i]);
-      }
-      if constexpr (D >= 2) {
-        double fl = mL1[i] * vl;
-        double fr = mR1[i] * vr;
-        if constexpr (dirc == 1) {
-          fl += pl;
-          fr += pr;
-        }
-        Fm1[i] = 0.5 * (fl + fr) - 0.5 * s * (mR1[i] - mL1[i]);
-      }
-      if constexpr (D >= 3) {
-        double fl = mL2[i] * vl;
-        double fr = mR2[i] * vr;
-        if constexpr (dirc == 2) {
-          fl += pl;
-          fr += pr;
-        }
-        Fm2[i] = 0.5 * (fl + fr) - 0.5 * s * (mR2[i] - mL2[i]);
-      }
-      Feng[i] =
-          0.5 * ((el + pl) * vl + (er + pr) * vr) - 0.5 * s * (er - el);
-    }
-  }
-
+  /// i), flux component v is written to F[v*lane + i]. Each face gets
+  /// exactly the bits of flux_and_speeds on both states followed by the
+  /// Rusanov combine of detail::numerical_flux.
+  ///
+  /// Faces are solved two at a time in f64x2 lanes, an odd last face in a
+  /// double (src/physics/lanes.hpp); the pressure clamp and the std::max
+  /// chain are mask selects. The lanes are explicit because the library's
+  /// -O3 build does not vectorize this loop: at the baseline ISA std::sqrt
+  /// keeps its errno path as a branch.
   void rusanov_flux_row(int dir, const double* pL, std::int64_t sL,
                         const double* pR, std::int64_t sR, double* F,
                         std::int64_t lane, int nf) const {
@@ -208,6 +103,56 @@ struct Euler {
         rusanov_flux_row_impl<2>(pL, sL, pR, sR, F, lane, nf);
       }
     }
+  }
+
+  template <int dirc>
+  void rusanov_flux_row_impl(const double* pL, std::int64_t sL,
+                             const double* pR, std::int64_t sR, double* F,
+                             std::int64_t lane, int nf) const {
+    lanes::for_row(nf, [&]<class V>(std::type_identity<V>, int i) {
+      rusanov_lanes<dirc, V>(pL + i, sL, pR + i, sR, F + i, lane);
+    });
+  }
+
+  /// The Rusanov flux for the lanes::kWidth<V> faces starting at pL / pR /
+  /// F, with the expressions of flux_and_speeds in its order. Its |m|^2
+  /// sum starts from 0.0; 0.0 + x*x is x*x for every x.
+  template <int dirc, class V>
+  void rusanov_lanes(const double* pL, std::int64_t sL, const double* pR,
+                     std::int64_t sR, double* F, std::int64_t lane) const {
+    const double g = gamma;
+    struct Side {
+      V q[NVAR], f[NVAR];
+      V lmin, lmax;
+    };
+    auto flux_and_speeds_of = [&](const double* p, std::int64_t stride) {
+      Side d;
+      for (int k = 0; k < NVAR; ++k) d.q[k] = lanes::load<V>(p + k * stride);
+      const V rho = d.q[irho()];
+      const V vd = d.q[imom(dirc)] / rho;
+      V ke = d.q[imom(0)] * d.q[imom(0)];
+      for (int k = 1; k < D; ++k) ke = ke + d.q[imom(k)] * d.q[imom(k)];
+      ke = ke * (0.5 / rho);
+      const V pres = (g - 1.0) * (d.q[ieng()] - ke);
+      d.f[irho()] = d.q[imom(dirc)];
+      for (int k = 0; k < D; ++k) d.f[imom(k)] = d.q[imom(k)] * vd;
+      d.f[imom(dirc)] = d.f[imom(dirc)] + pres;
+      d.f[ieng()] = (d.q[ieng()] + pres) * vd;
+      const V pc = lanes::select(pres > 0.0, pres, lanes::broadcast<V>(0.0));
+      const V c = lanes::sqrt(g * pc / rho);
+      d.lmin = vd - c;
+      d.lmax = vd + c;
+      return d;
+    };
+    const Side l = flux_and_speeds_of(pL, sL);
+    const Side r = flux_and_speeds_of(pR, sR);
+    V s = lanes::fabs(l.lmin);
+    s = lanes::max(s, lanes::fabs(l.lmax));
+    s = lanes::max(s, lanes::fabs(r.lmin));
+    s = lanes::max(s, lanes::fabs(r.lmax));
+    for (int k = 0; k < NVAR; ++k)
+      lanes::store<V>(F + k * lane, 0.5 * (l.f[k] + r.f[k]) -
+                                        0.5 * s * (r.q[k] - l.q[k]));
   }
 
   double max_speed(const State& u, int dir) const {

@@ -121,8 +121,9 @@ inline void flux_row(const Phys& phys, FluxScheme scheme, int dir,
                      std::int64_t strideR, double* F, std::int64_t lane,
                      int nf) {
   using State = typename Phys::State;
-  // Physics-provided row forms (branch-free loops over the lanes, bitwise
-  // identical to the per-face evaluation) take precedence.
+  // Physics-provided row forms (two faces at a time in explicit SIMD lanes,
+  // src/physics/lanes.hpp; bitwise identical to the per-face evaluation)
+  // take precedence.
   if constexpr (requires {
                   phys.rusanov_flux_row(dir, pL, strideL, pR, strideR, F,
                                         lane, nf);

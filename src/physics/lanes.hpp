@@ -1,11 +1,12 @@
-// Explicit SIMD lanes for flux rows whose per-face form branches.
+// Explicit SIMD lanes for pencil rows whose per-element form branches.
 //
 // A row kernel written once as a template over the lane type V evaluates
-// two faces at a time with f64x2 (a GCC vector of two doubles; SSE2 is the
-// x86-64 baseline) and an odd last face with plain double. Every branch of
-// the per-face code becomes a mask select: both arms are evaluated and the
-// select keeps the bits the branch would have produced. The helpers below
-// give the two lane types one spelling for the operations that differ.
+// two faces (or cells) at a time with f64x2 (a GCC vector of two doubles;
+// SSE2 is the x86-64 baseline) and an odd last one with plain double;
+// for_row is that pair-then-tail loop. Every branch of the per-element
+// code becomes a mask select: both arms are evaluated and the select keeps
+// the bits the branch would have produced. The helpers below give the two
+// lane types one spelling for the operations that differ.
 #pragma once
 
 #include <cmath>
@@ -17,9 +18,20 @@ namespace ab::lanes {
 using f64x2 = double __attribute__((vector_size(16)));
 using m64x2 = decltype(f64x2{} < f64x2{});  ///< all-ones / all-zeros lanes
 
-/// Faces one value of V holds.
+/// Elements one value of V holds.
 template <class V>
 inline constexpr int kWidth = sizeof(V) / sizeof(double);
+
+/// The row loop of a lane kernel over elements [0, n): calls
+/// body(std::type_identity<f64x2>{}, i) for each pair i, i + 1, then
+/// body(std::type_identity<double>{}, n - 1) if n is odd.
+template <class Body>
+inline void for_row(int n, Body&& body) {
+  int i = 0;
+  for (; i + kWidth<f64x2> <= n; i += kWidth<f64x2>)
+    body(std::type_identity<f64x2>{}, i);
+  if (i < n) body(std::type_identity<double>{}, i);
+}
 
 template <class V>
 inline V broadcast(double x) {

@@ -1,15 +1,21 @@
 // Slope limiters for MUSCL reconstruction (van Leer ref [6] lineage).
 //
-// Each limiter exists in two forms sharing one scalar kernel: the per-value
-// `limited_slope` (dispatching on LimiterKind) and the row form
-// `limited_slope_row`, which hoists the kind switch out of the loop so each
-// case body is a tight stride-1 loop over the pencil lanes the block-update
-// kernel prepares. Both forms evaluate the identical arithmetic, so the
-// pencil-vectorized kernel stays bitwise identical to the scalar reference.
+// Each limiter exists in two forms: the per-value `limited_slope`
+// (dispatching on LimiterKind) and the row form `limited_slope_row`, which
+// hoists the kind switch out of the loop so each case body is a tight
+// stride-1 loop over the pencil lanes the block-update kernel prepares.
+// MinMod and None run the per-value functions in plain loops, which GCC
+// vectorizes at the baseline ISA. It does not if-convert van Leer's
+// guarded division or MC's early return, so those two rows run explicit
+// two-lane bodies (src/physics/lanes.hpp) with every branch a mask select.
+// Both forms evaluate the identical arithmetic, so the pencil kernel stays
+// bitwise identical to the scalar reference.
 #pragma once
 
 #include <cmath>
+#include <type_traits>
 
+#include "physics/lanes.hpp"
 #include "util/aligned.hpp"
 
 namespace ab {
@@ -48,6 +54,29 @@ inline double mc_slope(double dm, double dp) {
 
 inline double central_slope(double dm, double dp) { return 0.5 * (dm + dp); }
 
+/// vanleer_slope for lanes::kWidth<V> cells: the same expressions, the
+/// early return a select.
+template <class V>
+inline V vanleer_slope_lanes(V dm, V dp) {
+  const V denom = dm + dp;
+  const V slope = 2.0 * dm * dp / denom;
+  return lanes::select((dm * dp <= 0.0) | (denom == 0.0),
+                       lanes::broadcast<V>(0.0), slope);
+}
+
+/// mc_slope for lanes::kWidth<V> cells: the same expressions, every branch
+/// a select.
+template <class V>
+inline V mc_slope_lanes(V dm, V dp) {
+  const V c = 0.5 * (dm + dp);
+  const V am = 2.0 * lanes::fabs(dm), ap = 2.0 * lanes::fabs(dp);
+  const V lim = lanes::select(am < ap, am, ap);
+  const V ac = lanes::fabs(c);
+  const V m = lanes::select(ac < lim, ac, lim);
+  return lanes::select(dm * dp <= 0.0, lanes::broadcast<V>(0.0),
+                       lanes::select(c > 0.0, m, -m));
+}
+
 }  // namespace detail
 
 /// Limited slope from the backward difference `dm` (u_i - u_{i-1}) and the
@@ -79,12 +108,20 @@ inline void limited_slope_row(LimiterKind k, const double* AB_RESTRICT um,
         s[i] = detail::minmod_slope(uc[i] - um[i], up[i] - uc[i]);
       break;
     case LimiterKind::VanLeer:
-      for (int i = 0; i < n; ++i)
-        s[i] = detail::vanleer_slope(uc[i] - um[i], up[i] - uc[i]);
+      lanes::for_row(n, [&]<class V>(std::type_identity<V>, int i) {
+        const V c = lanes::load<V>(uc + i);
+        lanes::store<V>(s + i,
+                        detail::vanleer_slope_lanes(c - lanes::load<V>(um + i),
+                                                    lanes::load<V>(up + i) - c));
+      });
       break;
     case LimiterKind::MC:
-      for (int i = 0; i < n; ++i)
-        s[i] = detail::mc_slope(uc[i] - um[i], up[i] - uc[i]);
+      lanes::for_row(n, [&]<class V>(std::type_identity<V>, int i) {
+        const V c = lanes::load<V>(uc + i);
+        lanes::store<V>(s + i,
+                        detail::mc_slope_lanes(c - lanes::load<V>(um + i),
+                                               lanes::load<V>(up + i) - c));
+      });
       break;
     case LimiterKind::None:
       for (int i = 0; i < n; ++i)

@@ -11,12 +11,11 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "physics/lanes.hpp"
-#include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/vec.hpp"
 
@@ -144,158 +143,13 @@ struct IdealMhd {
 
   /// Row form of the Rusanov flux over `nf` faces: face i's left/right
   /// state variable v is read from pL[v*sL + i] / pR[v*sR + i] (stride-1 in
-  /// i), flux component v is written to F[v*lane + i]. Evaluates exactly
-  /// the expressions of flux_and_speeds + the Rusanov combine per face, as
-  /// flat branch-free loops; the only per-face branches of the scalar path
-  /// (pressure and discriminant clamps) become 0.5*(x + |x|), which
-  /// differs only in the sign of a zero the downstream arithmetic cannot
-  /// observe. GCC 12 vectorizes the loop only with -fno-math-errno plus
-  /// SSE4.2 or later (the AB_NATIVE_ARCH bench builds): at the baseline
-  /// ISA the errno path of std::sqrt is control flow, and SSE2 has no
-  /// 64-bit integer compare for the bit-cast max. The sweep direction is a
-  /// template parameter so component selection is resolved at compile time.
-  template <int dirc>
-  void rusanov_flux_row_impl(const double* AB_RESTRICT pL, std::int64_t sL,
-                             const double* AB_RESTRICT pR, std::int64_t sR,
-                             double* AB_RESTRICT F, std::int64_t lane,
-                             int nf) const {
-    // Hoisted per-variable unit-stride pointers; the left/right inputs may
-    // alias each other but are only read, and F never overlaps them.
-    const double* AB_RESTRICT rhoL = pL + irho() * sL;
-    const double* AB_RESTRICT rhoR = pR + irho() * sR;
-    const double* AB_RESTRICT engL = pL + ieng() * sL;
-    const double* AB_RESTRICT engR = pR + ieng() * sR;
-    const double* AB_RESTRICT mL0 = pL + imom(0) * sL;
-    const double* AB_RESTRICT mL1 = pL + imom(1) * sL;
-    const double* AB_RESTRICT mL2 = pL + imom(2) * sL;
-    const double* AB_RESTRICT mR0 = pR + imom(0) * sR;
-    const double* AB_RESTRICT mR1 = pR + imom(1) * sR;
-    const double* AB_RESTRICT mR2 = pR + imom(2) * sR;
-    const double* AB_RESTRICT bL0 = pL + imag(0) * sL;
-    const double* AB_RESTRICT bL1 = pL + imag(1) * sL;
-    const double* AB_RESTRICT bL2 = pL + imag(2) * sL;
-    const double* AB_RESTRICT bR0 = pR + imag(0) * sR;
-    const double* AB_RESTRICT bR1 = pR + imag(1) * sR;
-    const double* AB_RESTRICT bR2 = pR + imag(2) * sR;
-    double* AB_RESTRICT Frho = F + irho() * lane;
-    double* AB_RESTRICT Feng = F + ieng() * lane;
-    double* AB_RESTRICT Fm0 = F + imom(0) * lane;
-    double* AB_RESTRICT Fm1 = F + imom(1) * lane;
-    double* AB_RESTRICT Fm2 = F + imom(2) * lane;
-    double* AB_RESTRICT Fb0 = F + imag(0) * lane;
-    double* AB_RESTRICT Fb1 = F + imag(1) * lane;
-    double* AB_RESTRICT Fb2 = F + imag(2) * lane;
-    const double* AB_RESTRICT mLd = dirc == 0 ? mL0 : (dirc == 1 ? mL1 : mL2);
-    const double* AB_RESTRICT mRd = dirc == 0 ? mR0 : (dirc == 1 ? mR1 : mR2);
-    const double* AB_RESTRICT bLd = dirc == 0 ? bL0 : (dirc == 1 ? bL1 : bL2);
-    const double* AB_RESTRICT bRd = dirc == 0 ? bR0 : (dirc == 1 ? bR1 : bR2);
-    // Local copies: member reloads would leave the loop latch non-empty
-    // (the F stores could alias *this) and block vectorization.
-    const double g = gamma;
-    const double gm1 = g - 1.0;
-    for (int i = 0; i < nf; ++i) {
-      const double rl = rhoL[i];
-      const double rr = rhoR[i];
-      const double el = engL[i];
-      const double er = engR[i];
-      const double irl = 1.0 / rl;
-      const double irr = 1.0 / rr;
-      const double vl = mLd[i] * irl;
-      const double vr = mRd[i] * irr;
-      const double bdl = bLd[i];
-      const double bdr = bRd[i];
-      double kel = mL0[i] * mL0[i] + mL1[i] * mL1[i] + mL2[i] * mL2[i];
-      double ker = mR0[i] * mR0[i] + mR1[i] * mR1[i] + mR2[i] * mR2[i];
-      const double b2l = bL0[i] * bL0[i] + bL1[i] * bL1[i] + bL2[i] * bL2[i];
-      const double b2r = bR0[i] * bR0[i] + bR1[i] * bR1[i] + bR2[i] * bR2[i];
-      const double vdbl =
-          mL0[i] * irl * bL0[i] + mL1[i] * irl * bL1[i] + mL2[i] * irl * bL2[i];
-      const double vdbr =
-          mR0[i] * irr * bR0[i] + mR1[i] * irr * bR1[i] + mR2[i] * irr * bR2[i];
-      kel *= 0.5 / rl;
-      ker *= 0.5 / rr;
-      const double plp = gm1 * (el - kel - 0.5 * b2l);
-      const double prp = gm1 * (er - ker - 0.5 * b2r);
-      const double ptl = plp + 0.5 * b2l;
-      const double ptr = prp + 0.5 * b2r;
-      // Fast magnetosonic speeds, with the scalar path's direct divisions.
-      const double vls = mLd[i] / rl;
-      const double vrs = mRd[i] / rr;
-      const double pcl = 0.5 * (plp + std::fabs(plp));
-      const double pcr = 0.5 * (prp + std::fabs(prp));
-      const double a2l = g * pcl / rl;
-      const double a2r = g * pcr / rr;
-      const double ca2l = b2l / rl;
-      const double ca2r = b2r / rr;
-      const double cad2l = bdl * bdl / rl;
-      const double cad2r = bdr * bdr / rr;
-      const double ssl = a2l + ca2l;
-      const double ssr = a2r + ca2r;
-      const double discl0 = ssl * ssl - 4.0 * a2l * cad2l;
-      const double discr0 = ssr * ssr - 4.0 * a2r * cad2r;
-      const double discl = 0.5 * (discl0 + std::fabs(discl0));
-      const double discr = 0.5 * (discr0 + std::fabs(discr0));
-      const double cfl = std::sqrt(0.5 * (ssl + std::sqrt(discl)));
-      const double cfr = std::sqrt(0.5 * (ssr + std::sqrt(discr)));
-      // max(|vls - cfl|, |vls + cfl|, |vrs - cfr|, |vrs + cfr|) in the
-      // per-face path's association order; non-negative doubles order like
-      // their bit patterns, so integer max stays branchless and exact.
-      std::uint64_t sb = std::bit_cast<std::uint64_t>(std::fabs(vls - cfl));
-      sb = std::max(sb, std::bit_cast<std::uint64_t>(std::fabs(vls + cfl)));
-      sb = std::max(sb, std::bit_cast<std::uint64_t>(std::fabs(vrs - cfr)));
-      sb = std::max(sb, std::bit_cast<std::uint64_t>(std::fabs(vrs + cfr)));
-      const double s = std::bit_cast<double>(sb);
-      Frho[i] = 0.5 * (mLd[i] + mRd[i]) - 0.5 * s * (rr - rl);
-      {
-        double fl = mL0[i] * vl - bdl * bL0[i];
-        double fr = mR0[i] * vr - bdr * bR0[i];
-        if constexpr (dirc == 0) {
-          fl += ptl;
-          fr += ptr;
-        }
-        Fm0[i] = 0.5 * (fl + fr) - 0.5 * s * (mR0[i] - mL0[i]);
-      }
-      {
-        double fl = mL1[i] * vl - bdl * bL1[i];
-        double fr = mR1[i] * vr - bdr * bR1[i];
-        if constexpr (dirc == 1) {
-          fl += ptl;
-          fr += ptr;
-        }
-        Fm1[i] = 0.5 * (fl + fr) - 0.5 * s * (mR1[i] - mL1[i]);
-      }
-      {
-        double fl = mL2[i] * vl - bdl * bL2[i];
-        double fr = mR2[i] * vr - bdr * bR2[i];
-        if constexpr (dirc == 2) {
-          fl += ptl;
-          fr += ptr;
-        }
-        Fm2[i] = 0.5 * (fl + fr) - 0.5 * s * (mR2[i] - mL2[i]);
-      }
-      {
-        const double fl = dirc == 0 ? 0.0 : bL0[i] * vl - mL0[i] * irl * bdl;
-        const double fr = dirc == 0 ? 0.0 : bR0[i] * vr - mR0[i] * irr * bdr;
-        Fb0[i] = 0.5 * (fl + fr) - 0.5 * s * (bR0[i] - bL0[i]);
-      }
-      {
-        const double fl = dirc == 1 ? 0.0 : bL1[i] * vl - mL1[i] * irl * bdl;
-        const double fr = dirc == 1 ? 0.0 : bR1[i] * vr - mR1[i] * irr * bdr;
-        Fb1[i] = 0.5 * (fl + fr) - 0.5 * s * (bR1[i] - bL1[i]);
-      }
-      {
-        const double fl = dirc == 2 ? 0.0 : bL2[i] * vl - mL2[i] * irl * bdl;
-        const double fr = dirc == 2 ? 0.0 : bR2[i] * vr - mR2[i] * irr * bdr;
-        Fb2[i] = 0.5 * (fl + fr) - 0.5 * s * (bR2[i] - bL2[i]);
-      }
-      {
-        const double fl = (el + ptl) * vl - bdl * vdbl;
-        const double fr = (er + ptr) * vr - bdr * vdbr;
-        Feng[i] = 0.5 * (fl + fr) - 0.5 * s * (er - el);
-      }
-    }
-  }
-
+  /// i), flux component v is written to F[v*lane + i]. Each face gets
+  /// exactly the bits of flux_and_speeds on both states followed by the
+  /// Rusanov combine of detail::numerical_flux.
+  ///
+  /// Faces are solved two at a time in f64x2 lanes, an odd last face in a
+  /// double (src/physics/lanes.hpp); the pressure and discriminant clamps
+  /// and the std::max chain are mask selects, as in hlld_flux_row.
   void rusanov_flux_row(int dir, const double* pL, std::int64_t sL,
                         const double* pR, std::int64_t sR, double* F,
                         std::int64_t lane, int nf) const {
@@ -306,6 +160,78 @@ struct IdealMhd {
     } else if constexpr (D >= 3) {
       rusanov_flux_row_impl<2>(pL, sL, pR, sR, F, lane, nf);
     }
+  }
+
+  template <int dirc>
+  void rusanov_flux_row_impl(const double* pL, std::int64_t sL,
+                             const double* pR, std::int64_t sR, double* F,
+                             std::int64_t lane, int nf) const {
+    lanes::for_row(nf, [&]<class V>(std::type_identity<V>, int i) {
+      rusanov_lanes<dirc, V>(pL + i, sL, pR + i, sR, F + i, lane);
+    });
+  }
+
+  /// The Rusanov flux for the lanes::kWidth<V> faces starting at pL / pR /
+  /// F, with the expressions of flux_and_speeds in its order. Its |m|^2
+  /// and |B|^2 sums start from 0.0; 0.0 + x*x is x*x for every x, but a
+  /// v.B term can be -0.0, so that sum keeps its 0.0.
+  template <int dirc, class V>
+  void rusanov_lanes(const double* pL, std::int64_t sL, const double* pR,
+                     std::int64_t sR, double* F, std::int64_t lane) const {
+    const V zero = lanes::broadcast<V>(0.0);
+    const double g = gamma;
+    struct Side {
+      V q[NVAR], f[NVAR];
+      V lmin, lmax;
+    };
+    auto flux_and_speeds_of = [&](const double* p, std::int64_t stride) {
+      Side d;
+      for (int k = 0; k < NVAR; ++k) d.q[k] = lanes::load<V>(p + k * stride);
+      const V rho = d.q[irho()];
+      const V inv_rho = 1.0 / rho;
+      const V vd = d.q[imom(dirc)] * inv_rho;
+      const V bd = d.q[imag(dirc)];
+      V ke = d.q[imom(0)] * d.q[imom(0)];
+      V b2 = d.q[imag(0)] * d.q[imag(0)];
+      V vdotb = 0.0 + d.q[imom(0)] * inv_rho * d.q[imag(0)];
+      for (int k = 1; k < 3; ++k) {
+        ke = ke + d.q[imom(k)] * d.q[imom(k)];
+        b2 = b2 + d.q[imag(k)] * d.q[imag(k)];
+        vdotb = vdotb + d.q[imom(k)] * inv_rho * d.q[imag(k)];
+      }
+      ke = ke * (0.5 / rho);
+      const V pres = (g - 1.0) * (d.q[ieng()] - ke - 0.5 * b2);
+      const V ptot = pres + 0.5 * b2;
+      d.f[irho()] = d.q[imom(dirc)];
+      for (int k = 0; k < 3; ++k) {
+        d.f[imom(k)] = d.q[imom(k)] * vd - bd * d.q[imag(k)];
+        d.f[imag(k)] = d.q[imag(k)] * vd - d.q[imom(k)] * inv_rho * bd;
+      }
+      d.f[imom(dirc)] = d.f[imom(dirc)] + ptot;
+      d.f[imag(dirc)] = zero;
+      d.f[ieng()] = (d.q[ieng()] + ptot) * vd - bd * vdotb;
+      const V vds = d.q[imom(dirc)] / rho;
+      const V pc = lanes::select(pres < 0.0, zero, pres);
+      const V a2 = g * pc / rho;
+      const V ca2 = b2 / rho;
+      const V cad2 = bd * bd / rho;
+      const V ss = a2 + ca2;
+      V disc = ss * ss - 4.0 * a2 * cad2;
+      disc = lanes::select(disc < 0.0, zero, disc);
+      const V cf = lanes::sqrt(0.5 * (ss + lanes::sqrt(disc)));
+      d.lmin = vds - cf;
+      d.lmax = vds + cf;
+      return d;
+    };
+    const Side l = flux_and_speeds_of(pL, sL);
+    const Side r = flux_and_speeds_of(pR, sR);
+    V s = lanes::fabs(l.lmin);
+    s = lanes::max(s, lanes::fabs(l.lmax));
+    s = lanes::max(s, lanes::fabs(r.lmin));
+    s = lanes::max(s, lanes::fabs(r.lmax));
+    for (int k = 0; k < NVAR; ++k)
+      lanes::store<V>(F + k * lane, 0.5 * (l.f[k] + r.f[k]) -
+                                        0.5 * s * (r.q[k] - l.q[k]));
   }
 
   /// Powell eight-wave source increment: du += -dt * divB * S8(u), where
@@ -528,22 +454,18 @@ struct IdealMhd {
   }
 
   template <int dirc>
-  void hlld_flux_row_impl(const double* AB_RESTRICT pL, std::int64_t sL,
-                          const double* AB_RESTRICT pR, std::int64_t sR,
-                          double* AB_RESTRICT F, std::int64_t lane,
-                          int nf) const {
-    using lanes::f64x2;
-    int i = 0;
-    for (; i + lanes::kWidth<f64x2> <= nf; i += lanes::kWidth<f64x2>)
-      hlld_lanes<dirc, f64x2>(pL + i, sL, pR + i, sR, F + i, lane);
-    if (i < nf) hlld_lanes<dirc, double>(pL + i, sL, pR + i, sR, F + i, lane);
+  void hlld_flux_row_impl(const double* pL, std::int64_t sL,
+                          const double* pR, std::int64_t sR, double* F,
+                          std::int64_t lane, int nf) const {
+    lanes::for_row(nf, [&]<class V>(std::type_identity<V>, int i) {
+      hlld_lanes<dirc, V>(pL + i, sL, pR + i, sR, F + i, lane);
+    });
   }
 
   /// hlld_flux for the lanes::kWidth<V> faces starting at pL / pR / F.
   template <int dirc, class V>
-  void hlld_lanes(const double* AB_RESTRICT pL, std::int64_t sL,
-                  const double* AB_RESTRICT pR, std::int64_t sR,
-                  double* AB_RESTRICT F, std::int64_t lane) const {
+  void hlld_lanes(const double* pL, std::int64_t sL, const double* pR,
+                  std::int64_t sR, double* F, std::int64_t lane) const {
     using Mask = decltype(V{} < V{});
     using lanes::mnot;
     using lanes::select;
@@ -558,7 +480,7 @@ struct IdealMhd {
       V rho, u, p, pt, e, b2;
       V v[3], b[3];
     };
-    auto decompose = [&](const double* AB_RESTRICT p, std::int64_t s) {
+    auto decompose = [&](const double* p, std::int64_t s) {
       Side d;
       for (int k = 0; k < NVAR; ++k) d.q[k] = lanes::load<V>(p + k * s);
       d.rho = d.q[irho()];

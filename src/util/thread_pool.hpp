@@ -84,7 +84,11 @@ class ThreadPool {
     }
     using Fn = std::remove_reference_t<F>;
     {
-      std::lock_guard<std::mutex> lk(mu_);
+      std::unique_lock<std::mutex> lk(mu_);
+      // A worker that woke for the previous call after its work ran out may
+      // still be in drain(); resetting next_ under it would let it claim
+      // this call's indices with the previous call's body.
+      done_cv_.wait(lk, [this] { return active_ == 0; });
       ctx_ = const_cast<void*>(
           static_cast<const volatile void*>(std::addressof(fn)));
       invoke_ = [](void* ctx, std::int64_t begin, std::int64_t end) {
@@ -95,16 +99,15 @@ class ThreadPool {
       limit_ = n;
       chunk_ = chunk > 0 ? chunk
                          : std::max<std::int64_t>(1, n / (8 * num_threads_));
-      remaining_.store(n, std::memory_order_relaxed);
       ++generation_;
     }
     cv_.notify_all();
     drain();  // the calling thread works too
-    // Wait for stragglers.
+    // Every index is claimed once drain() returns, and a claimant leaves
+    // drain() only after running its chunks: the work is done when no
+    // worker is left inside.
     std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
-    });
+    done_cv_.wait(lk, [this] { return active_ == 0; });
     invoke_ = nullptr;
     ctx_ = nullptr;
   }
@@ -115,22 +118,15 @@ class ThreadPool {
     return idx;
   }
 
+  /// Runs chunks of the current job until its indices run out. Called by
+  /// the thread that set the job up or by a worker counted in active_;
+  /// either way the job fields cannot change until it returns.
   void drain() {
-    void (*const invoke)(void*, std::int64_t, std::int64_t) = invoke_;
-    void* const ctx = ctx_;
-    std::int64_t done = 0;
     for (;;) {
       const std::int64_t begin =
           next_.fetch_add(chunk_, std::memory_order_relaxed);
       if (begin >= limit_) break;
-      const std::int64_t end = std::min(begin + chunk_, limit_);
-      invoke(ctx, begin, end);
-      done += end - begin;
-    }
-    if (done > 0 &&
-        remaining_.fetch_sub(done, std::memory_order_acq_rel) == done) {
-      std::lock_guard<std::mutex> lk(mu_);
-      done_cv_.notify_all();
+      invoke_(ctx_, begin, std::min(begin + chunk_, limit_));
     }
   }
 
@@ -142,8 +138,11 @@ class ThreadPool {
         cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
         if (shutdown_) return;
         seen = generation_;
+        ++active_;
       }
       drain();
+      std::lock_guard<std::mutex> lk(mu_);
+      if (--active_ == 0) done_cv_.notify_all();
     }
   }
 
@@ -158,8 +157,8 @@ class ThreadPool {
   std::atomic<std::int64_t> next_{0};
   std::int64_t limit_ = 0;
   std::int64_t chunk_ = 1;
-  std::atomic<std::int64_t> remaining_{0};
   std::uint64_t generation_ = 0;
+  int active_ = 0;  ///< workers inside drain(); guarded by mu_
   bool shutdown_ = false;
 };
 

@@ -12,6 +12,7 @@
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
 #include "physics/mhd.hpp"
+#include "support/flux_row.hpp"
 #include "support/rng.hpp"
 #include "util/aligned.hpp"
 
@@ -268,111 +269,32 @@ void mark_arms(const IdealMhd<D>& phys, const typename IdealMhd<D>::State& uL,
   if (degenerate) ++hit[kDegenerateStar];
 }
 
-/// A row of `n` random cells in one of several regimes: drifting through
-/// the face (supersonic), no normal field (bn = 0) or none at all, or a
-/// field along `dir` with at most a tiny tangential part (degenerate stars,
-/// and p = bn^2 / gamma for discriminants that round below zero). Some
-/// cells repeat their neighbour, some have p < 0.
-template <int D>
-std::vector<typename IdealMhd<D>::State> fuzz_row(const IdealMhd<D>& phys,
-                                                  int dir, int n,
-                                                  testing::SplitMix64& rng) {
-  using M = IdealMhd<D>;
-  const double sign = rng.below(2) == 0 ? 1.0 : -1.0;
-  const double drift = rng.below(3) == 0 ? sign * rng.uniform(1.0, 8.0) : 0.0;
-  const bool zero_bn = rng.below(6) == 0;
-  const bool hydro = zero_bn && rng.below(2) == 0;  // B = 0: the HLLC limit
-  const bool aligned = !zero_bn && rng.below(5) == 0;
-  const double bn_aligned = sign * rng.uniform(0.5, 2.5);
-  std::vector<typename M::State> cells;
-  for (int c = 0; c < n; ++c) {
-    if (c > 0 && rng.below(aligned ? 2 : 6) == 0) {
-      cells.push_back(cells.back());
-      continue;
-    }
-    const double rho = rng.uniform(0.2, 2.0);
-    double p = rng.uniform(0.05, 2.0);
-    double v[3], b[3];
-    for (int k = 0; k < 3; ++k) {
-      v[k] = rng.uniform(-2.0, 2.0);
-      b[k] = rng.uniform(-1.5, 1.5);
-    }
-    v[dir] += drift;
-    if (zero_bn) b[dir] = 0.0;
-    if (hydro) b[0] = b[1] = b[2] = 0.0;
-    if (aligned) {
-      // Bt = 0, or small enough that the star denominator still rounds
-      // below the degeneracy threshold while the switched-off field shows.
-      const double bt = rng.below(2) == 0 ? 0.0 : 1e-7;
-      for (int k = 0; k < 3; ++k)
-        b[k] = k == dir ? bn_aligned : bt * rng.uniform(-1.0, 1.0);
-      if (rng.below(2) == 0) p = b[dir] * b[dir] / phys.gamma;
-    }
-    if (rng.below(16) == 0) p = -rng.uniform(0.01, 0.3);
-    typename M::State u{};
-    u[M::irho()] = rho;
-    double ke = 0.0, b2 = 0.0;
-    for (int k = 0; k < 3; ++k) {
-      u[M::imom(k)] = rho * v[k];
-      u[M::imag(k)] = b[k];
-      ke += v[k] * v[k];
-      b2 += b[k] * b[k];
-    }
-    u[M::ieng()] = p / (phys.gamma - 1.0) + 0.5 * rho * ke + 0.5 * b2;
-    cells.push_back(u);
-  }
-  return cells;
-}
-
 /// Fuzzes hlld_flux_row(dir) against hlld_flux face by face, for rows of
-/// nf in {1, 2, 8, 9} in lane-scratch layout (separate left/right lanes at
-/// stride `lane`) and in block layout (one cell row at a field stride,
-/// pR = pL + 1, as first-order sweeps pass it). Both flux buffers start
-/// from the same sentinel, so writes past nf also show as mismatches.
+/// nf in {1, 2, 8, 9} in lane-scratch and in block layout.
 template <int D>
 void fuzz_hlld_row(const IdealMhd<D>& phys, int dir, std::uint64_t seed,
                    std::array<std::int64_t, kNumArms>& hit) {
-  using M = IdealMhd<D>;
-  constexpr int NV = M::NVAR;
+  using State = typename IdealMhd<D>::State;
   testing::SplitMix64 rng(seed);
+  auto row = [&](const double* pL, std::int64_t sL, const double* pR,
+                 std::int64_t sR, double* F, std::int64_t lane, int nf) {
+    phys.hlld_flux_row(dir, pL, sL, pR, sR, F, lane, nf);
+  };
+  auto face = [&](const State& uL, const State& uR, State& f) {
+    phys.hlld_flux(uL, uR, dir, f);
+  };
   for (int nf : {1, 2, 8, 9}) {
-    const std::int64_t lane = (nf + 2 + 7) & ~7;
-    const std::int64_t fs = lane + 3;  // odd: unaligned pairs
     for (bool block_stride : {false, true}) {
-      for (int row = 0; row < 400; ++row) {
+      for (int row_index = 0; row_index < 400; ++row_index) {
         // Face i sits between cells i and i + 1.
-        const auto cells = fuzz_row<D>(phys, dir, nf + 1, rng);
-        std::vector<double> in(2 * NV * fs, 0.0);
-        const std::int64_t stride = block_stride ? fs : lane;
-        double* pL = in.data() + (block_stride ? 1 : 0);
-        double* pR = block_stride ? pL + 1 : pL + NV * lane;
+        const auto cells = testing::fuzz_mhd_cells<D>(phys, dir, nf + 1, rng);
         for (int i = 0; i < nf; ++i)
-          for (int v = 0; v < NV; ++v) {
-            pL[v * stride + i] = cells[i][v];
-            pR[v * stride + i] = cells[i + 1][v];
-          }
-        std::vector<double> row_flux(NV * lane), face_flux(NV * lane);
-        std::fill(row_flux.begin(), row_flux.end(), -1234.5);
-        std::fill(face_flux.begin(), face_flux.end(), -1234.5);
-        phys.hlld_flux_row(dir, pL, stride, pR, stride, row_flux.data(), lane,
-                           nf);
-        for (int i = 0; i < nf; ++i) {
-          typename M::State f;
-          phys.hlld_flux(cells[i], cells[i + 1], dir, f);
-          for (int v = 0; v < NV; ++v) face_flux[v * lane + i] = f[v];
           mark_arms<D>(phys, cells[i], cells[i + 1], dir, hit);
-        }
-        for (int i = 0; i < nf; ++i)
-          for (int v = 0; v < NV; ++v)
-            ASSERT_EQ(0, std::memcmp(&row_flux[v * lane + i],
-                                     &face_flux[v * lane + i], sizeof(double)))
-                << "D=" << D << " dir=" << dir << " nf=" << nf
-                << " block_stride=" << block_stride << " seed=" << seed
-                << " row=" << row << " face=" << i << " var=" << v << ": "
-                << row_flux[v * lane + i] << " vs " << face_flux[v * lane + i];
-        ASSERT_EQ(0, std::memcmp(row_flux.data(), face_flux.data(),
-                                 row_flux.size() * sizeof(double)))
-            << "hlld_flux_row wrote past nf=" << nf << " seed=" << seed;
+        SCOPED_TRACE(::testing::Message()
+                     << "D=" << D << " dir=" << dir << " seed=" << seed
+                     << " row=" << row_index);
+        ASSERT_NO_FATAL_FAILURE(
+            testing::expect_row_matches_faces(cells, block_stride, row, face));
       }
     }
   }

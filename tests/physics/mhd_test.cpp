@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+
+#include "physics/kernel.hpp"
+#include "support/flux_row.hpp"
+#include "support/rng.hpp"
 
 namespace ab {
 namespace {
@@ -138,6 +144,82 @@ TEST(IdealMhd, SignalSpeedsSymmetricAtRest) {
   double lmin, lmax;
   phys.signal_speeds(u, 1, lmin, lmax);
   EXPECT_NEAR(lmin, -lmax, 1e-13);
+}
+
+// The arms of flux_and_speeds' two clamps, which the row form turns into
+// selects.
+enum ClampArm { kPressureKept, kPressureClamped, kDiscKept, kDiscClamped };
+constexpr const char* kClampArmNames[] = {
+    "pressure kept", "pressure clamped", "discriminant kept",
+    "discriminant clamped"};
+
+/// Fuzzes rusanov_flux_row(dir) against detail::numerical_flux face by
+/// face, for rows of nf in {1, 2, 8, 9} in lane-scratch and in block
+/// layout, counting in `hit` the clamp arms the face states take.
+template <int D>
+void fuzz_rusanov_row(const IdealMhd<D>& phys, int dir, std::uint64_t seed,
+                      std::array<std::int64_t, 4>& hit) {
+  using M = IdealMhd<D>;
+  using State = typename M::State;
+  testing::SplitMix64 rng(seed);
+  auto row = [&](const double* pL, std::int64_t sL, const double* pR,
+                 std::int64_t sR, double* F, std::int64_t lane, int nf) {
+    phys.rusanov_flux_row(dir, pL, sL, pR, sR, F, lane, nf);
+  };
+  auto face = [&](const State& uL, const State& uR, State& f) {
+    detail::numerical_flux<M>(phys, FluxScheme::Rusanov, uL, uR, dir, f);
+  };
+  // flux_and_speeds' clamp conditions, with its expressions.
+  auto mark = [&](const State& q) {
+    double b2 = 0.0;
+    for (int i = 0; i < 3; ++i) b2 += q[M::imag(i)] * q[M::imag(i)];
+    double p = phys.pressure(q);
+    ++hit[p < 0.0 ? kPressureClamped : kPressureKept];
+    if (p < 0.0) p = 0.0;
+    const double rho = q[M::irho()];
+    const double a2 = phys.gamma * p / rho;
+    const double cad2 = q[M::imag(dir)] * q[M::imag(dir)] / rho;
+    const double s = a2 + b2 / rho;
+    ++hit[s * s - 4.0 * a2 * cad2 < 0.0 ? kDiscClamped : kDiscKept];
+  };
+  for (int nf : {1, 2, 8, 9}) {
+    for (bool block_stride : {false, true}) {
+      for (int row_index = 0; row_index < 200; ++row_index) {
+        auto cells = testing::fuzz_mhd_cells<D>(phys, dir, nf + 1, rng);
+        if (rng.below(8) == 0) {
+          // At rest, with one pattern of signed-zero momenta for the row
+          // (repeated cells stay equal): v.B terms of -0.0.
+          double zero[3];
+          for (double& z : zero) z = rng.below(2) == 0 ? 0.0 : -0.0;
+          for (State& u : cells)
+            for (int k = 0; k < 3; ++k) u[M::imom(k)] = zero[k];
+        }
+        for (int i = 0; i < nf; ++i) {
+          mark(cells[i]);
+          mark(cells[i + 1]);
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "D=" << D << " dir=" << dir << " seed=" << seed
+                     << " row=" << row_index);
+        ASSERT_NO_FATAL_FAILURE(
+            testing::expect_row_matches_faces(cells, block_stride, row, face));
+      }
+    }
+  }
+}
+
+TEST(IdealMhd, RusanovRowMatchesPerFaceBitwise) {
+  std::array<std::int64_t, 4> hit{};
+  IdealMhd<2> phys2;
+  phys2.gamma = 1.4;
+  for (int dir = 0; dir < 2; ++dir)
+    fuzz_rusanov_row<2>(phys2, dir, testing::splitmix64(40 + dir), hit);
+  IdealMhd<3> phys3;
+  for (int dir = 0; dir < 3; ++dir)
+    fuzz_rusanov_row<3>(phys3, dir, testing::splitmix64(50 + dir), hit);
+  for (int a = 0; a < 4; ++a)
+    EXPECT_GT(hit[a], 0) << "no face state took the " << kClampArmNames[a]
+                         << " arm";
 }
 
 }  // namespace

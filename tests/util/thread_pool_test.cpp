@@ -79,5 +79,19 @@ TEST(ThreadPool, LargeChunkingStillCoversAll) {
   for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
+TEST(ThreadPool, BackToBackCallsStayApart) {
+  // A worker can wake for one call only after the calling thread has run
+  // all of its indices. It must not claim indices of the next call, nor
+  // run the previous call's body (whose captures are gone) on them.
+  ThreadPool pool(4);
+  for (int call = 0; call < 200000; ++call) {
+    const std::int64_t n = 5 + call % 4;
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(n, [&](std::int64_t i) { hits[i].fetch_add(1); }, 1);
+    for (std::int64_t i = 0; i < n; ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "call " << call << " index " << i;
+  }
+}
+
 }  // namespace
 }  // namespace ab
