@@ -1,17 +1,15 @@
 // Regrid-churn storm: alternating refine-all / coarsen-all rounds, the
 // allocator-bound worst case for AMR. Every cycle frees and reallocates
 // every leaf block, so the run time splits between interpolation (fixed)
-// and the memory substrate (what the BlockPool attacks: malloc'd blocks
-// this size go through mmap/munmap and fresh page faults each round,
-// pooled slabs are recycled and only memset).
+// and the memory substrate: the solver's BlockPool recycles slabs and
+// only memsets them, where malloc'd blocks this size would go through
+// mmap/munmap and fresh page faults each round.
 //
-// Arg(0) selects the substrate: 0 = malloc'd AlignedBuffers, 1 = pooled.
-// Run via bench/run_benchmarks.sh, which records the pooled-vs-malloc
-// median ratio in BENCH_solver.json.
+// Run via bench/run_benchmarks.sh, which records the medians in
+// BENCH_solver.json.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "amr/solver.hpp"
 #include "physics/mhd.hpp"
@@ -34,7 +32,7 @@ struct StormCriterion {
 };
 
 template <int D>
-typename AmrSolver<D, IdealMhd<D>>::Config churn_config(bool pooled) {
+typename AmrSolver<D, IdealMhd<D>>::Config churn_config() {
   typename AmrSolver<D, IdealMhd<D>>::Config cfg;
   cfg.forest.root_blocks = IVec<D>(2);
   for (int d = 0; d < D; ++d) cfg.forest.periodic[d] = true;
@@ -45,16 +43,14 @@ typename AmrSolver<D, IdealMhd<D>>::Config churn_config(bool pooled) {
   // mmap threshold (~128 KiB): 2D 64^2 -> (68)^2 x 8 x 8 B ~ 289 KiB,
   // 3D 16^3 -> (20)^3 x 8 x 8 B ~ 500 KiB.
   cfg.cells_per_block = IVec<D>(D == 2 ? 64 : 16);
-  cfg.num_threads = 1;  // isolate the allocator, not the task graph
-  cfg.use_block_pool = pooled;
+  cfg.num_threads = 1;  // isolate the allocator, not the thread pool
   return cfg;
 }
 
 template <int D>
 void regrid_churn(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
   IdealMhd<D> phys;
-  AmrSolver<D, IdealMhd<D>> solver(churn_config<D>(pooled), phys);
+  AmrSolver<D, IdealMhd<D>> solver(churn_config<D>(), phys);
   auto ic = [&](const RVec<D>& x, typename IdealMhd<D>::State& s) {
     double r2 = 0.0;
     for (int d = 0; d < D; ++d) r2 += (x[d] - 0.5) * (x[d] - 0.5);
@@ -73,9 +69,8 @@ void regrid_churn(benchmark::State& state) {
   const std::int64_t churned_doubles =
       (children + roots) * solver.store().layout().block_doubles();
 
-  // One untimed cycle first: it populates the pool's chunks (and lets the
-  // malloc side warm whatever caching glibc does), so the timed loop
-  // measures steady-state churn rather than first-touch growth.
+  // One untimed cycle first: it populates the pool's chunks, so the timed
+  // loop measures steady-state churn rather than first-touch growth.
   for (int phase : {0, 1}) {
     crit.phase = phase;
     solver.adapt(crit);
@@ -89,30 +84,18 @@ void regrid_churn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * churned_doubles);
   state.counters["blocks/cycle"] = static_cast<double>(children + roots);
-  if (const BlockPool* p = solver.block_pool()) {
-    const auto& st = p->stats();
-    state.counters["pool reuse"] =
-        static_cast<double>(st.reuse_hits) /
-        static_cast<double>(st.reuse_hits + st.fresh_allocs);
-  }
+  const auto& st = solver.block_pool()->stats();
+  state.counters["pool reuse"] =
+      static_cast<double>(st.reuse_hits) /
+      static_cast<double>(st.reuse_hits + st.fresh_allocs);
 }
 
 void BM_RegridChurn2D(benchmark::State& state) { regrid_churn<2>(state); }
 void BM_RegridChurn3D(benchmark::State& state) { regrid_churn<3>(state); }
-BENCHMARK(BM_RegridChurn2D)->Arg(0)->Arg(1)->UseRealTime();
-BENCHMARK(BM_RegridChurn3D)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_RegridChurn2D)->UseRealTime();
+BENCHMARK(BM_RegridChurn3D)->UseRealTime();
 
 }  // namespace
 }  // namespace ab
 
-int main(int argc, char** argv) {
-  // Arg(0/1) is the A/B axis here; ambient A/B env knobs must not leak in
-  // and flip both sides onto the same substrate.
-  unsetenv("AB_BLOCK_POOL");
-  unsetenv("AB_TASK_STEAL");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,9 +1,8 @@
 // Wire-transport overhead ablation: what does carrying every exchange
 // payload over a real kernel transport cost against the in-process
-// MessageBoard baseline — and what does overlapping the topology-delta
-// exchange with stage compute buy back at regrid time?
+// MessageBoard baseline?
 //
-// Part 1 — in-process overhead. Three configurations of the same seeded
+// Three configurations of the same seeded
 // rank-parallel run (distributed metadata on, regrids mid-run, so ghost
 // fills, flux corrections, coarsen gathers, migrations, and topology
 // deltas all cross the wire):
@@ -32,18 +31,6 @@
 // steps together and cancels in the ratio; a min-across-runs scheme at
 // run granularity does not survive it at the 2% level.
 //
-// Part 2 — async topology-delta overlap, measured where it is real: a
-// forked SPMD process group over the shm rings (the wire tests' model —
-// each worker wire-sends only its own rank's channels). The synchronous
-// path receives neighbor deltas inside adapt(), so the regrid barrier
-// includes waiting for the peer process to reach its own send; the async
-// path posts sends during adapt() and drains receives between block
-// updates of the next step's stage compute. Workers time every adapt()
-// and the parent compares medians: async_topo_regrid_gain_frac is the
-// fraction of the regrid barrier the overlap removes, with solver bytes
-// identical either way (the equivalence matrix regresses that
-// separately).
-//
 // Usage: abl_wire_transport [--json] [--reps N] [--steps N] [--npes N]
 #include <algorithm>
 #include <chrono>
@@ -57,7 +44,6 @@
 
 #include "parsim/rank_solver.hpp"
 #include "parsim/wire/hub.hpp"
-#include "parsim/wire/process_group.hpp"
 #include "parsim/wire/transport.hpp"
 #include "physics/advection.hpp"
 
@@ -174,59 +160,6 @@ void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[3],
   }
 }
 
-/// One forked SPMD run over the shm rings: every worker times each of its
-/// adapt() barriers; the returned samples pool all workers' regrids.
-std::vector<double> spmd_regrid_once(bool async_topo, int npes, int steps) {
-  wire::WireHub hub(wire::TransportKind::Shm, npes);  // pre-fork
-  const std::vector<wire::WorkerResult> results =
-      wire::run_process_group(npes, [&](int w) {
-        hub.set_process(w);
-        hub.set_recv_timeout(60.0);
-        LinearAdvection<3> phys;
-        phys.velocity = {0.7, -0.4, 0.3};
-        auto rcfg = base_config(npes, 16);
-        rcfg.wire = &hub;
-        rcfg.async_topo_delta = async_topo;
-        RankSolver<3, LinearAdvection<3>> ranks(rcfg, phys);
-        const std::uint64_t seed = 0x0B5ull;
-        for (int round = 0; round < 2; ++round)
-          ranks.adapt(SeededTopologyCriterion{
-              SeededTopologyCriterion::mix(seed +
-                                           static_cast<std::uint64_t>(round)),
-              rcfg.solver.forest.max_level});
-        ranks.init(gaussian_ic);
-        std::vector<double> ms;
-        for (int s = 0; s < steps; ++s) {
-          ranks.step(ranks.compute_dt());
-          if (s % 2 == 1) {
-            const auto t0 = std::chrono::steady_clock::now();
-            ranks.adapt(SeededTopologyCriterion{
-                SeededTopologyCriterion::mix(seed * 977 +
-                                             static_cast<std::uint64_t>(s)),
-                rcfg.solver.forest.max_level});
-            const auto t1 = std::chrono::steady_clock::now();
-            ms.push_back(
-                std::chrono::duration<double, std::milli>(t1 - t0).count());
-          }
-        }
-        const auto* raw = reinterpret_cast<const std::uint8_t*>(ms.data());
-        return std::vector<std::uint8_t>(raw,
-                                         raw + ms.size() * sizeof(double));
-      });
-  std::vector<double> samples;
-  for (const wire::WorkerResult& r : results) {
-    if (!r.ok) {
-      std::fprintf(stderr, "spmd worker %d failed: %s\n", r.worker,
-                   r.error.c_str());
-      std::exit(1);
-    }
-    const std::size_t k = r.blob.size() / sizeof(double);
-    const auto* d = reinterpret_cast<const double*>(r.blob.data());
-    samples.insert(samples.end(), d, d + k);
-  }
-  return samples;
-}
-
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -258,8 +191,6 @@ int main(int argc, char** argv) {
   // The ablation measures the Config knobs, so ambient env overrides
   // would silently collapse the modes into one.
   ::unsetenv("AB_TRANSPORT");
-  ::unsetenv("AB_ASYNC_TOPO");
-  ::unsetenv("AB_HULL_PREFETCH");
   ::unsetenv("AB_DIST_META");
 
   std::vector<double> ms[3];
@@ -280,21 +211,6 @@ int main(int argc, char** argv) {
   const double socket_frac = median(socket_ratio) - 1.0;
   const double shm_frac = median(shm_ratio) - 1.0;
 
-  // Part 2: the regrid barrier across real forked processes, sync vs
-  // async topology-delta exchange, interleaved like the modes above.
-  const int spmd_steps = 8;
-  std::vector<double> sync_ms, async_ms;
-  for (int r = 0; r < reps; ++r) {
-    for (double x : spmd_regrid_once(false, npes, spmd_steps))
-      sync_ms.push_back(x);
-    for (double x : spmd_regrid_once(true, npes, spmd_steps))
-      async_ms.push_back(x);
-  }
-  const double regrid_sync = median(sync_ms);
-  const double regrid_async = median(async_ms);
-  const double regrid_gain =
-      regrid_sync > 0.0 ? 1.0 - regrid_async / regrid_sync : 0.0;
-
   if (json) {
     std::printf(
         "{\n \"npes\": %d, \"steps\": %d, \"reps\": %d,\n"
@@ -303,14 +219,10 @@ int main(int argc, char** argv) {
         " \"shm_ms_per_step\": %.6f,\n"
         " \"socket_overhead_frac\": %.6f,\n"
         " \"shm_overhead_frac\": %.6f,\n"
-        " \"regrid_sync_ms\": %.6f,\n"
-        " \"regrid_async_ms\": %.6f,\n"
-        " \"async_topo_regrid_gain_frac\": %.6f,\n"
         " \"payload_mb_per_step\": %.3f,\n"
         " \"frames_per_step\": %.1f\n}\n",
         npes, steps, reps, board, socket, shm, socket_frac, shm_frac,
-        regrid_sync, regrid_async, regrid_gain, load.payload_mb_per_step,
-        load.frames_per_step);
+        load.payload_mb_per_step, load.frames_per_step);
     return 0;
   }
 
@@ -324,12 +236,6 @@ int main(int argc, char** argv) {
               socket, 100.0 * socket_frac);
   std::printf("  %-28s %10.3f ms/step  (%+.2f%%)\n", "shm (rings)", shm,
               100.0 * shm_frac);
-  std::printf(
-      "\nSPMD regrid barrier (%d forked workers over shm, median of %zu "
-      "regrids):\n  sync topo exchange  %8.3f ms\n  async (overlapped)  "
-      "%8.3f ms  (%+.1f%%)\n",
-      npes, sync_ms.size(), regrid_sync, regrid_async,
-      -100.0 * regrid_gain);
   std::printf(
       "\nthe gated number is the shm row: framing + CRC + ring copies must "
       "stay\nwithin 2%% of board (tools/check_bench_regression.py "

@@ -1,8 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): per-cell throughput of the
 // building blocks Figure 5 composes — the physics update kernels at both
 // orders, the ghost-exchange phases, and prolongation/restriction — plus
-// BM_SolverStep, an end-to-end driver step that tracks how well ghost
-// exchange overlaps with interior compute across thread counts.
+// BM_SolverStep, an end-to-end driver step across thread counts.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -205,9 +204,9 @@ BENCHMARK(BM_GhostFillMixedLevels)->Arg(8)->Arg(16);
 
 void BM_SolverStep(benchmark::State& state) {
   // Whole Heun step (two ghost fills + two stage sweeps + combine) on a
-  // mixed-level 3D Euler grid. This is the driver-overlap metric: kernel
-  // throughput is covered above; what moves here is how much of the ghost
-  // exchange and boundary work hides behind interior compute.
+  // mixed-level 3D Euler grid. Kernel throughput is covered above; what
+  // moves here is the ghost exchange, boundary work and the phase
+  // barriers around the kernels, and how they scale with threads.
   const int threads = static_cast<int>(state.range(0));
   Euler<3> phys;
   AmrSolver<3, Euler<3>>::Config cfg;

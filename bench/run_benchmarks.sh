@@ -75,10 +75,9 @@ obs_raw="$(mktemp)"
 wire_raw="$(mktemp)"
 trap 'rm -f "$raw" "$churn_raw" "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw"' EXIT
 "$build_dir/bench/bench_kernels" --benchmark_format=json "$@" > "$raw"
-# Regrid-churn storm, pooled (Arg 1) vs malloc (Arg 0) block substrate.
-# Runs need >= ~10 iterations for the malloc side to reach its
-# steady-state heap pattern, hence the fixed min_time; the recorded
-# ratio is the median of 3 repetitions to ride out host drift.
+# Regrid-churn storm on the pooled block substrate. The fixed min_time
+# gives every run >= ~10 iterations; the recorded figure is the median
+# of 3 repetitions to ride out host drift.
 "$build_dir/bench/abl_regrid_churn" --benchmark_format=json \
   --benchmark_min_time=1 --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true > "$churn_raw"
@@ -93,9 +92,8 @@ trap 'rm -f "$raw" "$churn_raw" "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw"'
 # gates it at 2%.
 "$build_dir/bench/abl_obs_overhead" --json > "$obs_raw"
 # Wire transport ablation: board vs socket vs shm stepped in lockstep
-# (median per-step ratio), plus the forked-SPMD sync-vs-async regrid
-# barrier. The shm-vs-board delta is the in-process wire overhead
-# contract; tools/check_bench_regression.py --wire-overhead gates it at
+# (median per-step ratio). The shm-vs-board delta is the in-process wire
+# overhead contract; tools/check_bench_regression.py --wire-overhead gates it at
 # 2%. Extra reps here: each rep reconstructs the solvers (fresh memory
 # layout), and the gated median wants many layout draws.
 "$build_dir/bench/abl_wire_transport" --json --reps 10 > "$wire_raw"
@@ -114,18 +112,17 @@ fi
 ncpu="$(nproc 2>/dev/null || echo unknown)"
 
 seed="$repo_root/bench/BENCH_kernels_seed.json"
-churn_seed="$repo_root/bench/BENCH_regrid_churn_seed.json"
 out="$repo_root/BENCH_kernels.json"
 solver_out="$repo_root/BENCH_solver.json"
 AB_BENCH_COMPILER="$compiler" AB_BENCH_NATIVE_ARCH="$native_arch" \
 AB_BENCH_CXX_FLAGS="$cxx_flags" AB_BENCH_GIT_SHA="$git_sha" \
 AB_BENCH_NPROC="$ncpu" AB_BENCH_BUILD_TYPE="$build_type" \
-python3 - "$raw" "$seed" "$out" "$solver_out" "$churn_raw" "$churn_seed" \
+python3 - "$raw" "$seed" "$out" "$solver_out" "$churn_raw" \
   "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw" <<'EOF'
 import json, os, sys
 
-(raw_path, seed_path, out_path, solver_path, churn_path, churn_seed_path,
- fig5_path, scale_path, obs_path, wire_path) = sys.argv[1:11]
+(raw_path, seed_path, out_path, solver_path, churn_path,
+ fig5_path, scale_path, obs_path, wire_path) = sys.argv[1:10]
 after = json.load(open(raw_path))
 host = {
     "compiler": os.environ.get("AB_BENCH_COMPILER", "unknown"),
@@ -178,36 +175,15 @@ for name, ratio in doc.get("speedup_vs_seed", {}).items():
     print(f"  {name}: {ratio:.2f}x vs seed")
 
 # The end-to-end solver-step numbers get their own file: these are the
-# whole-driver (ghost exchange + task graph + kernels) results, by thread
-# count, that regressions in anything outside the kernels show up in.
+# whole-driver (ghost exchange + stage phases + kernels) results, by
+# thread count, that regressions in anything outside the kernels show up
+# in.
 solver = [b for b in doc["after"] if b["name"].startswith("BM_SolverStep")]
 solver_doc = {"context": doc["context"], "host": host, "benchmarks": solver}
 
-# Regrid-churn storm: pooled (/1) vs malloc (/0) block substrate, by
-# case. The ratio of representative items_per_second is the pool speedup
-# docs/PERFORMANCE.md quotes; the committed seed ratios sit alongside so
-# a substrate regression is visible without rerunning the seed machine.
-def pool_speedups(benchmarks):
-    rep = representative(benchmarks)
-    out = {}
-    for name, ips in rep.items():
-        if "/1" not in name:
-            continue
-        base = name.split("/1")[0]
-        malloc_ips = rep.get(name.replace("/1", "/0"))
-        if malloc_ips:
-            out[base] = ips / malloc_ips
-    return out
-
+# Regrid-churn storm on the pooled block substrate (abl_regrid_churn).
 churn = json.load(open(churn_path))
-churn_doc = {"benchmarks": churn.get("benchmarks", []),
-             "pool_speedup": pool_speedups(churn.get("benchmarks", []))}
-try:
-    churn_seed = json.load(open(churn_seed_path))
-    churn_doc["seed_pool_speedup"] = pool_speedups(
-        churn_seed.get("benchmarks", []))
-except OSError:
-    pass
+churn_doc = {"benchmarks": churn.get("benchmarks", [])}
 solver_doc["regrid_churn"] = churn_doc
 
 # Figure-5 block-size curve (src/tune/probe.hpp measurements) and the
@@ -239,8 +215,8 @@ solver_doc["wire_transport"] = wire
 
 json.dump(solver_doc, open(solver_path, "w"), indent=1)
 print(f"wrote {solver_path} ({len(solver)} BM_SolverStep entries)")
-for name, ratio in churn_doc["pool_speedup"].items():
-    print(f"  {name}: pooled {ratio:.2f}x vs malloc")
+for name, ips in representative(churn_doc["benchmarks"]).items():
+    print(f"  {name}: {ips / 1e9:.2f} G doubles/s churned")
 chosen = fig5.get("chosen")
 if chosen:
     label = f"{chosen['m']}^3"
@@ -265,7 +241,5 @@ print(f"  obs_overhead: attached {100 * obs['attached_overhead_frac']:+.2f}%"
 print(f"  wire_transport: shm {100 * wire['shm_overhead_frac']:+.2f}%"
       f" / socket {100 * wire['socket_overhead_frac']:+.2f}% vs board"
       f" ({wire['board_ms_per_step']:.3f} ms/step baseline, "
-      f"{wire['payload_mb_per_step']:.2f} MB/step on the wire); "
-      f"async topo regrid "
-      f"{-100 * wire['async_topo_regrid_gain_frac']:+.1f}%")
+      f"{wire['payload_mb_per_step']:.2f} MB/step on the wire)")
 EOF

@@ -7,18 +7,14 @@
 // paper's MHD code. All blocks advance with one global timestep (no
 // subcycling), as in the original.
 //
-// With threads, each stage runs as a per-block task graph instead of
-// bulk-synchronous phases: a block's interior update (stencil never touches
-// ghosts) starts immediately, while its rim update waits only on that
-// block's own incoming ghost ops and boundary faces. See the task-graph
-// notes ahead of rebuild_stage_graph() for the dependency argument; results
-// are bitwise identical to the serial path.
+// Every thread count runs the same bulk-synchronous phases: ghost fill,
+// stage update, reflux, epilogue. Each phase is a loop over blocks that
+// write disjoint memory, run on the thread pool when there is one, so the
+// bytes never depend on the thread count.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,7 +37,7 @@
 #include "util/aligned.hpp"
 #include "util/block_pool.hpp"
 #include "util/error.hpp"
-#include "util/task_graph.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ab {
@@ -86,23 +82,12 @@ class AmrSolver {
     /// clock reads, no allocation. Attaching one never changes numerics —
     /// instrumentation only reads solver state.
     obs::Telemetry* telemetry = nullptr;
-    /// Back block storage with a shared per-layout BlockPool arena so
-    /// refine/coarsen (and, in rank-parallel runs, migration) recycle
-    /// slabs instead of round-tripping through malloc. Bitwise identical
-    /// to the malloc path. Env override: AB_BLOCK_POOL=0 forces malloc,
-    /// AB_BLOCK_POOL=1 forces the pool (A/B knob for the regrid bench).
-    bool use_block_pool = true;
-    /// Threaded task-graph drain strategy (ignored with num_threads == 1).
-    /// Env override: AB_TASK_STEAL=1 selects WorkStealing, =0 SharedRing.
-    /// Either way results are bitwise identical; see TaskGraph::Mode.
-    TaskGraph::Mode task_graph_mode = TaskGraph::Mode::SharedRing;
     /// Runtime block-layout autotuning (the paper's Fig. 5 effect): probe
     /// candidate (block edge, pad, sub-blocking) layouts at construction
     /// and rewrite cells_per_block / root_blocks / pad0 / sub_block to the
     /// fastest applicable one, keeping the global grid invariant. The probe
     /// table persists at `tune_cache`, so only the first run pays for
-    /// probing. Env override: AB_AUTOTUNE=1/0 (same A/B family as
-    /// AB_BLOCK_POOL / AB_TASK_STEAL). See src/tune/ and
+    /// probing. Env override: AB_AUTOTUNE=1/0. See src/tune/ and
     /// docs/PERFORMANCE.md "Autotuned layout".
     bool autotune = false;
     /// Probe-table cache path (host-keyed JSON; see tune/cache.hpp).
@@ -126,19 +111,21 @@ class AmrSolver {
                                            &tune_decision_)),
         phys_(std::move(phys)),
         forest_(cfg_.forest),
-        block_pool_(make_block_pool(cfg_)),
-        store_(make_store(cfg_, block_pool_)),
-        scratch_(make_store(cfg_, block_pool_)),
+        block_pool_(std::make_shared<BlockPool>(
+            make_layout(cfg_).block_doubles())),
+        store_(make_layout(cfg_), block_pool_),
+        scratch_(make_layout(cfg_), block_pool_),
         exchanger_(forest_, store_.layout(), cfg_.prolongation),
-        flux_register_(forest_, store_.layout()),
-        task_mode_(resolve_task_mode(cfg_)) {
+        flux_register_(forest_, store_.layout()) {
     if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
     AB_REQUIRE(cfg_.num_threads >= 1, "AmrSolver: num_threads must be >= 1");
     if (cfg_.num_threads > 1)
       pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
-    // One kernel scratch arena per pool thread (index 0 is the calling
-    // thread), so pencil sweeps never contend or allocate on the hot path.
+    // One kernel scratch arena and one stage-2 block buffer per pool thread
+    // (index 0 is the calling thread), so block sweeps never contend or
+    // allocate on the hot path.
     kernel_scratch_.resize(static_cast<std::size_t>(cfg_.num_threads));
+    block_tmp_.resize(static_cast<std::size_t>(cfg_.num_threads));
     AB_REQUIRE(cfg_.rk_stages == 1 || cfg_.rk_stages == 2,
                "AmrSolver: rk_stages must be 1 or 2");
     AB_REQUIRE(cfg_.ghost >= (cfg_.order == SpatialOrder::Second ? 2 : 1),
@@ -151,7 +138,6 @@ class AmrSolver {
       scratch_.ensure(id);
     }
     if (cfg_.subcycling) rebuild_level_structures();
-    rebuild_graphs();
   }
 
   // The exchanger holds a pointer to the member forest; moving would dangle.
@@ -164,11 +150,9 @@ class AmrSolver {
   const Forest<D>& forest() const { return forest_; }
   BlockStore<D>& store() { return store_; }
   const BlockStore<D>& store() const { return store_; }
-  /// The shared slab arena backing this solver's stores (null on the
-  /// malloc path). Stats only; the solver owns the allocation policy.
+  /// The shared slab arena backing this solver's stores (never null).
+  /// Stats only; the solver owns the allocation policy.
   const BlockPool* block_pool() const { return block_pool_.get(); }
-  /// The task-graph drain strategy in effect (config + env override).
-  TaskGraph::Mode task_graph_mode() const { return task_mode_; }
   const GhostExchanger<D>& exchanger() const { return exchanger_; }
   /// What the layout autotuner decided at construction (enabled == false
   /// when tuning was off — the config was left untouched).
@@ -234,19 +218,12 @@ class AmrSolver {
     // reduce serially in leaf order (so the validity check and the min fold
     // stay deterministic and thread-count independent).
     std::vector<double> wave(leaves.size());
-    auto scan = [&](std::int64_t i) {
-      const int id = leaves[static_cast<std::size_t>(i)];
+    for_index(leaves.size(), [&](std::size_t i) {
+      const int id = leaves[i];
       const RVec<D> dx = cell_dx(forest_.level(id));
-      wave[static_cast<std::size_t>(i)] = block_wave_speed_sum<D, Phys>(
-          store_.layout(), store_.view(id).base, phys_, dx);
-    };
-    if (pool_) {
-      pool_->parallel_for(static_cast<std::int64_t>(leaves.size()), scan);
-    } else {
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(leaves.size());
-           ++i)
-        scan(i);
-    }
+      wave[i] = block_wave_speed_sum<D, Phys>(store_.layout(),
+                                              store_.view(id).base, phys_, dx);
+    });
     double dt = 1e300;
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       AB_REQUIRE(wave[i] > 0.0, "compute_dt: zero wave speed");
@@ -282,10 +259,6 @@ class AmrSolver {
       step_subcycled(dt);
       return;
     }
-    if (pool_ && !std::getenv("AB_BENCH_BARRIER")) {
-      step_graph(dt);
-      return;
-    }
     const BlockLayout<D>& lay = store_.layout();
     // Stage 1: scratch = u + dt L(u).
     fill_ghosts(store_, time_);
@@ -305,11 +278,11 @@ class AmrSolver {
       for_leaves([&](int id) { fix_block(scratch_, id); });
     // Stage 2 (Heun): u <- (u + (scratch + dt L(scratch))) / 2.
     fill_ghosts(scratch_, time_ + dt);
-    if (cfg_.flux_correction || pool_) {
+    if (cfg_.flux_correction) {
       // Refluxing needs the whole stage result before combining: use a
-      // third store. (pool_ is only possible here via the AB_BENCH_BARRIER
-      // escape hatch; the threaded combine needs per-block storage too.)
-      if (!stage2_) stage2_ = new_store();
+      // third store.
+      if (!stage2_)
+        stage2_ = std::make_unique<BlockStore<D>>(lay, block_pool_);
       for (int id : forest_.leaves()) stage2_->ensure(id);
       {
         obs::PhaseScope ps(cfg_.telemetry, "stage_update");
@@ -321,18 +294,20 @@ class AmrSolver {
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
       });
     } else {
+      // One pass: update each block into its thread's block buffer and
+      // combine it at once, so no third store is needed.
       obs::PhaseScope ps(cfg_.telemetry, "stage_update");
-      AlignedBuffer tmp(static_cast<std::size_t>(lay.block_doubles()));
-      for (int id : forest_.leaves()) {
-        const RVec<D> dx = cell_dx(forest_.level(id));
+      for_leaves([&](int id) {
+        const std::size_t t = thread_slot();
+        double* tmp = block_tmp_[t].acquire(
+            static_cast<std::size_t>(lay.block_doubles()));
         flop_counter_.add(fv_block_update_tiled<D, Phys>(
-            cfg_.sub_block, lay, scratch_.view(id).base, tmp.data(), phys_,
-            dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, nullptr, nullptr,
-            &kernel_scratch_[0]));
-        combine_half(store_.view(id),
-                     ConstBlockView<D>{tmp.data(), &lay});
+            cfg_.sub_block, lay, scratch_.view(id).base, tmp, phys_,
+            cell_dx(forest_.level(id)), dt, cfg_.order, cfg_.limiter,
+            cfg_.flux, nullptr, nullptr, &kernel_scratch_[t]));
+        combine_half(store_.view(id), ConstBlockView<D>{tmp, &lay});
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
-      }
+      });
       block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
     }
     time_ += dt;
@@ -428,7 +403,6 @@ class AmrSolver {
       exchanger_.rebuild();
       if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
       if (cfg_.subcycling) rebuild_level_structures();
-      rebuild_graphs();
     }
     pending_refined_ += res.refined;
     pending_coarsened_ += res.coarsened;
@@ -465,15 +439,14 @@ class AmrSolver {
     return flux_register_.num_corrections();
   }
 
-  /// Write a restart file (topology + solution + time). V2 (default) is
-  /// checksummed and written atomically; the write is accounted to the
-  /// ckpt.* metrics when telemetry is attached. Returns bytes written.
-  std::uint64_t save(const std::string& path,
-                     CheckpointFormat format = CheckpointFormat::V2) const {
+  /// Write a restart file (topology + solution + time), checksummed and
+  /// written atomically; the write is accounted to the ckpt.* metrics when
+  /// telemetry is attached. Returns bytes written.
+  std::uint64_t save(const std::string& path) const {
     obs::Telemetry* const tel = cfg_.telemetry;
     const std::int64_t t0 = tel != nullptr ? tel->trace.now_ns() : 0;
     const std::uint64_t bytes =
-        save_checkpoint<D>(path, forest_, store_, time_, format);
+        save_checkpoint<D>(path, forest_, store_, time_);
     if (tel != nullptr) {
       tel->metrics.counter("ckpt.saves")->add(1);
       tel->metrics.counter("ckpt.bytes")->add(bytes);
@@ -492,7 +465,6 @@ class AmrSolver {
     exchanger_.rebuild();
     if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
     if (cfg_.subcycling) rebuild_level_structures();
-    rebuild_graphs();
   }
 
   /// Total per-block kernel invocations so far (a work measure: with
@@ -508,30 +480,23 @@ class AmrSolver {
   // holds time level_t_cur_[l'] >= t with its previous state (ghosts
   // included) preserved in scratch_ for time interpolation.
 
-  /// Regroup leaves, exchange ops, and boundary faces by refinement level
-  /// (and, for the task-graph path, per destination block).
+  /// Group leaves by refinement level and boundary faces by block, and
+  /// count each level's incoming ghost ops by kind.
   void rebuild_level_structures() {
     const int nl = cfg_.forest.max_level + 1;
-    level_leaves_.assign(nl, {});
-    level_ops_.assign(nl, {});
-    level_bfaces_.assign(nl, {});
-    level_t_old_.assign(nl, time_);
-    level_t_cur_.assign(nl, time_);
-    for (int id : forest_.leaves())
-      level_leaves_[forest_.level(id)].push_back(id);
-    const auto& ops = exchanger_.ops();
-    sub_block_ops_.assign(static_cast<std::size_t>(forest_.node_capacity()),
-                          {});
+    level_leaves_.assign(static_cast<std::size_t>(nl), {});
     level_op_kinds_.assign(static_cast<std::size_t>(nl), {});
-    for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
-      const int lvl = forest_.level(ops[i].dst);
-      level_ops_[lvl].push_back(i);
-      sub_block_ops_[static_cast<std::size_t>(ops[i].dst)].push_back(i);
-      ++level_op_kinds_[static_cast<std::size_t>(lvl)]
-                       [static_cast<int>(ops[i].kind)];
-    }
+    level_t_old_.assign(static_cast<std::size_t>(nl), time_);
+    level_t_cur_.assign(static_cast<std::size_t>(nl), time_);
+    for (int id : forest_.leaves())
+      level_leaves_[static_cast<std::size_t>(forest_.level(id))].push_back(id);
+    for (const GhostOp<D>& op : exchanger_.ops())
+      ++level_op_kinds_[static_cast<std::size_t>(forest_.level(op.dst))]
+                       [static_cast<std::size_t>(op.kind)];
+    block_bfaces_.assign(static_cast<std::size_t>(forest_.node_capacity()),
+                         {});
     for (const auto& bf : exchanger_.boundary_faces())
-      level_bfaces_[forest_.level(bf.block)].push_back(bf);
+      block_bfaces_[static_cast<std::size_t>(bf.block)].push_back(bf);
   }
 
   /// Apply one ghost op for a subcycled fill at time `tau`: same-level and
@@ -572,50 +537,41 @@ class AmrSolver {
     }
   }
 
-  /// Fill the ghosts of all level-l blocks for time tau.
-  void fill_level_ghosts(int l, double tau) {
-    const auto& ops = exchanger_.ops();
-    for (int i : level_ops_[l]) apply_subcycled_op(ops[i], tau);
-    apply_boundary_conditions<D>(store_, forest_, level_bfaces_[l], cfg_.bc,
-                                 tau);
-  }
-
   /// Advance level l from t to t+dt, then recursively advance finer levels
-  /// in two half-steps each.
+  /// in two half-steps each. Two passes over the level's leaves: every
+  /// block's ghost fill (its incoming ops, then its boundary faces), then
+  /// every block's update, swap, and fix. The fills only read blocks this
+  /// level's swaps have not touched yet, so the pass barrier is the only
+  /// ordering the blocks need.
   void advance_level(int l, int lmax, double t, double dt) {
-    const BlockLayout<D>& lay = store_.layout();
-    if (pool_ && !level_graphs_.empty()) {
-      sub_tau_ = t;
-      sub_dt_ = dt;
-      {
-        obs::PhaseScope ps(cfg_.telemetry, "stage_graph");
-        TaskGraph& g = level_graphs_[static_cast<std::size_t>(l)];
-        g.set_parent_span(ps.span_id());
-        g.run(pool_.get());
-      }
-      account_ghost_level(l);
-      flop_counter_.add(static_cast<std::uint64_t>(level_leaves_[l].size()) *
-                        fv_update_flops<D, Phys>(lay, cfg_.order));
-      block_updates_ += static_cast<std::uint64_t>(level_leaves_[l].size());
-    } else {
-      {
-        obs::PhaseScope ps(cfg_.telemetry, "ghost_exchange");
-        fill_level_ghosts(l, t);
-      }
-      account_ghost_level(l);
+    const std::vector<int>& leaves =
+        level_leaves_[static_cast<std::size_t>(l)];
+    {
+      obs::PhaseScope ps(cfg_.telemetry, "ghost_exchange");
+      for_blocks(leaves, [&](int id) {
+        for (int i : exchanger_.ops_into(id))
+          apply_subcycled_op(exchanger_.ops()[static_cast<std::size_t>(i)],
+                             t);
+        apply_boundary_conditions<D>(
+            store_, forest_, block_bfaces_[static_cast<std::size_t>(id)],
+            cfg_.bc, t);
+      });
+    }
+    account_ghost_level(l);
+    {
       obs::PhaseScope ps(cfg_.telemetry, "stage_update");
       const RVec<D> dx = cell_dx(l);
-      for (int id : level_leaves_[l]) {
+      for_blocks(leaves, [&](int id) {
         flop_counter_.add(fv_block_update_tiled<D, Phys>(
-            cfg_.sub_block, lay, store_.view(id).base, scratch_.view(id).base,
-            phys_, dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, nullptr,
-            nullptr, &kernel_scratch_[0]));
+            cfg_.sub_block, store_.layout(), store_.view(id).base,
+            scratch_.view(id).base, phys_, dx, dt, cfg_.order, cfg_.limiter,
+            cfg_.flux, nullptr, nullptr, &kernel_scratch_[thread_slot()]));
         // Swap: store_ takes the new state; scratch_ keeps the old one
         // (with its freshly filled ghosts) for finer-level interpolation.
         store_.swap_block(scratch_, id);
-        ++block_updates_;
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
-      }
+      });
+      block_updates_ += static_cast<std::uint64_t>(leaves.size());
     }
     level_t_old_[l] = t;
     level_t_cur_[l] = t + dt;
@@ -631,323 +587,32 @@ class AmrSolver {
     time_ += dt;
   }
 
-  // ------------------------------------------------------------------
-  // Dependency-driven stepping (task graphs; pool_ only)
-  //
-  // A stage's work per leaf d splits into tasks with per-block edges
-  // instead of global phase barriers:
-  //
-  //   gh[d]   phase-1 ghost ops into d (SameCopy/Restrict — read source
-  //           interiors only) + d's boundary conditions (read d's own
-  //           interior, write d's boundary ghost slabs). No dependencies.
-  //   pr[d]   Prolong ops into d. Their slope stencils may read ghost
-  //           slabs of the coarse sources that phase 1 fills (op.valid
-  //           extends only into copy/restriction-filled slabs, never BC or
-  //           coarser ones), so pr[d] depends on gh[s] for each distinct
-  //           prolong source s — not on every phase-1 op globally.
-  //   in[d]   kernel update of the interior core (stencil radius <= ghost
-  //           never leaves owned cells). No dependencies: overlaps with
-  //           the whole exchange.
-  //   rim[d]  kernel update of the rim slabs (stencil reads d's ghost
-  //           ring): depends on gh[d] and pr[d]. When d records face
-  //           fluxes for refluxing it becomes one full-block update
-  //           instead (FaceFluxStorage is incompatible with sub-boxes)
-  //           and in[d] is omitted.
-  //   epi[d]  optional per-block epilogue (Heun combine into store_,
-  //           positivity fix): depends on in[d] and rim[d].
-  //
-  // Every task writes a region no concurrent task reads or writes: ghost
-  // ops into distinct destinations (and distinct faces of one destination)
-  // are disjoint, BC faces carry no exchange ops, core/rim tile the
-  // interior disjointly, and stage output goes to a different store than
-  // stage input. Sub-box kernel updates over a tiling are bitwise equal to
-  // one full-block update, so any execution order the scheduler picks
-  // yields bytes identical to the serial path.
-  //
-  // The graph is rebuilt per topology change; per-stage parameters (which
-  // store is input/output, dt, time, whether the epilogue combines/fixes)
-  // flow through ctx_, read by task bodies at run time.
-
-  struct StageCtx {
-    BlockStore<D>* in = nullptr;
-    BlockStore<D>* out = nullptr;
-    double dt = 0.0;
-    double t = 0.0;
-    bool combine = false;
-    bool fix = false;
-  };
-
-  /// One kernel call for block `id` (sub == nullptr: whole block).
-  void update_block(BlockStore<D>& in, BlockStore<D>& out, int id,
-                    const RVec<D>& dx, double dt, FaceFluxStorage<D>* ff,
-                    const Box<D>* sub) {
-    // Tiling applies only to whole-block calls (ff == nullptr, sub ==
-    // nullptr); the wrapper falls through to the plain kernel otherwise.
-    fv_block_update_tiled<D, Phys>(
-        cfg_.sub_block, store_.layout(), in.view(id).base, out.view(id).base,
-        phys_, dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, ff, sub,
-        &kernel_scratch_[static_cast<std::size_t>(
-            ThreadPool::this_thread_index())]);
-  }
-
-  /// Interior/rim overlap needs at least two hardware threads: with one
-  /// core the pool only time-slices and the split's rim-slab overhead is
-  /// pure loss (0 = unknown: assume multicore).
-  static bool overlap_pays() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 || hw >= 2;
-  }
-
-  void rebuild_graphs() {
-    if (!pool_) return;
-    bfaces_by_block_.assign(static_cast<std::size_t>(forest_.node_capacity()),
-                            {});
-    for (const auto& bf : exchanger_.boundary_faces())
-      bfaces_by_block_[static_cast<std::size_t>(bf.block)].push_back(bf);
-    if (cfg_.subcycling)
-      rebuild_level_graphs();
-    else
-      rebuild_stage_graph();
-    obs::Tracer* const tr =
-        cfg_.telemetry != nullptr ? &cfg_.telemetry->trace : nullptr;
-    stage_graph_.set_tracer(tr, "block_task");
-    stage_graph_.set_mode(task_mode_);
-    for (TaskGraph& g : level_graphs_) {
-      g.set_tracer(tr, "block_task");
-      g.set_mode(task_mode_);
-    }
-  }
-
-  void rebuild_stage_graph() {
-    stage_graph_.clear();
-    if (cfg_.rk_stages == 2) {
-      if (!stage2_) stage2_ = new_store();
-      for (int id : forest_.leaves()) stage2_->ensure(id);
-    }
-    const Box<D> core = exchanger_.interior_core();
-    const bool epilogue = !cfg_.flux_correction &&
-                          (cfg_.rk_stages == 2 || cfg_.apply_positivity_fix);
-    const std::vector<int>& leaves = forest_.leaves();
-    // A block's ghost fill needs its own task only if some finer block's
-    // prolongation reads those ghosts (slope stencils read copy- and
-    // restriction-filled ghost cells). Everyone else folds the fill into
-    // the block's update task — for a same-level-only region that leaves
-    // one fused task per block per stage with no dependencies at all.
-    std::vector<char> is_src(static_cast<std::size_t>(forest_.node_capacity()),
-                             0);
-    for (int d : leaves)
-      for (int s : exchanger_.prolong_sources(d))
-        is_src[static_cast<std::size_t>(s)] = 1;
-    std::vector<int> gh(static_cast<std::size_t>(forest_.node_capacity()), -1);
-    for (int d : leaves)
-      if (is_src[static_cast<std::size_t>(d)])
-        gh[static_cast<std::size_t>(d)] = stage_graph_.add([this, d] {
-          exchanger_.fill_block_phase1(*ctx_.in, d);
-          apply_boundary_conditions<D>(
-              *ctx_.in, forest_,
-              bfaces_by_block_[static_cast<std::size_t>(d)], cfg_.bc, ctx_.t);
-        });
-    for (int d : leaves) {
-      const RVec<D> dx = cell_dx(forest_.level(d));
-      const bool fuse_gh = !is_src[static_cast<std::size_t>(d)];
-      const bool has_pr = !exchanger_.prolong_sources(d).empty();
-      const bool record =
-          cfg_.flux_correction && flux_register_.needs_fluxes(d);
-      // Interior/rim splitting costs extra sweep-setup work on the thin rim
-      // slabs, so it is applied only where it buys overlap: blocks whose
-      // ghosts need interpolation from a coarse neighbor (the expensive,
-      // dependency-laden fills), and only when the hardware can actually
-      // run interior compute concurrently with the fill. Same-level-only
-      // blocks run as one task — their ghost fill is a handful of row
-      // copies with nothing to hide.
-      const bool split =
-          !record && !core.empty() && overlap_pays() && has_pr;
-      // Without a split the epilogue has a single producer: fold it in.
-      const bool fuse_epi = epilogue && !split;
-      int interior = -1;
-      if (split)
-        interior = stage_graph_.add([this, d, dx, core] {
-          update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt, nullptr, &core);
-        });
-      const int rim = stage_graph_.add(
-          [this, d, dx, record, split, fuse_gh, has_pr, fuse_epi] {
-            if (fuse_gh) {
-              exchanger_.fill_block_phase1(*ctx_.in, d);
-              apply_boundary_conditions<D>(
-                  *ctx_.in, forest_,
-                  bfaces_by_block_[static_cast<std::size_t>(d)], cfg_.bc,
-                  ctx_.t);
-            }
-            if (has_pr) exchanger_.fill_block_prolong(*ctx_.in, d);
-            if (record) {
-              update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt,
-                           &flux_register_.storage(d), nullptr);
-            } else if (!split) {
-              update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt, nullptr,
-                           nullptr);
-            } else {
-              for (const Box<D>& b : exchanger_.rim_boxes())
-                update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt, nullptr, &b);
-            }
-            if (fuse_epi) {
-              if (ctx_.combine)
-                combine_half(store_.view(d), std::as_const(*stage2_).view(d));
-              if (ctx_.fix) fix_block(ctx_.combine ? store_ : *ctx_.out, d);
-            }
-          });
-      if (!fuse_gh) stage_graph_.depends(rim, gh[static_cast<std::size_t>(d)]);
-      for (int s : exchanger_.prolong_sources(d))
-        stage_graph_.depends(rim, gh[static_cast<std::size_t>(s)]);
-      if (epilogue && split) {
-        const int epi = stage_graph_.add([this, d] {
-          if (ctx_.combine)
-            combine_half(store_.view(d), std::as_const(*stage2_).view(d));
-          if (ctx_.fix) fix_block(ctx_.combine ? store_ : *ctx_.out, d);
-        });
-        stage_graph_.depends(epi, interior);
-        stage_graph_.depends(epi, rim);
-      }
-    }
-  }
-
-  /// Run one stage through the graph: ctx_ must be set. Handles flux
-  /// pre-touch, flop accounting, and refluxing like run_stage.
-  void run_stage_graph() {
-    if (cfg_.flux_correction)
-      for (int id : forest_.leaves())
-        if (flux_register_.needs_fluxes(id)) flux_register_.storage(id);
-    {
-      obs::PhaseScope ps(cfg_.telemetry, "stage_graph");
-      stage_graph_.set_parent_span(ps.span_id());
-      stage_graph_.run(pool_.get());
-    }
-    account_ghost_plan();
-    flop_counter_.add(static_cast<std::uint64_t>(forest_.num_leaves()) *
-                      fv_update_flops<D, Phys>(store_.layout(), cfg_.order));
-    block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
-    // Corrections may touch one block from several faces: run serially.
-    if (cfg_.flux_correction) {
-      obs::PhaseScope ps(cfg_.telemetry, "reflux");
-      flux_register_.apply(*ctx_.out, ctx_.dt);
-    }
-  }
-
-  /// Threaded step: both Heun stages flow through the task graph. With
-  /// flux correction the combine/fix epilogues cannot fold into the graph
-  /// (they must see the refluxed stage result), so they run as post-passes
-  /// in the same order the serial path uses.
-  void step_graph(double dt) {
-    ctx_ = StageCtx{&store_, &scratch_, dt, time_, false,
-                    cfg_.apply_positivity_fix && !cfg_.flux_correction};
-    run_stage_graph();
-    if (cfg_.flux_correction && cfg_.apply_positivity_fix) {
-      obs::PhaseScope ps(cfg_.telemetry, "epilogue");
-      for_leaves([&](int id) { fix_block(scratch_, id); });
-    }
-    if (cfg_.rk_stages == 1) {
-      std::swap(store_, scratch_);
-      time_ += dt;
-      return;
-    }
-    for (int id : forest_.leaves()) stage2_->ensure(id);
-    ctx_ = StageCtx{&scratch_, stage2_.get(), dt, time_ + dt,
-                    !cfg_.flux_correction,
-                    cfg_.apply_positivity_fix && !cfg_.flux_correction};
-    run_stage_graph();
-    if (cfg_.flux_correction) {
-      obs::PhaseScope ps(cfg_.telemetry, "epilogue");
-      for_leaves([&](int id) {
-        combine_half(store_.view(id), std::as_const(*stage2_).view(id));
-        if (cfg_.apply_positivity_fix) fix_block(store_, id);
-      });
-    }
-    time_ += dt;
-  }
-
-  // Subcycling task graphs, one per level. The same interior/rim split
-  // applies, with two twists: ghost fills time-blend Prolong sources
-  // (apply_subcycled_op), and the rim task finishes by swapping the
-  // block's store_/scratch_ buffers and fixing positivity — publishing the
-  // new state. Because a same-level SameCopy into d' reads the OLD
-  // interior of its source s, the swap task R(s) also waits on F(d') for
-  // every same-level consumer d' (anti-dependency). Finer and coarser
-  // sources are not updated during this level's graph, so they need no
-  // edges.
-  void rebuild_level_graphs() {
-    const int nl = cfg_.forest.max_level + 1;
-    level_graphs_ = std::vector<TaskGraph>(static_cast<std::size_t>(nl));
-    const Box<D> core = exchanger_.interior_core();
-    const auto& ops = exchanger_.ops();
-    for (int l = 0; l < nl; ++l) {
-      TaskGraph& g = level_graphs_[static_cast<std::size_t>(l)];
-      const RVec<D> dx = cell_dx(l);
-      std::vector<int> fid(static_cast<std::size_t>(forest_.node_capacity()),
-                           -1);
-      std::vector<int> rid(static_cast<std::size_t>(forest_.node_capacity()),
-                           -1);
-      for (int d : level_leaves_[l])
-        fid[static_cast<std::size_t>(d)] = g.add([this, d] {
-          for (int i : sub_block_ops_[static_cast<std::size_t>(d)])
-            apply_subcycled_op(exchanger_.ops()[static_cast<std::size_t>(i)],
-                               sub_tau_);
-          apply_boundary_conditions<D>(
-              store_, forest_, bfaces_by_block_[static_cast<std::size_t>(d)],
-              cfg_.bc, sub_tau_);
-        });
-      for (int d : level_leaves_[l]) {
-        // Split only blocks with a time-blended coarse fill to hide (same
-        // heuristic as the stage graph: thin rim slabs cost sweep setup).
-        bool has_prolong = false;
-        for (int i : sub_block_ops_[static_cast<std::size_t>(d)])
-          if (ops[static_cast<std::size_t>(i)].kind == GhostOpKind::Prolong)
-            has_prolong = true;
-        const bool split = !core.empty() && overlap_pays() && has_prolong;
-        int interior = -1;
-        if (split)
-          interior = g.add([this, d, dx, core] {
-            update_block(store_, scratch_, d, dx, sub_dt_, nullptr, &core);
-          });
-        rid[static_cast<std::size_t>(d)] = g.add([this, d, dx, split] {
-          if (!split) {
-            update_block(store_, scratch_, d, dx, sub_dt_, nullptr, nullptr);
-          } else {
-            for (const Box<D>& b : exchanger_.rim_boxes())
-              update_block(store_, scratch_, d, dx, sub_dt_, nullptr, &b);
-          }
-          // Swap: store_ takes the new state; scratch_ keeps the old one
-          // (with its freshly filled ghosts) for finer-level interpolation.
-          store_.swap_block(scratch_, d);
-          if (cfg_.apply_positivity_fix) fix_block(store_, d);
-        });
-        g.depends(rid[static_cast<std::size_t>(d)],
-                  fid[static_cast<std::size_t>(d)]);
-        if (interior >= 0)
-          g.depends(rid[static_cast<std::size_t>(d)], interior);
-      }
-      // Anti-dependencies: s's swap waits until every same-level copy out
-      // of s has read the old state.
-      for (int d : level_leaves_[l])
-        for (int i : sub_block_ops_[static_cast<std::size_t>(d)]) {
-          const GhostOp<D>& op = ops[static_cast<std::size_t>(i)];
-          if (op.kind == GhostOpKind::SameCopy)
-            g.depends(rid[static_cast<std::size_t>(op.src)],
-                      fid[static_cast<std::size_t>(op.dst)]);
-        }
-    }
-  }
-
-  /// Run fn(leaf_id) for every leaf, in parallel when a pool exists.
+  /// Run fn(i) for every i in [0, n), on the pool when one exists.
   template <class F>
-  void for_leaves(const F& fn) {
-    const std::vector<int>& leaves = forest_.leaves();
+  void for_index(std::size_t n, const F& fn) const {
     if (pool_) {
-      pool_->parallel_for(static_cast<std::int64_t>(leaves.size()),
-                          [&](std::int64_t i) {
-                            fn(leaves[static_cast<std::size_t>(i)]);
-                          });
+      pool_->parallel_for(static_cast<std::int64_t>(n), [&](std::int64_t i) {
+        fn(static_cast<std::size_t>(i));
+      });
     } else {
-      for (int id : leaves) fn(id);
+      for (std::size_t i = 0; i < n; ++i) fn(i);
     }
+  }
+
+  /// Run fn(id) for every block id in `ids`, on the pool when one exists.
+  template <class F>
+  void for_blocks(const std::vector<int>& ids, const F& fn) const {
+    for_index(ids.size(), [&](std::size_t i) { fn(ids[i]); });
+  }
+
+  template <class F>
+  void for_leaves(const F& fn) const {
+    for_blocks(forest_.leaves(), fn);
+  }
+
+  /// The calling thread's index into the per-thread scratch arrays.
+  static std::size_t thread_slot() {
+    return static_cast<std::size_t>(ThreadPool::this_thread_index());
   }
 
   /// One forward-Euler stage over all blocks: out = in + dt L(in), with
@@ -959,22 +624,16 @@ class AmrSolver {
     if (cfg_.flux_correction)
       for (int id : forest_.leaves())
         if (flux_register_.needs_fluxes(id)) flux_register_.storage(id);
-    std::atomic<std::uint64_t> flops{0};
     for_leaves([&](int id) {
-      const RVec<D> dx = cell_dx(forest_.level(id));
       FaceFluxStorage<D>* ff =
           (cfg_.flux_correction && flux_register_.needs_fluxes(id))
               ? &flux_register_.storage(id)
               : nullptr;
-      flops.fetch_add(
-          fv_block_update_tiled<D, Phys>(
-              cfg_.sub_block, lay, in.view(id).base, out.view(id).base, phys_,
-              dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, ff, nullptr,
-              &kernel_scratch_[static_cast<std::size_t>(
-                  ThreadPool::this_thread_index())]),
-          std::memory_order_relaxed);
+      flop_counter_.add(fv_block_update_tiled<D, Phys>(
+          cfg_.sub_block, lay, in.view(id).base, out.view(id).base, phys_,
+          cell_dx(forest_.level(id)), dt, cfg_.order, cfg_.limiter, cfg_.flux,
+          ff, nullptr, &kernel_scratch_[thread_slot()]));
     });
-    flop_counter_.add(flops.load(std::memory_order_relaxed));
     block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
     // Corrections may touch one block from several faces: run serially.
     if (cfg_.flux_correction) {
@@ -1037,22 +696,17 @@ class AmrSolver {
         ->add(static_cast<std::uint64_t>(ghost_ops_step_[2]));
     m.gauge("solver.dt")->set(dt);
     m.gauge("solver.blocks")->set(static_cast<double>(forest_.num_leaves()));
-    if (block_pool_ != nullptr) {
-      // Pool counters are cumulative inside the arena; publish deltas so
-      // the obs counters stay additive like every other counter.
-      const BlockPool::Stats& ps = block_pool_->stats();
-      m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
-      m.gauge("pool.slabs_in_use")
-          ->set(static_cast<double>(ps.slabs_in_use));
-      m.counter("pool.reuse_hits")
-          ->add(static_cast<std::uint64_t>(ps.reuse_hits -
-                                           pool_reuse_seen_));
-      m.counter("pool.fresh_allocs")
-          ->add(static_cast<std::uint64_t>(ps.fresh_allocs -
-                                           pool_fresh_seen_));
-      pool_reuse_seen_ = ps.reuse_hits;
-      pool_fresh_seen_ = ps.fresh_allocs;
-    }
+    // Pool counters are cumulative inside the arena; publish deltas so the
+    // obs counters stay additive like every other counter.
+    const BlockPool::Stats& ps = block_pool_->stats();
+    m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
+    m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
+    m.counter("pool.reuse_hits")
+        ->add(static_cast<std::uint64_t>(ps.reuse_hits - pool_reuse_seen_));
+    m.counter("pool.fresh_allocs")
+        ->add(static_cast<std::uint64_t>(ps.fresh_allocs - pool_fresh_seen_));
+    pool_reuse_seen_ = ps.reuse_hits;
+    pool_fresh_seen_ = ps.fresh_allocs;
     publish_tune_gauges(m, tune_decision_);
     m.histogram("solver.step_wall_s",
                 {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0})
@@ -1088,41 +742,9 @@ class AmrSolver {
     ghost_ops_step_[0] = ghost_ops_step_[1] = ghost_ops_step_[2] = 0;
   }
 
-  // ------------------------------------------------------------------
-  // Storage/scheduling substrate knobs (config + env A/B overrides).
-
   static BlockLayout<D> make_layout(const Config& cfg) {
     return BlockLayout<D>(cfg.cells_per_block, cfg.ghost, Phys::NVAR,
                           cfg.pad0);
-  }
-
-  /// One slab arena per solver, shared by every store the stepper swaps
-  /// (store_/scratch_/stage2_). Null when the malloc path is selected.
-  static std::shared_ptr<BlockPool> make_block_pool(const Config& cfg) {
-    bool use = cfg.use_block_pool;
-    if (const char* e = std::getenv("AB_BLOCK_POOL")) use = e[0] != '0';
-    if (!use) return nullptr;
-    return std::make_shared<BlockPool>(make_layout(cfg).block_doubles());
-  }
-
-  static BlockStore<D> make_store(const Config& cfg,
-                                  const std::shared_ptr<BlockPool>& pool) {
-    return pool != nullptr ? BlockStore<D>(make_layout(cfg), pool)
-                           : BlockStore<D>(make_layout(cfg));
-  }
-
-  /// A fresh store sharing this solver's pool (or malloc'd without one).
-  std::unique_ptr<BlockStore<D>> new_store() const {
-    return std::make_unique<BlockStore<D>>(
-        make_store(cfg_, block_pool_));
-  }
-
-  static TaskGraph::Mode resolve_task_mode(const Config& cfg) {
-    TaskGraph::Mode m = cfg.task_graph_mode;
-    if (const char* e = std::getenv("AB_TASK_STEAL"))
-      m = e[0] != '0' ? TaskGraph::Mode::WorkStealing
-                      : TaskGraph::Mode::SharedRing;
-    return m;
   }
 
   // Declared before cfg_ so cfg_'s initializer (the autotuner) can fill it.
@@ -1130,14 +752,16 @@ class AmrSolver {
   Config cfg_;
   Phys phys_;
   Forest<D> forest_;
-  std::shared_ptr<BlockPool> block_pool_;  // null = malloc-backed stores
+  // One slab arena shared by every store the stepper swaps.
+  std::shared_ptr<BlockPool> block_pool_;
   BlockStore<D> store_;
   BlockStore<D> scratch_;
   GhostExchanger<D> exchanger_;
   FluxRegister<D> flux_register_;
-  std::unique_ptr<BlockStore<D>> stage2_;  // with flux_correction or threads
+  std::unique_ptr<BlockStore<D>> stage2_;  // Heun with flux_correction
   std::unique_ptr<ThreadPool> pool_;       // when num_threads > 1
   std::vector<AlignedScratch> kernel_scratch_;  // one per pool thread
+  std::vector<AlignedScratch> block_tmp_;       // one per pool thread
   double time_ = 0.0;
   FlopCounter flop_counter_;  // thread-sharded; merged on total_flops()
   std::uint64_t block_updates_ = 0;
@@ -1154,19 +778,9 @@ class AmrSolver {
   std::vector<std::array<std::int64_t, 3>> level_op_kinds_;
   // Subcycling bookkeeping (empty unless cfg_.subcycling).
   std::vector<std::vector<int>> level_leaves_;
-  std::vector<std::vector<int>> level_ops_;
-  std::vector<std::vector<BoundaryFace>> level_bfaces_;
+  std::vector<std::vector<BoundaryFace>> block_bfaces_;  // per block
   std::vector<double> level_t_old_;
   std::vector<double> level_t_cur_;
-  // Task-graph stepping (populated only when pool_ exists).
-  TaskGraph::Mode task_mode_ = TaskGraph::Mode::SharedRing;
-  TaskGraph stage_graph_;
-  StageCtx ctx_;
-  std::vector<std::vector<BoundaryFace>> bfaces_by_block_;
-  std::vector<TaskGraph> level_graphs_;       // per level, with subcycling
-  std::vector<std::vector<int>> sub_block_ops_;  // op indices per dst block
-  double sub_tau_ = 0.0;  // current substep fill time (set before each run)
-  double sub_dt_ = 0.0;   // current substep size
 };
 
 }  // namespace ab

@@ -166,65 +166,14 @@ void GhostExchanger<D>::rebuild() {
     ++plan_stats_.ops[k];
     plan_stats_.cells[k] += op.cells();
   }
-
-  // Per-destination plan for the task-graph stepper: split each block's
-  // incoming ops by phase, preserving exec_order_'s relative order so the
-  // per-block path writes the same bytes in the same op order as fill(),
-  // and record the distinct Prolong sources (the dependency edges).
-  dst_phase1_.assign(static_cast<std::size_t>(forest_->node_capacity()), {});
-  dst_prolong_.assign(static_cast<std::size_t>(forest_->node_capacity()), {});
-  prolong_srcs_.assign(static_cast<std::size_t>(forest_->node_capacity()), {});
-  for (int i : exec_order_) {
-    const GhostOp<D>& op = ops_[static_cast<std::size_t>(i)];
-    const auto dst = static_cast<std::size_t>(op.dst);
-    if (op.kind == GhostOpKind::Prolong) {
-      dst_prolong_[dst].push_back(i);
-      auto& srcs = prolong_srcs_[dst];
-      if (std::find(srcs.begin(), srcs.end(), op.src) == srcs.end())
-        srcs.push_back(op.src);
-    } else {
-      dst_phase1_[dst].push_back(i);
-    }
-  }
-
-  // Interior/rim decomposition (layout geometry, same for every block): the
-  // core shrinks the interior by the ghost width so a radius<=ghost stencil
-  // stays inside owned cells; the rim is an onion peel of 2*D slabs, each
-  // dimension's pair shrunk in the already-peeled dimensions so the slabs
-  // are disjoint and tile interior minus core exactly. Dimension 0 is
-  // peeled last: the slabs thin in dimension 0 have short contiguous rows
-  // (poor per-row amortization in the sweep kernels), so peeling it last
-  // makes that pair as small as possible.
-  const int g = layout_.ghost;
-  rim_boxes_.clear();
-  bool has_core = true;
-  for (int d = 0; d < D; ++d)
-    if (layout_.interior[d] <= 2 * g) has_core = false;
-  if (!has_core) {
-    core_ = Box<D>{};
-    rim_boxes_.push_back(layout_.interior_box());
-  } else {
-    Box<D> cur = layout_.interior_box();
-    for (int d = D - 1; d >= 0; --d) {
-      Box<D> lo = cur;
-      lo.hi[d] = cur.lo[d] + g;
-      rim_boxes_.push_back(lo);
-      Box<D> hi = cur;
-      hi.lo[d] = cur.hi[d] - g;
-      rim_boxes_.push_back(hi);
-      cur.lo[d] += g;
-      cur.hi[d] -= g;
-    }
-    core_ = cur;
-  }
 }
 
 namespace {
 
 /// Evaluate one op from the source data, emitting (var, cell, value) in a
 /// deterministic order (vars outer, dst_box cells inner). Backs the
-/// sender-side message pack and the reference executor the batched row
-/// paths are tested against.
+/// sender-side message pack, which tests pair with unpack_op as the
+/// per-cell oracle for the batched row paths.
 template <int D, class Emit>
 void compute_op(const BlockLayout<D>& layout, Prolongation prolongation,
                 const ConstBlockView<D>& src, const GhostOp<D>& op,
@@ -265,7 +214,7 @@ void compute_op(const BlockLayout<D>& layout, Prolongation prolongation,
 // SameCopy rows are straight memcpy; Restrict rows average 2^D stride-2
 // source streams; Prolong rows reuse the per-row-constant transverse
 // parities and slope-validity flags. All arithmetic matches compute_op
-// value for value, so the fill is bitwise identical to apply_reference.
+// value for value, so the fill is bitwise identical to pack_op/unpack_op.
 template <int D>
 void GhostExchanger<D>::apply_op(BlockStore<D>& store,
                                  const GhostOp<D>& op) const {
@@ -374,15 +323,6 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
 }
 
 template <int D>
-void GhostExchanger<D>::apply_reference(BlockStore<D>& store,
-                                        const GhostOp<D>& op) const {
-  BlockView<D> dst = store.view(op.dst);
-  ConstBlockView<D> src = std::as_const(store).view(op.src);
-  compute_op<D>(layout_, prolongation_, src, op,
-                [&](int v, IVec<D> q, double val) { dst.at(v, q) = val; });
-}
-
-template <int D>
 void GhostExchanger<D>::pack_op(const BlockStore<D>& store,
                                 const GhostOp<D>& op, double* buf) const {
   ConstBlockView<D> src = store.view(op.src);
@@ -430,20 +370,6 @@ void GhostExchanger<D>::fill_block(BlockStore<D>& store, int dst) const {
   AB_REQUIRE(dst >= 0 && dst < static_cast<int>(ops_by_dst_.size()),
              "fill_block: unknown block");
   for (int i : ops_by_dst_[dst]) apply_op(store, ops_[i]);
-}
-
-template <int D>
-void GhostExchanger<D>::fill_block_phase1(BlockStore<D>& store,
-                                          int dst) const {
-  for (int i : dst_phase1_[static_cast<std::size_t>(dst)])
-    apply_op(store, ops_[static_cast<std::size_t>(i)]);
-}
-
-template <int D>
-void GhostExchanger<D>::fill_block_prolong(BlockStore<D>& store,
-                                           int dst) const {
-  for (int i : dst_prolong_[static_cast<std::size_t>(dst)])
-    apply_op(store, ops_[static_cast<std::size_t>(i)]);
 }
 
 template <int D>

@@ -100,29 +100,17 @@ class GhostExchanger {
   /// Execution is batched: ops run in exec_order() — grouped by kind and
   /// destination — and each op executes as contiguous row copies (SameCopy)
   /// or per-row vector loops (Restrict/Prolong) rather than per-cell
-  /// emit callbacks. Results are bitwise identical to apply_reference.
+  /// emit callbacks. Results are bitwise identical to pack_op followed by
+  /// unpack_op, the per-cell path.
   void fill(BlockStore<D>& store, ThreadPool* pool = nullptr) const;
 
   /// Execute only the ops whose destination is block `dst`.
   void fill_block(BlockStore<D>& store, int dst) const;
 
-  /// Phase-1 ops (SameCopy + Restrict) into block `dst`, in the same
-  /// relative order fill() uses. These read only source interiors, so one
-  /// such task per destination can run as soon as the stage's input store
-  /// is current — no ordering against other destinations.
-  void fill_block_phase1(BlockStore<D>& store, int dst) const;
-
-  /// Prolong ops into block `dst`. Their slope stencils may read ghost
-  /// slabs of the coarse source that phase 1 fills (op.valid extends only
-  /// into restriction/copy-filled slabs, never BC or coarser ones), so a
-  /// per-destination prolong task depends exactly on the phase-1 tasks of
-  /// the blocks in prolong_sources(dst).
-  void fill_block_prolong(BlockStore<D>& store, int dst) const;
-
-  /// Distinct source blocks of the Prolong ops into `dst` (empty when the
-  /// block has no coarser neighbor).
-  const std::vector<int>& prolong_sources(int dst) const {
-    return prolong_srcs_[static_cast<std::size_t>(dst)];
+  /// Indices into ops() of the ops whose destination is block `dst`, in
+  /// plan order.
+  const std::vector<int>& ops_into(int dst) const {
+    return ops_by_dst_[static_cast<std::size_t>(dst)];
   }
 
   /// Apply a single op from the plan (advanced drivers — e.g. the
@@ -130,11 +118,6 @@ class GhostExchanger {
   void apply(BlockStore<D>& store, const GhostOp<D>& op) const {
     apply_op(store, op);
   }
-
-  /// Apply one op through the seed per-cell path (the emit-callback
-  /// executor that also backs pack_op). Kept as the correctness oracle for
-  /// the batched row executor; tests assert both fill the same bytes.
-  void apply_reference(BlockStore<D>& store, const GhostOp<D>& op) const;
 
   /// Doubles one op's message carries: its dst cells times nvar.
   std::int64_t op_payload_doubles(const GhostOp<D>& op) const {
@@ -174,17 +157,6 @@ class GhostExchanger {
   /// Op/cell counts by kind for the current plan (one fill's worth).
   const GhostPlanStats& plan_stats() const { return plan_stats_; }
 
-  /// The interior sub-box whose update stencil (radius <= ghost) never
-  /// reads ghost cells — runnable before any ghost op. Empty when some
-  /// interior extent is <= 2*ghost (the whole block is rim).
-  const Box<D>& interior_core() const { return core_; }
-
-  /// Disjoint slabs covering interior_box() minus interior_core() (the
-  /// cells whose stencil reaches into the ghost ring). Together with the
-  /// core they tile the interior exactly; sub-box kernel updates over the
-  /// tiling are bitwise equal to one full-block update.
-  const std::vector<Box<D>>& rim_boxes() const { return rim_boxes_; }
-
  private:
   void apply_op(BlockStore<D>& store, const GhostOp<D>& op) const;
   void plan_face(int id, int dim, int side);
@@ -196,13 +168,6 @@ class GhostExchanger {
   std::vector<int> exec_order_;  // ops_ indices, batched execution order
   int phase1_count_ = 0;
   std::vector<std::vector<int>> ops_by_dst_;  // indices into ops_, per block
-  // Per-destination plan for dependency-driven stepping, split by phase and
-  // kept in fill()'s relative order.
-  std::vector<std::vector<int>> dst_phase1_;
-  std::vector<std::vector<int>> dst_prolong_;
-  std::vector<std::vector<int>> prolong_srcs_;
-  Box<D> core_;
-  std::vector<Box<D>> rim_boxes_;
   std::vector<BoundaryFace> boundary_faces_;
   GhostPlanStats plan_stats_;
 };

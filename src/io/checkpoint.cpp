@@ -428,47 +428,9 @@ std::uint64_t save_checkpoint_view(
   return static_cast<std::uint64_t>(file.bytes().size());
 }
 
-namespace {
-
-/// Legacy writer, byte-identical to the original v1 format.
-template <int D>
-std::uint64_t save_v1(const std::string& path, const Forest<D>& forest,
-                      const BlockStore<D>& store, double time) {
-  const BlockLayout<D>& lay = store.layout();
-  ByteWriter w;
-  w.put(kMagicV1);
-  build_config_section<D>(w, forest, lay, time,
-                          static_cast<std::int64_t>(forest.leaves().size()));
-  // v1 interleaves (level, coords, data) per leaf after the header. The
-  // header field order matches build_config_section except that v1 stored
-  // time then leaf count, which build_config_section also does — so the
-  // byte stream is identical to the original format.
-  std::vector<double> buf(static_cast<std::size_t>(lay.interior_cells()));
-  for (int id : forest.leaves()) {
-    w.put(static_cast<std::int32_t>(forest.level(id)));
-    for (int d = 0; d < D; ++d)
-      w.put(static_cast<std::int32_t>(forest.coords(id)[d]));
-    AB_REQUIRE(store.has(id), "save_checkpoint: leaf without data");
-    ConstBlockView<D> v = store.view(id);
-    for (int var = 0; var < lay.nvar; ++var) {
-      std::size_t k = 0;
-      for_each_cell<D>(lay.interior_box(),
-                       [&](IVec<D> p) { buf[k++] = v.at(var, p); });
-      w.put_raw(buf.data(), buf.size() * sizeof(double));
-    }
-  }
-  write_file_atomic(path, w.bytes());
-  return static_cast<std::uint64_t>(w.bytes().size());
-}
-
-}  // namespace
-
 template <int D>
 std::uint64_t save_checkpoint(const std::string& path, const Forest<D>& forest,
-                              const BlockStore<D>& store, double time,
-                              CheckpointFormat format) {
-  if (format == CheckpointFormat::V1)
-    return save_v1<D>(path, forest, store, time);
+                              const BlockStore<D>& store, double time) {
   for (int id : forest.leaves())
     AB_REQUIRE(store.has(id), "save_checkpoint: leaf without data");
   return save_checkpoint_view<D>(
@@ -505,14 +467,11 @@ double load_checkpoint(const std::string& path, Forest<D>& forest,
 }
 
 template std::uint64_t save_checkpoint<1>(const std::string&, const Forest<1>&,
-                                          const BlockStore<1>&, double,
-                                          CheckpointFormat);
+                                          const BlockStore<1>&, double);
 template std::uint64_t save_checkpoint<2>(const std::string&, const Forest<2>&,
-                                          const BlockStore<2>&, double,
-                                          CheckpointFormat);
+                                          const BlockStore<2>&, double);
 template std::uint64_t save_checkpoint<3>(const std::string&, const Forest<3>&,
-                                          const BlockStore<3>&, double,
-                                          CheckpointFormat);
+                                          const BlockStore<3>&, double);
 template std::uint64_t save_checkpoint_view<1>(
     const std::string&, const Forest<1>&, const BlockLayout<1>&,
     const std::function<ConstBlockView<1>(int)>&, double);

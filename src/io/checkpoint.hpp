@@ -34,21 +34,16 @@
 
 namespace ab {
 
-/// On-disk checkpoint format. V1 is the legacy unchecksummed layout, kept
-/// writable so the cross-version loader path stays testable; V2 (default)
-/// adds the magic+version header, per-section CRC-32, and atomic rename.
-enum class CheckpointFormat { V1, V2 };
-
 /// Write the forest topology and all leaf interiors to `path` atomically
-/// (temp file + rename). Returns the number of bytes written.
+/// (temp file + rename), in the v2 format. Returns the number of bytes
+/// written.
 template <int D>
 std::uint64_t save_checkpoint(const std::string& path, const Forest<D>& forest,
-                              const BlockStore<D>& store, double time,
-                              CheckpointFormat format = CheckpointFormat::V2);
+                              const BlockStore<D>& store, double time);
 
 /// As above, but block data is supplied by `view_of(id)` instead of a
 /// single store — the rank-parallel solver saves a globally consistent
-/// checkpoint from its per-rank private stores this way. Always writes V2.
+/// checkpoint from its per-rank private stores this way.
 template <int D>
 std::uint64_t save_checkpoint_view(
     const std::string& path, const Forest<D>& forest,
@@ -68,16 +63,16 @@ double load_checkpoint(const std::string& path, Forest<D>& forest,
 
 extern template std::uint64_t save_checkpoint<1>(const std::string&,
                                                  const Forest<1>&,
-                                                 const BlockStore<1>&, double,
-                                                 CheckpointFormat);
+                                                 const BlockStore<1>&,
+                                                 double);
 extern template std::uint64_t save_checkpoint<2>(const std::string&,
                                                  const Forest<2>&,
-                                                 const BlockStore<2>&, double,
-                                                 CheckpointFormat);
+                                                 const BlockStore<2>&,
+                                                 double);
 extern template std::uint64_t save_checkpoint<3>(const std::string&,
                                                  const Forest<3>&,
-                                                 const BlockStore<3>&, double,
-                                                 CheckpointFormat);
+                                                 const BlockStore<3>&,
+                                                 double);
 extern template std::uint64_t save_checkpoint_view<1>(
     const std::string&, const Forest<1>&, const BlockLayout<1>&,
     const std::function<ConstBlockView<1>(int)>&, double);

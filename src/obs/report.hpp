@@ -45,9 +45,9 @@ struct StepReport {
   std::int64_t ghost_restrict_ops = 0;  ///< fine-to-coarse averages
   std::int64_t ghost_prolong_ops = 0;   ///< coarse-to-fine interpolations
   /// Phase wall times [s], in first-seen order. In-step phases
-  /// (ghost_exchange, stage_update, stage_graph, reflux, epilogue) sum to
-  /// ~wall_s; between-step phases (compute_dt, regrid) ride in the next
-  /// step's record.
+  /// (ghost_exchange, stage_update, reflux, epilogue) sum to ~wall_s at
+  /// every thread count; between-step phases (compute_dt, regrid) ride in
+  /// the next step's record.
   std::vector<std::pair<std::string, double>> phase_s;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, std::int64_t>> counters;

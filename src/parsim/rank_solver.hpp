@@ -102,17 +102,6 @@ class RankSolver {
     /// `transport`). Null = the solver owns a private hub when the
     /// resolved transport is not Board.
     wire::WireHub* wire = nullptr;
-    /// Overlap the regrid topology-delta exchange with subsequent stage
-    /// compute: sends post during adapt(), receives drain one per block
-    /// update (env AB_ASYNC_TOPO). Forced synchronous while message
-    /// tracing is active, so span accounting is unchanged when traced.
-    /// Metadata only — solver bytes are identical either way.
-    bool async_topo_delta = true;
-    /// Ship post-regrid owned-block descriptors to the stale pre-regrid
-    /// neighbor ranks alongside the migration traffic, so the hull
-    /// rebuild validates prefetched hints instead of issuing remote
-    /// probes (env AB_HULL_PREFETCH; distributed_metadata only).
-    bool hull_prefetch = true;
   };
 
   RankSolver(Config cfg, Phys phys)
@@ -121,7 +110,7 @@ class RankSolver {
         forest_(cfg_.solver.forest),
         layout_(cfg_.solver.cells_per_block, cfg_.solver.ghost, Phys::NVAR,
                 cfg_.solver.pad0),
-        block_pool_(make_block_pool(cfg_.solver, layout_)),
+        block_pool_(std::make_shared<BlockPool>(layout_.block_doubles())),
         exchanger_(forest_, layout_, cfg_.solver.prolongation),
         owner_(partition_blocks<D>(forest_, cfg_.npes, cfg_.policy)),
         buffered_(exchanger_, owner_, cfg_.npes) {
@@ -189,11 +178,6 @@ class RankSolver {
       board_.set_wire(hub_, wire::PayloadClass::Board);
       topo_board_.set_wire(hub_, wire::PayloadClass::Topo);
     }
-    async_topo_ = cfg_.async_topo_delta;
-    if (const char* e = std::getenv("AB_ASYNC_TOPO")) async_topo_ = e[0] != '0';
-    prefetch_ = cfg_.hull_prefetch;
-    if (const char* e = std::getenv("AB_HULL_PREFETCH"))
-      prefetch_ = e[0] != '0';
     distmeta_ = resolve_distmeta(cfg_);
     if (distmeta_ && (!CurveMap<D>::supports(cfg_.policy) ||
                       cfg_.solver.forest.max_level_diff != 1)) {
@@ -231,8 +215,8 @@ class RankSolver {
   ConstBlockView<D> block_view(int id) const {
     return stores_[static_cast<std::size_t>(owner_at(id))].view(id);
   }
-  /// The shared slab arena backing every per-rank store (null on the
-  /// malloc path). Stats only.
+  /// The shared slab arena backing every per-rank store (never null).
+  /// Stats only.
   const BlockPool* block_pool() const { return block_pool_.get(); }
   const RankStepCost& last_step_cost() const { return last_step_; }
   const RegridCost& last_regrid_cost() const { return last_regrid_; }
@@ -248,10 +232,6 @@ class RankSolver {
   /// receive timeout; SPMD harnesses read its frame stats.
   wire::WireHub* wire_hub() { return hub_; }
   const wire::WireHub* wire_hub() const { return hub_; }
-  /// Whether regrid topology deltas overlap with stage compute.
-  bool async_topo_delta_active() const { return async_topo_; }
-  /// Whether migration ships hull-prefetch descriptors.
-  bool hull_prefetch_active() const { return prefetch_; }
 
   /// Cell size of a block at `level`.
   RVec<D> cell_dx(int level) const {
@@ -637,7 +617,7 @@ class RankSolver {
       // Hull prefetch rides with the migration: post-regrid descriptors go
       // to the stale view's neighbor ranks now, so the rebuild below can
       // validate hints instead of probing.
-      if (distmeta_ && prefetch_ && topo_ != nullptr)
+      if (distmeta_ && topo_ != nullptr)
         exchange_hull_prefetch(rc, ps.span_id());
       rebuild_rank_structures();
       if (distmeta_) exchange_topology_deltas(deltas, rc, ps.span_id());
@@ -748,7 +728,7 @@ class RankSolver {
   }
 
   /// Resolve the distributed-metadata switch (config + AB_DIST_META env,
-  /// same precedence as AB_BLOCK_POOL).
+  /// which wins when set).
   static bool resolve_distmeta(const Config& cfg) {
     bool use = cfg.distributed_metadata;
     if (const char* e = std::getenv("AB_DIST_META")) use = e[0] != '0';
@@ -815,16 +795,16 @@ class RankSolver {
   /// the topology board — the same lossy wire as every other payload, so
   /// fault injection composes — and verify the decoded records match.
   ///
-  /// Asynchronous mode (Config::async_topo_delta / AB_ASYNC_TOPO): sends
-  /// post here but receives defer to drain_topo_some(), called between
-  /// block updates during stage compute — the delta exchange overlaps the
-  /// next step's work instead of extending the regrid barrier. Forced
-  /// synchronous while message tracing is active, so span accounting (one
-  /// span pair per channel, closed within the round) is unchanged.
+  /// Sends post here but receives defer to drain_topo_some(), called
+  /// between block updates during stage compute — the delta exchange
+  /// overlaps the next step's work instead of extending the regrid barrier.
+  /// Synchronous while message tracing is active, so span accounting (one
+  /// span pair per channel, closed within the round) is unchanged; the
+  /// solver bytes are the same either way.
   void exchange_topology_deltas(
       const std::vector<std::vector<TopoDeltaRecord<D>>>& deltas,
       RegridCost& rc, std::uint64_t parent_span = 0) {
-    const bool async = async_topo_ && !msg_trace_.active();
+    const bool async = !msg_trace_.active();
     topo_board_.clear();  // prior rounds fully drained (adapt() entry)
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::TopoDelta,
@@ -1140,21 +1120,16 @@ class RankSolver {
     m.gauge("rank.load_imbalance")->set(sc.imbalance);
     m.gauge("rank.t_step_model_s")->set(sc.t_step);
     m.gauge("rank.efficiency")->set(sc.efficiency);
-    if (block_pool_ != nullptr) {
-      // Arena totals are cumulative; counters take per-step deltas.
-      const BlockPool::Stats& ps = block_pool_->stats();
-      m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
-      m.gauge("pool.slabs_in_use")
-          ->set(static_cast<double>(ps.slabs_in_use));
-      m.counter("pool.reuse_hits")
-          ->add(static_cast<std::uint64_t>(ps.reuse_hits -
-                                           pool_reuse_seen_));
-      m.counter("pool.fresh_allocs")
-          ->add(static_cast<std::uint64_t>(ps.fresh_allocs -
-                                           pool_fresh_seen_));
-      pool_reuse_seen_ = ps.reuse_hits;
-      pool_fresh_seen_ = ps.fresh_allocs;
-    }
+    // Arena totals are cumulative; counters take per-step deltas.
+    const BlockPool::Stats& ps = block_pool_->stats();
+    m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
+    m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
+    m.counter("pool.reuse_hits")
+        ->add(static_cast<std::uint64_t>(ps.reuse_hits - pool_reuse_seen_));
+    m.counter("pool.fresh_allocs")
+        ->add(static_cast<std::uint64_t>(ps.fresh_allocs - pool_fresh_seen_));
+    pool_reuse_seen_ = ps.reuse_hits;
+    pool_fresh_seen_ = ps.fresh_allocs;
     if (distmeta_ && topo_ != nullptr) {
       // Per-rank topology footprint: the gauges must track blocks/rank +
       // hull, not total blocks (the distributed-metadata contract). Probe
@@ -1249,21 +1224,8 @@ class RankSolver {
     }
   }
 
-  /// One slab arena per solver shared by every per-rank store (same
-  /// layout throughout), so migration and refine/coarsen recycle slabs
-  /// across ranks instead of hitting malloc. Null = malloc-backed stores
-  /// (cfg.solver.use_block_pool, env AB_BLOCK_POOL — see AmrSolver).
-  static std::shared_ptr<BlockPool> make_block_pool(
-      const SolverConfig& cfg, const BlockLayout<D>& layout) {
-    bool use = cfg.use_block_pool;
-    if (const char* e = std::getenv("AB_BLOCK_POOL")) use = e[0] != '0';
-    if (!use) return nullptr;
-    return std::make_shared<BlockPool>(layout.block_doubles());
-  }
-
   BlockStore<D> make_store() const {
-    return block_pool_ != nullptr ? BlockStore<D>(layout_, block_pool_)
-                                  : BlockStore<D>(layout_);
+    return BlockStore<D>(layout_, block_pool_);
   }
 
   /// Run the layout autotuner over the embedded solver config before any
@@ -1280,7 +1242,9 @@ class RankSolver {
   Phys phys_;
   Forest<D> forest_;
   BlockLayout<D> layout_;
-  std::shared_ptr<BlockPool> block_pool_;  // null = malloc-backed stores
+  // One slab arena shared by every per-rank store (same layout throughout),
+  // so migration and refine/coarsen recycle slabs across ranks.
+  std::shared_ptr<BlockPool> block_pool_;
   GhostExchanger<D> exchanger_;
   std::vector<int> owner_;  ///< node id -> rank (-1 for non-leaves)
   BufferedExchange<D> buffered_;
@@ -1319,8 +1283,6 @@ class RankSolver {
   std::unique_ptr<wire::WireHub> owned_hub_;
   wire::WireHub* hub_ = nullptr;
   wire::WireStats wire_prev_;  ///< hub stats published so far
-  bool async_topo_ = true;
-  bool prefetch_ = true;
   /// One deferred async topology-delta receive (src -> dst, n doubles,
   /// plus the records the payload must decode to).
   struct PendingTopo {

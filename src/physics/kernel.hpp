@@ -7,10 +7,10 @@
 // reconstruction, limiting, and flux evaluation running as tight loops over
 // contiguous, 64-byte-aligned scratch lanes (one flat double lane per
 // variable). Each cell's limited slope is computed once per dimension and
-// shared by the two faces that read it — the scalar reference
-// (kernel_reference.hpp) recomputes it per face. Results are bitwise
-// identical to the reference: both paths evaluate the same arithmetic on
-// the same values in the same per-cell order.
+// shared by the two faces that read it — the scalar reference the tests
+// keep (tests/support/kernel_reference.hpp) recomputes it per face. Results
+// are bitwise identical to the reference: both paths evaluate the same
+// arithmetic on the same values in the same per-cell order.
 //
 // All stencils offset along one dimension at a time, so only face ghosts are
 // required (see ghost.hpp): g >= 1 for first order, g >= 2 for second.

@@ -14,9 +14,9 @@
 // cache => same decision => same simulation bytes. Only the first (probing)
 // run is timing-dependent.
 //
-// Enable via Config::autotune or the AB_AUTOTUNE env knob (same A/B family
-// as AB_BLOCK_POOL / AB_TASK_STEAL): AB_AUTOTUNE=1 forces tuning on,
-// AB_AUTOTUNE=0 forces it off, unset defers to the config flag.
+// Enable via Config::autotune or the AB_AUTOTUNE env knob: AB_AUTOTUNE=1
+// forces tuning on, AB_AUTOTUNE=0 forces it off, unset defers to the config
+// flag.
 #pragma once
 
 #include <cstdint>

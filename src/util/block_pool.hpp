@@ -32,9 +32,9 @@
 //
 // Thread safety: none — the pool is mutated only from the serial sections
 // of the solvers (construction, init, adapt/regrid, migration, restore),
-// never from inside a parallel phase. The threaded task graphs only read
-// and write slab *contents*, which is safe because acquire/release are
-// never concurrent with them.
+// never from inside a parallel phase. The threaded phases only read and
+// write slab *contents*, which is safe because acquire/release are never
+// concurrent with them.
 #pragma once
 
 #include <bit>

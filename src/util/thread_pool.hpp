@@ -73,8 +73,7 @@ class ThreadPool {
   /// loud). Tiny trip counts (n <= kSerialCutoff) run serially on the
   /// calling thread. `chunk` fixes the dynamic claim size; 0 picks one
   /// from n and the thread count. Callers whose indices have wildly uneven
-  /// or mutually dependent work (the task-graph drain) pass 1 so no thread
-  /// pre-claims work it cannot start yet.
+  /// work pass 1 so no thread pre-claims more than its share.
   template <class F>
   void parallel_for(std::int64_t n, F&& fn, std::int64_t chunk = 0) {
     if (n <= 0) return;

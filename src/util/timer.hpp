@@ -30,7 +30,7 @@ class Timer {
 };
 
 /// Accumulates a count of floating-point operations reported by kernels.
-/// Safe under the threaded task-graph path: add() is a relaxed increment of
+/// Safe from concurrent block loops: add() is a relaxed increment of
 /// the calling thread's cache-line-padded slot (util/thread_slot.hpp);
 /// total() merges the slots on read. Drivers with an obs::Telemetry
 /// attached republish the merged total through the metrics registry

@@ -1,8 +1,8 @@
-// Memory/scheduling substrate determinism: the pooled BlockPool arena and
-// the work-stealing TaskGraph mode are pure performance substitutions —
-// multi-step AMR runs with mid-run regrids (and, on the rank-parallel
-// side, re-partitioning + block migration) must be BITWISE identical
-// across {pooled, malloc} x {WorkStealing, SharedRing} x thread counts.
+// Memory substrate determinism: every store draws its slabs from a shared
+// BlockPool arena, and regrids recycle them. Multi-step AMR runs with
+// mid-run regrids must stay BITWISE identical across thread counts, and a
+// rank-parallel run whose regrids re-partition and migrate blocks between
+// ranks (migration moves slabs through the shared pool) must match them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,33 +22,23 @@ auto euler_ic = [](const RVec<2>& x, Euler<2>::State& s) {
                            {0.4, -0.3}, 1.0);
 };
 
-struct SubstrateOpts {
-  bool pool = true;
-  TaskGraph::Mode mode = TaskGraph::Mode::SharedRing;
-  int threads = 1;
-  bool flux_correction = true;
-};
-
-AmrSolver<2, Euler<2>>::Config make_config(const SubstrateOpts& o) {
+AmrSolver<2, Euler<2>>::Config make_config(int threads) {
   AmrSolver<2, Euler<2>>::Config cfg;
   cfg.forest.root_blocks = {2, 2};
   cfg.forest.periodic = {true, true};
   cfg.forest.max_level = 2;
   cfg.cells_per_block = {8, 8};
-  cfg.num_threads = o.threads;
+  cfg.num_threads = threads;
   cfg.rk_stages = 2;
-  cfg.flux_correction = o.flux_correction;
-  cfg.use_block_pool = o.pool;
-  cfg.task_graph_mode = o.mode;
+  cfg.flux_correction = true;
   return cfg;
 }
 
-/// 8 steps with regrids after steps 2 and 5 — enough churn that pooled
-/// stores recycle slabs and the stealing drain runs many shapes.
-std::vector<double> run(const SubstrateOpts& o) {
-  AmrSolver<2, Euler<2>> solver(make_config(o), euler);
-  EXPECT_EQ(solver.block_pool() != nullptr, o.pool);
-  EXPECT_EQ(solver.task_graph_mode(), o.mode);
+/// The script both solvers run: adapt to the initial data, then 8 steps
+/// with regrids after steps 2 and 5, enough churn that the pool recycles
+/// slabs. Returns every dt, then each leaf's level and interior bytes.
+template <class Solver, class ViewOf>
+std::vector<double> run_script(Solver& solver, const ViewOf& view_of) {
   solver.init(euler_ic);
   GradientCriterion<2> crit{0, 0.05, 0.01, 2};
   solver.adapt(crit);
@@ -61,18 +51,23 @@ std::vector<double> run(const SubstrateOpts& o) {
     if (i == 2 || i == 5) solver.adapt(crit);
   }
   for (int id : solver.forest().leaves()) {
-    ConstBlockView<2> v = solver.store().view(id);
+    ConstBlockView<2> v = view_of(id);
     out.push_back(static_cast<double>(solver.forest().level(id)));
-    for_each_cell<2>(solver.store().layout().interior_box(), [&](IVec<2> p) {
+    for_each_cell<2>(v.layout->interior_box(), [&](IVec<2> p) {
       for (int k = 0; k < Euler<2>::NVAR; ++k) out.push_back(v.at(k, p));
     });
   }
-  if (o.pool) {
-    // The regrids must actually have exercised slab recycling.
-    EXPECT_GT(solver.block_pool()->stats().reuse_hits, 0);
-    EXPECT_GT(solver.block_pool()->stats().chunks, 0);
-  }
+  // The regrids must actually have exercised slab recycling.
+  EXPECT_GT(solver.block_pool()->stats().reuse_hits, 0);
+  EXPECT_GT(solver.block_pool()->stats().chunks, 0);
   return out;
+}
+
+std::vector<double> run(int threads) {
+  AmrSolver<2, Euler<2>> solver(make_config(threads), euler);
+  return run_script(solver, [&](int id) {
+    return std::as_const(solver).store().view(id);
+  });
 }
 
 void expect_bitwise_equal(const std::vector<double>& a,
@@ -82,79 +77,25 @@ void expect_bitwise_equal(const std::vector<double>& a,
     ASSERT_EQ(a[i], b[i]) << "element " << i;
 }
 
-TEST(SubstrateDeterminism, PooledMatchesMallocAcrossRegrids) {
+TEST(SubstrateDeterminism, PooledRegridsMatchAcrossThreadCounts) {
+  expect_bitwise_equal(run(1), run(4));
+}
+
+// Rank-parallel: the regrids re-partition and migrate blocks between ranks,
+// swapping slabs through the one pool the per-rank stores share.
+TEST(SubstrateDeterminism, RankMigrationMatchesThreadedSolver) {
+  RankSolver<2, Euler<2>>::Config rcfg;
+  rcfg.solver = make_config(1);
+  rcfg.npes = 3;
+  rcfg.policy = PartitionPolicy::Hilbert;
+  RankSolver<2, Euler<2>> ranks(rcfg, euler);
+  const std::vector<double> rank_out =
+      run_script(ranks, [&](int id) { return ranks.block_view(id); });
+  EXPECT_GT(ranks.totals().migrated_blocks, 0);
   for (int threads : {1, 4}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    SubstrateOpts malloc_opts;
-    malloc_opts.pool = false;
-    malloc_opts.threads = threads;
-    SubstrateOpts pool_opts = malloc_opts;
-    pool_opts.pool = true;
-    expect_bitwise_equal(run(malloc_opts), run(pool_opts));
+    expect_bitwise_equal(run(threads), rank_out);
   }
-}
-
-TEST(SubstrateDeterminism, StealingMatchesSharedRingEveryThreadCount) {
-  SubstrateOpts ring;
-  ring.mode = TaskGraph::Mode::SharedRing;
-  ring.threads = 1;
-  const std::vector<double> ref = run(ring);
-  for (int threads : {1, 2, 3, 4}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    SubstrateOpts steal;
-    steal.mode = TaskGraph::Mode::WorkStealing;
-    steal.threads = threads;
-    expect_bitwise_equal(ref, run(steal));
-  }
-}
-
-TEST(SubstrateDeterminism, FullSubstrateMatchesLegacyBaseline) {
-  // Both knobs flipped at once vs. both off: the production A/B pairing.
-  SubstrateOpts legacy;
-  legacy.pool = false;
-  legacy.mode = TaskGraph::Mode::SharedRing;
-  legacy.threads = 4;
-  SubstrateOpts substrate;
-  substrate.pool = true;
-  substrate.mode = TaskGraph::Mode::WorkStealing;
-  substrate.threads = 4;
-  expect_bitwise_equal(run(legacy), run(substrate));
-}
-
-// Rank-parallel: pooled per-rank stores must stay bitwise identical to
-// malloc-backed ones across mid-run regrids that re-partition and migrate
-// blocks between ranks (migration swaps slabs through the shared pool).
-TEST(SubstrateDeterminism, RankSolverPooledMatchesMallocAcrossMigration) {
-  auto run_ranks = [&](bool pool) {
-    auto scfg = make_config(SubstrateOpts{});
-    scfg.use_block_pool = pool;
-    RankSolver<2, Euler<2>>::Config rcfg;
-    rcfg.solver = scfg;
-    rcfg.npes = 3;
-    rcfg.policy = PartitionPolicy::Hilbert;
-    RankSolver<2, Euler<2>> ranks(rcfg, euler);
-    EXPECT_EQ(ranks.block_pool() != nullptr, pool);
-    ranks.init(euler_ic);
-    GradientCriterion<2> crit{0, 0.05, 0.01, 2};
-    ranks.adapt(crit);
-    ranks.init(euler_ic);
-    std::vector<double> out;
-    for (int i = 0; i < 6; ++i) {
-      const double dt = ranks.compute_dt();
-      out.push_back(dt);
-      ranks.step(dt);
-      if (i == 1 || i == 3) ranks.adapt(crit);  // repartition + migrate
-    }
-    for (int id : ranks.forest().leaves()) {
-      ConstBlockView<2> v = ranks.block_view(id);
-      out.push_back(static_cast<double>(ranks.forest().level(id)));
-      for_each_cell<2>(v.layout->interior_box(), [&](IVec<2> p) {
-        for (int k = 0; k < Euler<2>::NVAR; ++k) out.push_back(v.at(k, p));
-      });
-    }
-    return out;
-  };
-  expect_bitwise_equal(run_ranks(false), run_ranks(true));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The batched ghost executor (kind/destination-sorted exec order, row
 // memcpy SameCopy, per-row vector Restrict/Prolong loops) must fill exactly
-// the same bytes as the seed per-cell path, retained as apply_reference.
+// the same bytes as the per-cell path (pack_op + unpack_op).
 #include "core/ghost.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "core/block_store.hpp"
 #include "core/forest.hpp"
+#include "support/ghost_reference.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ab {
@@ -33,15 +34,6 @@ void seed_store(const Forest<D>& forest, BlockStore<D>& store) {
         v.base[var * fs + off] = x + 100.0 * var + 0.003 * x * x;
     });
   }
-}
-
-/// Reference fill: the seed per-op executor in the seed two-phase order.
-template <int D>
-void fill_reference(const GhostExchanger<D>& gx, BlockStore<D>& store) {
-  for (const auto& op : gx.ops())
-    if (op.kind != GhostOpKind::Prolong) gx.apply_reference(store, op);
-  for (const auto& op : gx.ops())
-    if (op.kind == GhostOpKind::Prolong) gx.apply_reference(store, op);
 }
 
 template <int D>
@@ -81,7 +73,7 @@ void check_forest(const Forest<D>& forest, const BlockLayout<D>& lay,
   gx.fill(batched);
   ThreadPool pool(3);
   gx.fill(threaded, &pool);
-  fill_reference(gx, reference);
+  ab::testing::fill_per_cell(gx, reference);
 
   expect_stores_equal(forest, batched, reference);
   expect_stores_equal(forest, threaded, reference);
@@ -143,11 +135,11 @@ TEST(GhostBatchExecution, FillBlockMatchesReference) {
   // Prime both stores so prolongation slope stencils see identical ghosts,
   // then spot-check the per-destination entry point against the reference.
   gx.fill(a);
-  fill_reference(gx, b);
+  ab::testing::fill_per_cell(gx, b);
   for (int id : forest.leaves()) {
     gx.fill_block(a, id);
     for (const auto& op : gx.ops())
-      if (op.dst == id) gx.apply_reference(b, op);
+      if (op.dst == id) ab::testing::apply_per_cell(gx, b, op);
   }
   expect_stores_equal(forest, a, b);
 }

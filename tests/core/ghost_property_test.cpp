@@ -10,6 +10,7 @@
 
 #include "core/bc.hpp"
 #include "core/ghost.hpp"
+#include "support/ghost_reference.hpp"
 #include "support/random_forest.hpp"
 #include "support/rng.hpp"
 
@@ -159,16 +160,8 @@ TEST(GhostPropertyPlan, SourceReadsStayInsideAllocations) {
 // -------------------------------------------------------------------
 // Batched executor vs per-cell oracle, fuzzed over random refine/coarsen
 // sequences: GhostExchanger::fill must produce byte-identical blocks to
-// apply_reference run in the two-phase order, in every dimension, and
-// again after further topology churn + rebuild().
-
-template <int D>
-void fill_reference_ordered(const GhostExchanger<D>& gx, BlockStore<D>& s) {
-  for (const auto& op : gx.ops())
-    if (op.kind != GhostOpKind::Prolong) gx.apply_reference(s, op);
-  for (const auto& op : gx.ops())
-    if (op.kind == GhostOpKind::Prolong) gx.apply_reference(s, op);
-}
+// the per-cell path (pack_op + unpack_op) run in the two-phase order, in
+// every dimension, and again after further topology churn + rebuild().
 
 /// Identical random values (interiors AND ghosts, so untouched ghost bytes
 /// can't mask a miss) into both stores for the current leaf set.
@@ -210,7 +203,7 @@ void check_batched_matches_oracle(unsigned seed, bool periodic) {
   for (int round = 0; round < 2; ++round) {
     seed_identical(f, batched, oracle, rng);
     gx.fill(batched);
-    fill_reference_ordered(gx, oracle);
+    ab::testing::fill_per_cell(gx, oracle);
     for (int id : f.leaves())
       ASSERT_EQ(0, std::memcmp(batched.view(id).base, oracle.view(id).base,
                                bytes))

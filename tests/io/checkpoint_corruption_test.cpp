@@ -245,11 +245,10 @@ TEST(CheckpointCorruption, TruncationErrorsCarryByteOffsets) {
 }
 
 TEST(CheckpointCorruption, V1TruncationErrorsCarryByteOffsets) {
-  Forest<2> f(forest_cfg());
-  BlockStore<2> store(layout());
-  for (int id : f.leaves()) store.ensure(id);
-  save_checkpoint<2>(kPath, f, store, 0.5, CheckpointFormat::V1);
-  std::ifstream is(kPath, std::ios::binary);
+  // A v1 file written by the v1 writer before it was removed, for the
+  // forest_cfg()/layout() configuration.
+  std::ifstream is(AB_TEST_DATA_DIR "/checkpoint_v1.bin", std::ios::binary);
+  ASSERT_TRUE(is.is_open());
   std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
                           std::istreambuf_iterator<char>());
   is.close();

@@ -60,7 +60,9 @@ TEST(Checkpoint, RoundTripTopologyAndData) {
 
 TEST(Checkpoint, V1FilesStillLoad) {
   // Back-compat: files written in the legacy v1 layout (no sections, no
-  // checksums) must keep loading byte-for-byte through the v2 reader.
+  // checksums) must keep loading byte-for-byte through the v2 reader. The
+  // fixture was written once by the v1 writer (since removed) from exactly
+  // the forest and data built below.
   Forest<2> f(forest_cfg());
   BlockLayout<2> lay({4, 4}, 2, 3);
   BlockStore<2> store(lay);
@@ -73,11 +75,11 @@ TEST(Checkpoint, V1FilesStillLoad) {
         v.at(var, p) = id + 0.25 * var + 0.5 * p[0] - p[1];
     });
   }
-  save_checkpoint<2>(kPath, f, store, 7.5, CheckpointFormat::V1);
 
   Forest<2> g(forest_cfg());
   BlockStore<2> store2(lay);
-  const double t = load_checkpoint<2>(kPath, g, store2);
+  const double t =
+      load_checkpoint<2>(AB_TEST_DATA_DIR "/checkpoint_v1.bin", g, store2);
   EXPECT_DOUBLE_EQ(t, 7.5);
   ASSERT_EQ(g.num_leaves(), f.num_leaves());
   for (int id : f.leaves()) {
@@ -90,7 +92,6 @@ TEST(Checkpoint, V1FilesStillLoad) {
         ASSERT_EQ(a.at(var, p), b.at(var, p));
     });
   }
-  std::remove(kPath);
 }
 
 TEST(Checkpoint, RejectsMismatchedConfig) {

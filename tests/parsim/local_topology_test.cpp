@@ -3,13 +3,16 @@
 // The hull a rank discovers by SFC-key probes must equal, exactly, the set
 // of remote blocks the forest's global scan (face_neighbor_leaves) says are
 // face-adjacent to its owned blocks — on seeded random 2:1 forests, across
-// regrids, for rank counts from 2 to 1024, for both SFC policies. A scale
-// test pins the O(blocks/rank + hull) memory claim at 4096 simulated ranks.
+// regrids, for rank counts from 2 to 1024, for both SFC policies — and with
+// the hull-prefetch hints a regrid ships, which may only save probes. A
+// scale test pins the O(blocks/rank + hull) memory claim at 4096 simulated
+// ranks.
 #include "parsim/local_topology.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -176,6 +179,125 @@ TEST(LocalTopologyOracle, TracksForestAcrossRegrids) {
       for (int npes : kRankCounts)
         expect_hulls_match_oracle<2>(
             f, partition_blocks<2>(f, npes, policy), npes, policy);
+  }
+}
+
+/// The hull-prefetch hints RankSolver ships on a regrid: every post-regrid
+/// leaf's descriptor goes from its new owner to that owner's neighbor ranks
+/// in the stale pre-regrid view, and each rank sorts what it got by key.
+template <int D>
+std::vector<std::vector<BlockDesc<D>>> shipped_hints(
+    const Forest<D>& f, const std::vector<int>& owner,
+    const LocalTopologySet<D>& stale) {
+  std::vector<std::vector<BlockDesc<D>>> hints(
+      static_cast<std::size_t>(stale.npes()));
+  for (int id : f.leaves()) {
+    BlockDesc<D> b;
+    b.level = f.level(id);
+    b.coords = f.coords(id);
+    b.key_begin = stale.curve().interval_begin(b.level, b.coords);
+    b.key_end = b.key_begin + stale.curve().span(b.level);
+    b.owner = owner[static_cast<std::size_t>(id)];
+    for (int q : stale.rank(b.owner).neighbor_ranks())
+      hints[static_cast<std::size_t>(q)].push_back(b);
+  }
+  for (auto& h : hints)
+    std::sort(h.begin(), h.end(),
+              [](const BlockDesc<D>& a, const BlockDesc<D>& b) {
+                return a.key_begin < b.key_begin;
+              });
+  return hints;
+}
+
+template <int D>
+void expect_same_hulls(const LocalTopologySet<D>& a,
+                       const LocalTopologySet<D>& b) {
+  ASSERT_EQ(a.npes(), b.npes());
+  for (int pe = 0; pe < a.npes(); ++pe) {
+    SCOPED_TRACE(::testing::Message() << "rank " << pe);
+    const std::vector<BlockDesc<D>>& ha = a.rank(pe).hull();
+    const std::vector<BlockDesc<D>>& hb = b.rank(pe).hull();
+    ASSERT_EQ(ha.size(), hb.size());
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha[i].id, hb[i].id);
+      EXPECT_EQ(ha[i].level, hb[i].level);
+      EXPECT_EQ(ha[i].coords, hb[i].coords);
+      EXPECT_EQ(ha[i].key_begin, hb[i].key_begin);
+      EXPECT_EQ(ha[i].key_end, hb[i].key_end);
+      EXPECT_EQ(ha[i].owner, hb[i].owner);
+    }
+    EXPECT_EQ(a.rank(pe).neighbor_ranks(), b.rank(pe).neighbor_ranks());
+  }
+}
+
+TEST(LocalTopologyPrefetch, ShippedHintsSaveProbesAndLeaveHullsUnchanged) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    SplitMix64 rng(testing::splitmix64(0x9F3Cull ^ seed));
+    RandomForestOptions<2> opt;
+    opt.root_blocks = {static_cast<int>(1 + rng.below(3)),
+                       static_cast<int>(1 + rng.below(3))};
+    opt.max_level = 3;
+    opt.periodic = rng.below(2) == 0;
+    opt.steps = 50;
+    Forest<2> f = random_forest<2>(rng, opt);
+    // The stale views every (policy, npes) pair held before the regrid.
+    struct Combo {
+      PartitionPolicy policy;
+      int npes;
+      std::unique_ptr<LocalTopologySet<2>> stale;
+    };
+    std::vector<Combo> combos;
+    for (PartitionPolicy policy : kSfcPolicies)
+      for (int npes : {2, 8, 64})
+        combos.push_back(
+            {policy, npes,
+             std::make_unique<LocalTopologySet<2>>(
+                 f, partition_blocks<2>(f, npes, policy), npes, policy)});
+    // The regrid: a burst of random refines/coarsens.
+    for (int i = 0; i < 12; ++i) {
+      const auto& leaves = f.leaves();
+      const int id = leaves[rng.below(leaves.size())];
+      if (rng.below(4) < 3) {
+        if (f.level(id) < opt.max_level) f.refine(id);
+      } else {
+        const int p = f.parent(id);
+        if (p >= 0 && f.can_coarsen(p)) f.coarsen(p);
+      }
+    }
+    for (const Combo& c : combos) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " policy "
+                   << static_cast<int>(c.policy) << " npes " << c.npes);
+      const std::vector<int> owner = partition_blocks<2>(f, c.npes, c.policy);
+      const LocalTopologySet<2> plain(f, owner, c.npes, c.policy);
+      std::vector<std::vector<BlockDesc<2>>> hints =
+          shipped_hints<2>(f, owner, *c.stale);
+      const LocalTopologySet<2> hinted(f, owner, c.npes, c.policy, &hints);
+      expect_same_hulls(plain, hinted);
+      // Every validated hint replaces exactly one remote probe.
+      EXPECT_GT(hinted.stats().prefetch_hits, 0);
+      EXPECT_EQ(hinted.stats().prefetch_hits + hinted.stats().remote_probes,
+                plain.stats().remote_probes);
+
+      // A hint naming the wrong owner is never a hit.
+      std::vector<std::vector<BlockDesc<2>>> wrong_owner = hints;
+      for (auto& h : wrong_owner)
+        for (BlockDesc<2>& b : h) b.owner = (b.owner + 1) % c.npes;
+      const LocalTopologySet<2> misowned(f, owner, c.npes, c.policy,
+                                         &wrong_owner);
+      EXPECT_EQ(misowned.stats().prefetch_hits, 0);
+      expect_same_hulls(plain, misowned);
+
+      // Nor is one whose coordinates went stale (its key range still
+      // covers the probe, so only the descriptor check can catch it).
+      std::vector<std::vector<BlockDesc<2>>> stale_coords = hints;
+      for (auto& h : stale_coords)
+        for (BlockDesc<2>& b : h) b.coords[0] ^= 1;
+      const LocalTopologySet<2> moved(f, owner, c.npes, c.policy,
+                                      &stale_coords);
+      EXPECT_EQ(moved.stats().prefetch_hits, 0);
+      expect_same_hulls(plain, moved);
+    }
   }
 }
 

@@ -12,6 +12,10 @@
 // fills, flux corrections, coarsen gathers, migrations, and topology
 // deltas all cross the wire. Replayable under AB_DIST_META=1 like the
 // equivalence suite.
+//
+// Tracing makes the topology-delta exchange synchronous (so each delta's
+// span pair closes within its round); untraced runs drain it during the
+// next step. Each traced run's final bytes must equal an untraced twin's.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -69,6 +73,40 @@ void gaussian_ic(const RVec<2>& x, LinearAdvection<2>::State& s) {
   s[0] = 1.0 + 0.8 * std::exp(-30.0 * (dx * dx + dy * dy));
 }
 
+using Solver = RankSolver<2, LinearAdvection<2>>;
+
+/// The churn script: two pre-init adapt rounds, then `steps` steps with
+/// regrids after steps 2 and 4. `after_step` runs after every step, before
+/// that step's regrid.
+template <class AfterStep>
+void run_churn(Solver& ranks, std::uint64_t seed, int steps,
+               const AfterStep& after_step) {
+  const int max_level = ranks.config().solver.forest.max_level;
+  for (int round = 0; round < 2; ++round)
+    ranks.adapt(SeededTopologyCriterion<2>{splitmix64(seed + round),
+                                           max_level});
+  ranks.init(gaussian_ic);
+  for (int s = 0; s < steps; ++s) {
+    ranks.step(ranks.compute_dt());
+    after_step();
+    if (s == 2 || s == 4)
+      ranks.adapt(SeededTopologyCriterion<2>{splitmix64(seed * 977 + s),
+                                             max_level});
+  }
+}
+
+/// Every leaf's interior bytes in global leaf order.
+std::vector<double> leaf_bytes(const Solver& ranks) {
+  std::vector<double> out;
+  const Box<2> interior =
+      Box<2>::from_extent(ranks.config().solver.cells_per_block);
+  for (int id : ranks.forest().leaves()) {
+    ConstBlockView<2> v = ranks.block_view(id);
+    for_each_cell<2>(interior, [&](IVec<2> p) { out.push_back(v.at(0, p)); });
+  }
+  return out;
+}
+
 bool is_step_phase(const std::string& name) {
   return name == "ghost_exchange" || name == "flux_correction";
 }
@@ -92,28 +130,22 @@ void run_conservation(std::uint64_t seed, int npes, PartitionPolicy policy,
 
   LinearAdvection<2> phys;
   phys.velocity = {0.7, -0.4};
-  RankSolver<2, LinearAdvection<2>>::Config rcfg;
+  Solver::Config rcfg;
   rcfg.solver = base_cfg();
-  rcfg.solver.telemetry = &tel;
   rcfg.npes = npes;
   rcfg.policy = policy;
   rcfg.distributed_metadata = distmeta;
   rcfg.faults = lossy ? &plan : nullptr;
-  RankSolver<2, LinearAdvection<2>> ranks(rcfg, phys);
-
-  const int max_level = rcfg.solver.forest.max_level;
-  for (int round = 0; round < 2; ++round)
-    ranks.adapt(SeededTopologyCriterion<2>{splitmix64(seed + round),
-                                           max_level});
-  ranks.init(gaussian_ic);
+  Solver::Config traced_cfg = rcfg;
+  traced_cfg.solver.telemetry = &tel;
+  Solver ranks(traced_cfg, phys);
 
   // Step-phase PeTraffic (ghost + flux), accumulated per rank as we go;
   // regrid traffic lands in RankRunTotals instead.
   std::vector<std::int64_t> pe_sent(static_cast<std::size_t>(npes), 0);
   std::vector<std::int64_t> pe_recv(static_cast<std::size_t>(npes), 0);
   const int steps = 6;
-  for (int s = 0; s < steps; ++s) {
-    ranks.step(ranks.compute_dt());
+  run_churn(ranks, seed, steps, [&] {
     const std::vector<PeTraffic>& pr = ranks.last_step_cost().per_rank;
     ASSERT_EQ(pr.size(), static_cast<std::size_t>(npes));
     for (int p = 0; p < npes; ++p) {
@@ -122,9 +154,21 @@ void run_conservation(std::uint64_t seed, int npes, PartitionPolicy policy,
       pe_recv[static_cast<std::size_t>(p)] += pr[static_cast<std::size_t>(p)]
                                                   .recv_messages;
     }
-    if (s == 2 || s == 4)
-      ranks.adapt(SeededTopologyCriterion<2>{splitmix64(seed * 977 + s),
-                                             max_level});
+  });
+
+  // The untraced twin (its own fault plan from the same config) exchanges
+  // its topology deltas asynchronously; the solution bytes must not notice.
+  {
+    FaultPlan twin_plan(fcfg);
+    Solver::Config twin_cfg = rcfg;
+    twin_cfg.faults = lossy ? &twin_plan : nullptr;
+    Solver twin(twin_cfg, phys);
+    run_churn(twin, seed, steps, [] {});
+    const std::vector<double> a = leaf_bytes(ranks);
+    const std::vector<double> b = leaf_bytes(twin);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(a[i], b[i]) << "traced vs untraced, element " << i;
   }
 
   // Classify the causal spans.

@@ -680,52 +680,6 @@ TEST(WireTransportEnv, EnvOverridesConfigAndTyposFailLoudly) {
   }
 }
 
-TEST(WireTransportEnv, AsyncTopoAndPrefetchKnobs) {
-  const char* oa = std::getenv("AB_ASYNC_TOPO");
-  const char* op = std::getenv("AB_HULL_PREFETCH");
-  const std::string sa = oa ? oa : "", sp = op ? op : "";
-  unsetenv("AB_ASYNC_TOPO");
-  unsetenv("AB_HULL_PREFETCH");
-  LinearAdvection<2> phys = advection_phys();
-  RankSolver<2, LinearAdvection<2>>::Config rcfg;
-  rcfg.solver = advection_cfg();
-  rcfg.npes = 3;
-  rcfg.policy = PartitionPolicy::Morton;
-  {
-    RankSolver<2, LinearAdvection<2>> r(rcfg, phys);
-    EXPECT_TRUE(r.async_topo_delta_active());  // default on
-    EXPECT_TRUE(r.hull_prefetch_active());
-  }
-  {
-    auto rr = rcfg;
-    rr.async_topo_delta = false;
-    rr.hull_prefetch = false;
-    RankSolver<2, LinearAdvection<2>> r(rr, phys);
-    EXPECT_FALSE(r.async_topo_delta_active());
-    EXPECT_FALSE(r.hull_prefetch_active());
-  }
-  ASSERT_EQ(setenv("AB_ASYNC_TOPO", "0", 1), 0);
-  ASSERT_EQ(setenv("AB_HULL_PREFETCH", "0", 1), 0);
-  {
-    RankSolver<2, LinearAdvection<2>> r(rcfg, phys);
-    EXPECT_FALSE(r.async_topo_delta_active());  // env wins over config
-    EXPECT_FALSE(r.hull_prefetch_active());
-  }
-  // The equivalence contract holds with the optimizations forced OFF too
-  // (they must be pure overlap/prefetch, never semantics).
-  run_wire_equivalence<LinearAdvection<2>>(
-      advection_cfg(), advection_phys(), advection_ic, splitmix64(7777),
-      wire::TransportKind::Shm, 4, PartitionPolicy::Morton, true);
-  unsetenv("AB_ASYNC_TOPO");
-  unsetenv("AB_HULL_PREFETCH");
-  if (oa) {
-    ASSERT_EQ(setenv("AB_ASYNC_TOPO", sa.c_str(), 1), 0);
-  }
-  if (op) {
-    ASSERT_EQ(setenv("AB_HULL_PREFETCH", sp.c_str(), 1), 0);
-  }
-}
-
 // -------------------------------------------- real multi-process (SPMD)
 
 // Transport x worker count x distmeta x lossy: the hub is built BEFORE

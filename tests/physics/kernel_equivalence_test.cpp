@@ -1,6 +1,6 @@
 // The pencil-vectorized kernel (kernel.hpp) must produce BITWISE identical
-// output to the retained scalar reference (kernel_reference.hpp) — same
-// arithmetic on the same values in the same per-cell order — across every
+// output to the retained scalar reference (support/kernel_reference.hpp) —
+// same arithmetic on the same values in the same per-cell order — across every
 // physics, spatial order, limiter, and flux scheme, including face-flux
 // recording, sub-box tiling, and execution through the threaded AMR driver.
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
-#include "physics/kernel_reference.hpp"
+#include "support/kernel_reference.hpp"
 #include "physics/mhd.hpp"
 #include "util/aligned.hpp"
 

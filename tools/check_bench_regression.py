@@ -36,8 +36,7 @@ the shared-memory ring transport (framing + CRC + ring copies, run
 single-process so one process pays both ends) costs no more than
 --wire-overhead-max (default 2%) over the in-process MessageBoard, as the
 median per-step lockstep ratio; the socket figure is echoed but not gated —
-it pays a kernel round trip per payload by design. The forked-SPMD
-sync-vs-async topology-delta regrid figures are echoed for the record.
+it pays a kernel round trip per payload by design.
 """
 
 import argparse
@@ -173,12 +172,6 @@ def check_wire_overhead(path, max_frac):
           f"{wt.get('board_ms_per_step', float('nan')):.3f} ms/step, "
           f"shm {100 * shm:+.2f}%"
           + (f", socket {100 * socket:+.2f}%" if socket is not None else ""))
-    gain = wt.get("async_topo_regrid_gain_frac")
-    if gain is not None:
-        print(f"async topo overlap: SPMD regrid barrier "
-              f"{wt.get('regrid_sync_ms', float('nan')):.3f} ms sync -> "
-              f"{wt.get('regrid_async_ms', float('nan')):.3f} ms async "
-              f"({-100 * gain:+.1f}%, informational)")
     if shm > max_frac:
         print(f"FAIL: the shm wire path costs {100 * shm:.2f}% over the "
               f"in-process board (gate: {100 * max_frac:.1f}%) — framing, "

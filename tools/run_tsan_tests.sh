@@ -14,7 +14,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DAB_SANITIZE_THREAD=ON \
   -DAB_NATIVE_ARCH=OFF
 
-targets=(thread_pool_test task_graph_test block_pool_test ghost_test
+targets=(thread_pool_test block_pool_test ghost_test
          ghost_batch_test parallel_solver_test amr_solver_test
          subcycling_test determinism_test substrate_determinism_test
          checkpoint_corruption_test fault_test
@@ -24,21 +24,23 @@ targets=(thread_pool_test task_graph_test block_pool_test ghost_test
          wire_transport_test)
 cmake --build "$build_dir" -j --target "${targets[@]}"
 
-# The fault suite rides along: recovery rebuilds solver state wholesale,
-# which is exactly where a latent race would hide. The substrate suite
-# exercises the work-stealing deques and the pooled stores under threaded
-# steppers — the two new places a data race could live. The tune suite runs
-# probe sweeps and autotuned solvers whose sub-blocked tiling feeds the
-# threaded task graph. The distmeta suite (topology codec + per-rank local
+# ThreadPool and the parallel_for phases of the steppers (ghost fill,
+# stage update, epilogue, subcycled level passes) are the threaded code;
+# the solver suites drive them at several thread counts. The fault suite
+# rides along: recovery rebuilds solver state wholesale, which is exactly
+# where a latent race would hide. The substrate suite recycles pooled slabs
+# under threaded steppers. The tune suite runs probe sweeps and autotuned
+# solvers whose sub-blocked tiling runs inside the threaded stage update.
+# The distmeta suite (topology codec + per-rank local
 # topology) is single-threaded today but rebuilds shared-looking state on
 # every regrid; running it under TSan keeps that assumption checked. The
 # obs suite covers the tracer's per-thread shards filled from pool workers,
 # the metrics server's serving thread racing registry mutation, and the
-# span conservation matrix, which runs causal message tracing under the
-# threaded task graph — the cross-rank tracing hot path. The wire suite
+# span conservation matrix, which runs causal message tracing — the
+# cross-rank tracing hot path. The wire suite
 # runs the threaded steppers over real socket/shm transports (including
 # the fork-based SPMD cases, which fork while only the main thread is
 # live) — the shm ring's acquire/release pairing is exactly the kind of
 # ordering bug only TSan sees.
 ctest --test-dir "$build_dir" --output-on-failure \
-  -R 'ThreadPool|TaskGraph|BlockPool|BlockStorePool|Ghost|ParallelSolver|AmrSolver|Subcycling|Determinism|SubstrateDeterminism|CheckpointCorruption|FaultPlan|FaultyWire|Recovery|Tune|ReBlocking|TopoCodec|TopoDelta|LocalTopology|Tracer|ChromeTraceJson|PhaseScope|MsgTrace|SpanContext|MsgPhase|PrometheusText|DumpMetrics|MetricsServer|SpanConservation|Wire'
+  -R 'ThreadPool|BlockPool|BlockStorePool|Ghost|ParallelSolver|AmrSolver|Subcycling|Determinism|SubstrateDeterminism|CheckpointCorruption|FaultPlan|FaultyWire|Recovery|Tune|ReBlocking|TopoCodec|TopoDelta|LocalTopology|Tracer|ChromeTraceJson|PhaseScope|MsgTrace|SpanContext|MsgPhase|PrometheusText|DumpMetrics|MetricsServer|SpanConservation|Wire'
