@@ -1,9 +1,7 @@
-// Per-block stage epilogues shared by every time-stepping driver.
-//
-// AmrSolver (single address space) and RankSolver (rank-parallel with
-// per-rank stores) must produce bitwise-identical results; keeping the Heun
-// combine and the positivity fix in one place makes the per-block
-// arithmetic shared by construction rather than by careful duplication.
+// Per-block stage epilogues of the stepping core (amr/stepping_core.hpp):
+// the Heun combine and the positivity fix, which AmrSolver and RankSolver
+// both reach only through the core's stage loop (and AmrSolver's subcycled
+// level pass, for the fix).
 #pragma once
 
 #include "core/block_store.hpp"

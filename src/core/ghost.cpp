@@ -366,13 +366,6 @@ void GhostExchanger<D>::fill(BlockStore<D>& store, ThreadPool* pool) const {
 }
 
 template <int D>
-void GhostExchanger<D>::fill_block(BlockStore<D>& store, int dst) const {
-  AB_REQUIRE(dst >= 0 && dst < static_cast<int>(ops_by_dst_.size()),
-             "fill_block: unknown block");
-  for (int i : ops_by_dst_[dst]) apply_op(store, ops_[i]);
-}
-
-template <int D>
 std::int64_t GhostExchanger<D>::total_cells() const {
   std::int64_t n = 0;
   for (const auto& op : ops_) n += op.cells();

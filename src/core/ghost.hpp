@@ -104,9 +104,6 @@ class GhostExchanger {
   /// unpack_op, the per-cell path.
   void fill(BlockStore<D>& store, ThreadPool* pool = nullptr) const;
 
-  /// Execute only the ops whose destination is block `dst`.
-  void fill_block(BlockStore<D>& store, int dst) const;
-
   /// Indices into ops() of the ops whose destination is block `dst`, in
   /// plan order.
   const std::vector<int>& ops_into(int dst) const {

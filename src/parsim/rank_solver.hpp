@@ -1,26 +1,28 @@
-// Rank-parallel time stepping: the AmrSolver loop run with every leaf
-// owned by one of P simulated ranks.
+// Rank-parallel time stepping: the stepping core run with every leaf owned
+// by one of P simulated ranks.
 //
-// Each rank holds a private BlockStore containing only its blocks —
-// nothing crosses a rank boundary except message payload: ghost fills go
+// Each rank holds a private store per block set containing only its blocks
+// — nothing crosses a rank boundary except message payload: ghost fills go
 // through BufferedExchange's buffers, flux-register corrections and
 // coarsen gathers through a MessageBoard, and re-partitioned blocks
 // migrate by pack/unpack of their interior cell data. The partition is
 // recomputed after every regrid (PartitionPolicy pluggable) and per-step
 // traffic/imbalance is priced on the MachineModel.
 //
-// The solver is bitwise identical to the single-address-space AmrSolver
-// (serial, no subcycling) by construction:
-//   - per-block kernel calls are unchanged and order-independent (each
-//     writes only its own block);
+// The step, the stage loop, compute_dt, init and adapt's family selection
+// are the stepping core's (amr/stepping_core.hpp), the same code AmrSolver
+// runs; this class is the core's ownership policy for P ranks. It answers
+// which rank's store holds a block, fills a store set's ghosts by message,
+// runs the reflux round by message, and after each block update records
+// the rank's compute span and flops and retires a deferred topology
+// delta. The solver is therefore bitwise identical to the single-address-
+// space AmrSolver (serial, no subcycling) by construction, because:
 //   - ghost values arriving by message are sender-side evaluations packed
 //     with the exact arithmetic GhostExchanger::fill uses (verified in
 //     tests/parsim/buffered_exchange_test.cpp);
 //   - flux corrections route through FluxRegister::pack_fine_avg /
 //     apply_correction — the same functions the serial apply() calls —
-//     and are applied in the serial plan order;
-//   - compute_dt's min fold is exact, so a rank-local reduction followed
-//     by a global min matches the serial leaf-order fold.
+//     and are applied in the serial plan order.
 // tests/parsim/rank_solver_test.cpp asserts this equivalence over
 // randomized forests, physics, policies, and rank counts.
 #pragma once
@@ -29,23 +31,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "amr/flux_register.hpp"
 #include "amr/solver.hpp"
-#include "amr/stage_ops.hpp"
 #include "obs/msg_trace.hpp"
-#include "obs/telemetry.hpp"
-#include "core/bc.hpp"
-#include "core/block_store.hpp"
-#include "core/forest.hpp"
-#include "core/ghost.hpp"
-#include "core/regrid_data.hpp"
-#include "io/checkpoint.hpp"
 #include "parsim/block_migration.hpp"
 #include "parsim/buffered_exchange.hpp"
 #include "parsim/fault.hpp"
@@ -56,16 +48,26 @@
 #include "parsim/wire/hub.hpp"
 #include "parsim/wire/transport.hpp"
 #include "util/topo_codec.hpp"
-#include "physics/kernel.hpp"
-#include "util/aligned.hpp"
-#include "util/error.hpp"
 
 namespace ab {
 
 template <int D, class Phys>
-class RankSolver {
+class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
+  using Core = SteppingCore<D, Phys, RankSolver<D, Phys>>;
+  friend Core;
+  using typename Core::Family;
+  using typename Core::StoreSet;
+  using Core::cfg_;
+  using Core::exchanger_;
+  using Core::forest_;
+  using Core::layout_;
+  using Core::scratch_;
+  using Core::step_index_;
+  using Core::step_span_;
+  using Core::time_;
+  using Core::u_;
+
  public:
-  using State = typename Phys::State;
   using SolverConfig = typename AmrSolver<D, Phys>::Config;
 
   struct Config {
@@ -105,71 +107,47 @@ class RankSolver {
   };
 
   RankSolver(Config cfg, Phys phys)
-      : cfg_(resolve_cfg(std::move(cfg), phys, &tune_decision_)),
-        phys_(std::move(phys)),
-        forest_(cfg_.solver.forest),
-        layout_(cfg_.solver.cells_per_block, cfg_.solver.ghost, Phys::NVAR,
-                cfg_.solver.pad0),
-        block_pool_(std::make_shared<BlockPool>(layout_.block_doubles())),
-        exchanger_(forest_, layout_, cfg_.solver.prolongation),
-        owner_(partition_blocks<D>(forest_, cfg_.npes, cfg_.policy)),
-        buffered_(exchanger_, owner_, cfg_.npes) {
-    AB_REQUIRE(cfg_.npes >= 1, "RankSolver: npes must be >= 1");
-    AB_REQUIRE(cfg_.solver.rk_stages == 1 || cfg_.solver.rk_stages == 2,
-               "RankSolver: rk_stages must be 1 or 2");
-    AB_REQUIRE(
-        cfg_.solver.ghost >=
-            (cfg_.solver.order == SpatialOrder::Second ? 2 : 1),
-        "RankSolver: not enough ghost layers for the spatial order");
-    AB_REQUIRE(!cfg_.solver.subcycling,
-               "RankSolver: subcycling is not supported");
-    AB_REQUIRE(cfg_.solver.num_threads == 1,
-               "RankSolver: ranks are simulated serially");
-    stores_.reserve(static_cast<std::size_t>(cfg_.npes));
-    scratch_.reserve(static_cast<std::size_t>(cfg_.npes));
-    registers_.reserve(static_cast<std::size_t>(cfg_.npes));
-    for (int p = 0; p < cfg_.npes; ++p) {
-      stores_.push_back(make_store());
-      scratch_.push_back(make_store());
+      : Core(supported(cfg).solver, std::move(phys), cfg.npes),
+        rcfg_(std::move(cfg)),
+        owner_(partition_blocks<D>(forest_, rcfg_.npes, rcfg_.policy)),
+        buffered_(exchanger_, owner_, rcfg_.npes) {
+    rcfg_.solver = cfg_;  // as the autotuner resolved it
+    registers_.reserve(static_cast<std::size_t>(rcfg_.npes));
+    for (int p = 0; p < rcfg_.npes; ++p)
       registers_.emplace_back(forest_, layout_);
-    }
-    if (use_stage2()) {
-      stage2_.reserve(static_cast<std::size_t>(cfg_.npes));
-      for (int p = 0; p < cfg_.npes; ++p) stage2_.push_back(make_store());
-    }
     for (int id : forest_.leaves()) {
-      stores_[static_cast<std::size_t>(owner_at(id))].ensure(id);
-      scratch_[static_cast<std::size_t>(owner_at(id))].ensure(id);
+      this->store_of(u_, id).ensure(id);
+      this->store_of(scratch_, id).ensure(id);
     }
-    rank_flops_.assign(static_cast<std::size_t>(cfg_.npes), 0);
-    alive_.assign(static_cast<std::size_t>(cfg_.npes), true);
-    num_alive_ = cfg_.npes;
-    AB_REQUIRE(cfg_.checkpoint_every <= 0 || !cfg_.checkpoint_path.empty(),
+    rank_flops_.assign(static_cast<std::size_t>(rcfg_.npes), 0);
+    alive_.assign(static_cast<std::size_t>(rcfg_.npes), true);
+    num_alive_ = rcfg_.npes;
+    AB_REQUIRE(rcfg_.checkpoint_every <= 0 || !rcfg_.checkpoint_path.empty(),
                "RankSolver: checkpoint_every needs a checkpoint_path");
-    buffered_.set_fault_plan(cfg_.faults);
-    board_.set_fault_plan(cfg_.faults);
-    topo_board_.set_fault_plan(cfg_.faults);
-    if (cfg_.solver.telemetry != nullptr) {
+    buffered_.set_fault_plan(rcfg_.faults);
+    board_.set_fault_plan(rcfg_.faults);
+    topo_board_.set_fault_plan(rcfg_.faults);
+    if (cfg_.telemetry != nullptr) {
       // Causal cross-rank tracing: every transport payload carries a span
       // context stamped at send and joined at receive. Costs nothing while
       // the tracer is disabled (one flag test per hook).
-      msg_trace_.bind(&cfg_.solver.telemetry->trace);
+      msg_trace_.bind(&cfg_.telemetry->trace);
       buffered_.set_trace(&msg_trace_);
       board_.set_trace(&msg_trace_);
       topo_board_.set_trace(&msg_trace_);
     }
     // Wire transport: an external hub (SPMD workers, pre-fork) wins; else
     // resolve config + AB_TRANSPORT and own a hub when one is needed.
-    if (cfg_.wire != nullptr) {
-      AB_REQUIRE(cfg_.wire->npes() == cfg_.npes,
+    if (rcfg_.wire != nullptr) {
+      AB_REQUIRE(rcfg_.wire->npes() == rcfg_.npes,
                  "RankSolver: wire hub sized for a different npes");
-      hub_ = cfg_.wire;
+      hub_ = rcfg_.wire;
       transport_kind_ = hub_->kind();
     } else {
-      transport_kind_ = wire::resolve_transport(cfg_.transport);
+      transport_kind_ = wire::resolve_transport(rcfg_.transport);
       if (transport_kind_ != wire::TransportKind::Board) {
         owned_hub_ =
-            std::make_unique<wire::WireHub>(transport_kind_, cfg_.npes);
+            std::make_unique<wire::WireHub>(transport_kind_, rcfg_.npes);
         hub_ = owned_hub_.get();
       }
     }
@@ -178,13 +156,13 @@ class RankSolver {
       board_.set_wire(hub_, wire::PayloadClass::Board);
       topo_board_.set_wire(hub_, wire::PayloadClass::Topo);
     }
-    distmeta_ = resolve_distmeta(cfg_);
-    if (distmeta_ && (!CurveMap<D>::supports(cfg_.policy) ||
-                      cfg_.solver.forest.max_level_diff != 1)) {
+    distmeta_ = resolve_distmeta(rcfg_);
+    if (distmeta_ && (!CurveMap<D>::supports(rcfg_.policy) ||
+                      cfg_.forest.max_level_diff != 1)) {
       // A config request for an unsupportable setup is a caller error; an
       // env-forced AB_DIST_META=1 on such a run falls back to global
       // metadata (the same grace AB_AUTOTUNE shows inapplicable layouts).
-      AB_REQUIRE(!cfg_.distributed_metadata,
+      AB_REQUIRE(!rcfg_.distributed_metadata,
                  "RankSolver: distributed_metadata requires an SFC "
                  "partition policy (Morton or Hilbert) and the 2:1 level "
                  "constraint");
@@ -193,32 +171,13 @@ class RankSolver {
     rebuild_rank_structures();
   }
 
-  // exchanger_/buffered_ hold pointers to members; moving would dangle.
-  RankSolver(const RankSolver&) = delete;
-  RankSolver& operator=(const RankSolver&) = delete;
-  RankSolver(RankSolver&&) = delete;
-  RankSolver& operator=(RankSolver&&) = delete;
-
-  Forest<D>& forest() { return forest_; }
-  const Forest<D>& forest() const { return forest_; }
-  const Config& config() const { return cfg_; }
-  /// What the layout autotuner decided at construction.
-  const tune::TuneDecision& tune_decision() const { return tune_decision_; }
-  const Phys& physics() const { return phys_; }
-  double time() const { return time_; }
-  std::uint64_t total_flops() const { return flops_; }
-  std::uint64_t block_updates() const { return block_updates_; }
-  int npes() const { return cfg_.npes; }
+  const Config& config() const { return rcfg_; }
+  int npes() const { return rcfg_.npes; }
   const std::vector<int>& owner() const { return owner_; }
   int block_owner(int id) const { return owner_at(id); }
   /// Read-only view of leaf `id` on its owning rank's store.
-  ConstBlockView<D> block_view(int id) const {
-    return stores_[static_cast<std::size_t>(owner_at(id))].view(id);
-  }
-  /// The shared slab arena backing every per-rank store (never null).
-  /// Stats only.
-  const BlockPool* block_pool() const { return block_pool_.get(); }
-  const RankStepCost& last_step_cost() const { return last_step_; }
+  ConstBlockView<D> block_view(int id) const { return this->view(id); }
+  const RankStepCost& last_step_cost() const { return step_cost_; }
   const RegridCost& last_regrid_cost() const { return last_regrid_; }
   const RankRunTotals& totals() const { return totals_; }
   /// Whether the distributed-metadata path is active (config or env).
@@ -233,159 +192,38 @@ class RankSolver {
   wire::WireHub* wire_hub() { return hub_; }
   const wire::WireHub* wire_hub() const { return hub_; }
 
-  /// Cell size of a block at `level`.
-  RVec<D> cell_dx(int level) const {
-    RVec<D> dx = forest_.block_size(level);
-    for (int d = 0; d < D; ++d) dx[d] /= cfg_.solver.cells_per_block[d];
-    return dx;
-  }
-
-  /// Physical center of interior cell `p` of block `id`.
-  RVec<D> cell_center(int id, IVec<D> p) const {
-    RVec<D> lo = forest_.block_lo(id);
-    RVec<D> dx = cell_dx(forest_.level(id));
-    RVec<D> x;
-    for (int d = 0; d < D; ++d) x[d] = lo[d] + (p[d] + 0.5) * dx[d];
-    return x;
-  }
-
-  /// Set the solution from a point function evaluated at cell centers.
-  void init(const std::function<void(const RVec<D>&, State&)>& f) {
-    for (int id : forest_.leaves()) {
-      const int pe = owner_at(id);
-      stores_[static_cast<std::size_t>(pe)].ensure(id);
-      scratch_[static_cast<std::size_t>(pe)].ensure(id);
-      BlockView<D> v = stores_[static_cast<std::size_t>(pe)].view(id);
-      for_each_cell<D>(layout_.interior_box(), [&](IVec<D> p) {
-        State u{};
-        f(cell_center(id, p), u);
-        for (int k = 0; k < Phys::NVAR; ++k) v.at(k, p) = u[k];
-      });
-    }
-  }
-
-  /// Stable timestep (CFL over all blocks). Each rank scans its own blocks;
-  /// the min fold is exact, so folding in global leaf order gives the same
-  /// bits as any rank-local-then-global reduction.
-  double compute_dt() const {
-    double dt = 1e300;
-    for (int id : forest_.leaves()) {
-      const RVec<D> dx = cell_dx(forest_.level(id));
-      const double wave = block_wave_speed_sum<D, Phys>(
-          layout_, block_view(id).base, phys_, dx);
-      AB_REQUIRE(wave > 0.0, "compute_dt: zero wave speed");
-      dt = std::min(dt, cfg_.solver.cfl / wave);
-    }
-    return dt;
-  }
-
-  /// Advance one step of size `dt` (mirrors AmrSolver::step, serial path).
+  /// Advance one step of size `dt`: the stepping core's step, between an
+  /// auto-checkpoint and the step's pricing on the machine model.
   /// Throws RankFailure if the fault plan kills a rank mid-step; the
   /// caller recovers with recover() (advance_to does both).
   void step(double dt) {
     maybe_auto_checkpoint();
-    obs::Telemetry* const tel = cfg_.solver.telemetry;
-    const std::int64_t t0 = tel != nullptr ? tel->trace.now_ns() : 0;
+    obs::Telemetry* const tel = cfg_.telemetry;
+    const auto mark = this->begin_step();
     step_span_ = (tel != nullptr && tel->trace.enabled())
                      ? tel->trace.new_span_id()
                      : 0;
-    const std::uint64_t updates0 = block_updates_;
-    RankStepCost sc;
-    sc.imbalance = load_imbalance(owner_, cfg_.npes);
-    sc.per_rank.assign(static_cast<std::size_t>(cfg_.npes), PeTraffic{});
-    rank_flops_.assign(static_cast<std::size_t>(cfg_.npes), 0);
-    // Stage 1: scratch = u + dt L(u).
-    fill_ghosts(stores_, time_, sc);
+    RankStepCost& sc = step_cost_;
+    sc = RankStepCost{};
+    sc.imbalance = load_imbalance(owner_, rcfg_.npes);
+    sc.per_rank.assign(static_cast<std::size_t>(rcfg_.npes), PeTraffic{});
+    rank_flops_.assign(static_cast<std::size_t>(rcfg_.npes), 0);
     // The kill point sits after the first exchange: the step is genuinely
     // in flight (ghosts delivered, stage results pending) when the rank
     // dies, and nothing it half-did survives recovery.
-    maybe_kill();
-    run_stage(stores_, scratch_, dt, sc);
-    if (cfg_.solver.rk_stages == 1) {
-      {
-        obs::PhaseScope ps(tel, "epilogue");
-        tag_phase(ps);
-        if (cfg_.solver.apply_positivity_fix)
-          for (int id : forest_.leaves()) fix_block(scratch_of(id), id);
-        for (int p = 0; p < cfg_.npes; ++p)
-          std::swap(stores_[static_cast<std::size_t>(p)],
-                    scratch_[static_cast<std::size_t>(p)]);
-      }
-      time_ += dt;
-      finish_step(sc, dt, t0, updates0);
-      return;
+    this->advance(dt, [this] { maybe_kill(); });
+    for (std::uint64_t f : rank_flops_) {
+      sc.flops += f;
+      sc.max_rank_flops = std::max(sc.max_rank_flops, f);
     }
-    if (cfg_.solver.apply_positivity_fix)
-      for (int id : forest_.leaves()) fix_block(scratch_of(id), id);
-    // Stage 2 (Heun): u <- (u + (scratch + dt L(scratch))) / 2.
-    fill_ghosts(scratch_, time_ + dt, sc);
-    if (cfg_.solver.flux_correction) {
-      for (int id : forest_.leaves())
-        stage2_[static_cast<std::size_t>(owner_at(id))].ensure(id);
-      run_stage(scratch_, stage2_, dt, sc);
-      obs::PhaseScope ps(tel, "epilogue");
-      tag_phase(ps);
-      for (int id : forest_.leaves()) {
-        const int pe = owner_at(id);
-        heun_combine_half<D, Phys>(
-            stores_[static_cast<std::size_t>(pe)].view(id),
-            std::as_const(stage2_[static_cast<std::size_t>(pe)]).view(id));
-        if (cfg_.solver.apply_positivity_fix)
-          fix_block(stores_[static_cast<std::size_t>(pe)], id);
-      }
-    } else {
-      obs::PhaseScope ps(tel, "stage_update");
-      tag_phase(ps);
-      obs::Tracer* const btr =
-          (tel != nullptr && tel->trace.enabled()) ? &tel->trace : nullptr;
-      // Each rank's private stage-2 buffer (one block at a time, like the
-      // serial path).
-      AlignedBuffer tmp(static_cast<std::size_t>(layout_.block_doubles()));
-      for (int id : forest_.leaves()) {
-        const int pe = owner_at(id);
-        const std::int64_t bt0 = btr != nullptr ? btr->now_ns() : 0;
-        const RVec<D> dx = cell_dx(forest_.level(id));
-        const std::uint64_t f = fv_block_update_tiled<D, Phys>(
-            cfg_.solver.sub_block, layout_,
-            scratch_[static_cast<std::size_t>(pe)].view(id).base, tmp.data(),
-            phys_, dx, dt, cfg_.solver.order, cfg_.solver.limiter,
-            cfg_.solver.flux, nullptr, nullptr, &kernel_scratch_);
-        flops_ += f;
-        rank_flops_[static_cast<std::size_t>(pe)] += f;
-        heun_combine_half<D, Phys>(
-            stores_[static_cast<std::size_t>(pe)].view(id),
-            ConstBlockView<D>{tmp.data(), &layout_});
-        if (cfg_.solver.apply_positivity_fix)
-          fix_block(stores_[static_cast<std::size_t>(pe)], id);
-        if (btr != nullptr)
-          btr->record(obs::TraceEvent{"stage_update", "compute", bt0,
-                                      btr->now_ns(), 0, btr->new_span_id(),
-                                      ps.span_id(), pe, step_index_});
-      }
-      block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
-    }
-    time_ += dt;
-    finish_step(sc, dt, t0, updates0);
-  }
-
-  /// Advance with CFL-limited steps until `t_end` (or `max_steps`). A
-  /// simulated rank death is recovered in place: the dead rank is retired,
-  /// the last auto-checkpoint reloaded, its blocks re-partitioned across
-  /// the survivors, and stepping resumes from the checkpointed time.
-  int advance_to(double t_end, int max_steps = 1000000) {
-    int steps = 0;
-    while (time_ < t_end && steps < max_steps) {
-      double dt = compute_dt();
-      if (time_ + dt > t_end) dt = t_end - time_;
-      try {
-        step(dt);
-      } catch (const RankFailure& f) {
-        recover(f.rank());
-        continue;  // dt must be recomputed from the restored state
-      }
-      ++steps;
-    }
-    return steps;
+    price_step(sc, rcfg_.machine, rcfg_.npes);
+    totals_.add(sc);
+    if (step_span_ != 0)
+      tel->trace.record(obs::TraceEvent{"step", "step", mark.t0,
+                                        tel->trace.now_ns(), 0, step_span_, 0,
+                                        -1, step_index_});
+    step_span_ = 0;
+    this->end_step(mark, dt);
   }
 
   // --- Checkpointing and fault recovery --------------------------------
@@ -393,18 +231,8 @@ class RankSolver {
   /// Write a v2 checkpoint (atomic, checksummed) of the global state
   /// assembled from the per-rank stores. Returns bytes written.
   std::uint64_t save(const std::string& path) {
-    obs::Telemetry* const tel = cfg_.solver.telemetry;
-    const std::int64_t t0 = tel != nullptr ? tel->trace.now_ns() : 0;
-    const std::uint64_t bytes = save_checkpoint_view<D>(
-        path, forest_, layout_,
-        [this](int id) { return block_view(id); }, time_);
+    const std::uint64_t bytes = Core::save(path);
     last_checkpoint_path_ = path;
-    if (tel != nullptr) {
-      tel->metrics.counter("ckpt.saves")->add(1);
-      tel->metrics.counter("ckpt.bytes")->add(bytes);
-      tel->metrics.gauge("ckpt.last_save_s")
-          ->set(static_cast<double>(tel->trace.now_ns() - t0) * 1e-9);
-    }
     return bytes;
   }
 
@@ -416,28 +244,24 @@ class RankSolver {
     // (on the wire path they are already buffered frames that would
     // otherwise corrupt the next topo round).
     drain_topo_all();
-    forest_ = Forest<D>(cfg_.solver.forest);
+    forest_ = Forest<D>(cfg_.forest);
     BlockStore<D> global(layout_);
     time_ = load_checkpoint<D>(path, forest_, global);
     forest_.rebuild_neighbor_table();
     exchanger_.rebuild();
-    for (int p = 0; p < cfg_.npes; ++p) {
-      stores_[static_cast<std::size_t>(p)] = make_store();
-      scratch_[static_cast<std::size_t>(p)] = make_store();
-      if (use_stage2())
-        stage2_[static_cast<std::size_t>(p)] = make_store();
+    for (int p = 0; p < rcfg_.npes; ++p) {
+      u_[static_cast<std::size_t>(p)] = this->make_store();
+      scratch_[static_cast<std::size_t>(p)] = this->make_store();
     }
     owner_ = partition_alive();
     const std::int64_t payload = block_payload_doubles<D>(layout_);
     std::vector<double> buf(static_cast<std::size_t>(payload));
     for (int id : forest_.leaves()) {
-      const int pe = owner_at(id);
-      scratch_[static_cast<std::size_t>(pe)].ensure(id);
+      this->store_of(scratch_, id).ensure(id);
       pack_block_payload<D>(global, id, buf.data());
-      unpack_block_payload<D>(stores_[static_cast<std::size_t>(pe)], id,
-                              buf.data());
+      unpack_block_payload<D>(this->store_of(u_, id), id, buf.data());
     }
-    buffered_.set_owner(owner_, cfg_.npes);
+    buffered_.set_owner(owner_, rcfg_.npes);
     rebuild_rank_structures();
     last_checkpoint_path_ = path;
   }
@@ -447,7 +271,7 @@ class RankSolver {
   /// PartitionPolicy/migration machinery), and leave the solver ready to
   /// resume from the checkpointed time.
   void recover(int dead_rank) {
-    AB_REQUIRE(dead_rank >= 0 && dead_rank < cfg_.npes &&
+    AB_REQUIRE(dead_rank >= 0 && dead_rank < rcfg_.npes &&
                    alive_[static_cast<std::size_t>(dead_rank)],
                "RankSolver: recover() needs a live rank id");
     AB_REQUIRE(!last_checkpoint_path_.empty(),
@@ -458,7 +282,7 @@ class RankSolver {
     --num_alive_;
     AB_REQUIRE(num_alive_ >= 1, "RankSolver: no surviving ranks");
     restore(last_checkpoint_path_);
-    obs::Telemetry* const tel = cfg_.solver.telemetry;
+    obs::Telemetry* const tel = cfg_.telemetry;
     if (tel != nullptr) {
       tel->metrics.counter("fault.rank_deaths")->add(1);
       tel->metrics.counter("fault.recoveries")->add(1);
@@ -468,184 +292,10 @@ class RankSolver {
   /// Ranks still alive (npes minus recovered deaths).
   int num_alive() const { return num_alive_; }
   bool rank_alive(int pe) const {
-    return pe >= 0 && pe < cfg_.npes && alive_[static_cast<std::size_t>(pe)];
+    return pe >= 0 && pe < rcfg_.npes && alive_[static_cast<std::size_t>(pe)];
   }
   const std::string& last_checkpoint_path() const {
     return last_checkpoint_path_;
-  }
-
-  using AdaptResult = typename AmrSolver<D, Phys>::AdaptResult;
-
-  /// One adaptation cycle, mirroring AmrSolver::adapt: flag, refine (with
-  /// cascades), coarsen eligible families — then re-partition and migrate
-  /// blocks whose owner changed. Refined children are born on the parent's
-  /// rank; coarsening gathers remote siblings to the first child's rank
-  /// through the message board. Criteria read only the flagged block's own
-  /// data, so per-rank evaluation matches the single-store evaluation.
-  template <class Criterion>
-  AdaptResult adapt(const Criterion& criterion) {
-    obs::PhaseScope ps(cfg_.solver.telemetry, "regrid", "regrid");
-    if (ps.span_id() != 0) ps.set_context(0, -1, step_index_);
-    // The previous regrid's deferred topology deltas must land before a
-    // new round starts (normally they drained during stage compute).
-    drain_topo_all();
-    AdaptResult res;
-    std::vector<std::pair<int, AdaptFlag>> flags;
-    flags.reserve(forest_.leaves().size());
-    for (int id : forest_.leaves())
-      flags.emplace_back(id, criterion(forest_, store_of(id), id));
-
-    // Distributed metadata: each rank records the topology changes it
-    // performs, to broadcast (binarized-octree encoded) to its neighbor
-    // ranks after the regrid settles.
-    std::vector<std::vector<TopoDeltaRecord<D>>> deltas;
-    if (distmeta_) deltas.resize(static_cast<std::size_t>(cfg_.npes));
-
-    // Refinement (cascades may refine additional blocks).
-    for (auto [id, flag] : flags) {
-      if (flag != AdaptFlag::Refine) continue;
-      if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
-      if (forest_.level(id) >= cfg_.solver.forest.max_level) continue;
-      for (const auto& ev : forest_.refine(id)) {
-        const int pe = owner_at(ev.parent);
-        if (distmeta_)
-          deltas[static_cast<std::size_t>(pe)].push_back(
-              {TopoDeltaOp::Refine, forest_.level(ev.parent),
-               forest_.coords(ev.parent)});
-        prolong_to_children<D>(stores_[static_cast<std::size_t>(pe)], ev,
-                               cfg_.solver.prolongation);
-        for (int c : ev.children) {
-          set_owner_entry(c, pe);
-          scratch_[static_cast<std::size_t>(pe)].ensure(c);
-        }
-        scratch_[static_cast<std::size_t>(pe)].release(ev.parent);
-        owner_[static_cast<std::size_t>(ev.parent)] = -1;
-        ++res.refined;
-      }
-    }
-
-    // Coarsening: same family selection as AmrSolver::adapt.
-    std::vector<int> parents;
-    for (auto [id, flag] : flags) {
-      if (flag != AdaptFlag::Coarsen) continue;
-      if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
-      const int p = forest_.parent(id);
-      if (p < 0) continue;
-      if (forest_.child_index(id) != 0) continue;  // visit once per family
-      parents.push_back(p);
-    }
-    std::unordered_map<int, AdaptFlag> flag_map;
-    flag_map.reserve(flags.size());
-    for (auto [fid, fl] : flags) flag_map.emplace(fid, fl);
-    auto flag_of = [&](int id) {
-      auto it = flag_map.find(id);
-      return it == flag_map.end() ? AdaptFlag::Keep : it->second;
-    };
-    RegridCost rc;
-    board_.clear();
-    if (msg_trace_.active())
-      msg_trace_.set_context(step_index_, obs::MsgPhase::Gather,
-                             ps.span_id());
-    const std::int64_t payload = block_payload_doubles<D>(layout_);
-    std::vector<double> buf(static_cast<std::size_t>(payload));
-    for (int p : parents) {
-      if (!forest_.is_live(p) || forest_.is_leaf(p)) continue;
-      bool all = true;
-      const auto& kids = forest_.children(p);
-      for (int c : kids) {
-        if (!forest_.is_live(c) || !forest_.is_leaf(c) ||
-            flag_of(c) != AdaptFlag::Coarsen) {
-          all = false;
-          break;
-        }
-      }
-      if (!all || !forest_.can_coarsen(p)) continue;
-      // Gather remote siblings onto the surviving parent's rank (the first
-      // child's owner), then restrict locally there.
-      const int pe = owner_at(kids[0]);
-      for (int c : kids) {
-        const int cp = owner_at(c);
-        if (cp == pe) continue;
-        pack_block_payload<D>(stores_[static_cast<std::size_t>(cp)], c,
-                              buf.data());
-        board_.send(cp, pe, buf.data(), payload);
-        unpack_block_payload<D>(stores_[static_cast<std::size_t>(pe)], c,
-                                board_.receive(cp, pe, payload));
-        stores_[static_cast<std::size_t>(cp)].release(c);
-      }
-      restrict_to_parent<D>(stores_[static_cast<std::size_t>(pe)], p, kids);
-      scratch_[static_cast<std::size_t>(pe)].ensure(p);
-      for (int c : kids) {
-        scratch_[static_cast<std::size_t>(owner_at(c))].release(c);
-        owner_[static_cast<std::size_t>(c)] = -1;
-      }
-      set_owner_entry(p, pe);
-      if (distmeta_)
-        deltas[static_cast<std::size_t>(pe)].push_back(
-            {TopoDeltaOp::Coarsen, forest_.level(p), forest_.coords(p)});
-      forest_.coarsen(p);
-      ++res.coarsened;
-    }
-    rc.gather_messages = board_.messages();
-    rc.gather_bytes = board_.bytes();
-    board_.flush_trace();
-
-    if (res.refined || res.coarsened) {
-      forest_.rebuild_neighbor_table();
-      exchanger_.rebuild();
-      // Load re-balancing, as the paper prescribes after every adaptation:
-      // recompute the partition for the new leaf set and migrate every
-      // block whose owner changed.
-      rc.imbalance_before = load_imbalance(owner_, cfg_.npes);
-      std::vector<int> fresh = partition_alive();
-      if (msg_trace_.active())
-        msg_trace_.set_context(step_index_, obs::MsgPhase::Migrate,
-                               ps.span_id());
-      const MigrationStats ms =
-          migrate_blocks<D>(forest_.leaves(), owner_, fresh, stores_, board_);
-      board_.flush_trace();
-      for (int id : forest_.leaves()) {
-        const int a = owner_at(id);
-        const int b = fresh[static_cast<std::size_t>(id)];
-        if (a == b) continue;
-        scratch_[static_cast<std::size_t>(a)].release(id);
-        scratch_[static_cast<std::size_t>(b)].ensure(id);
-        if (use_stage2()) stage2_[static_cast<std::size_t>(a)].release(id);
-      }
-      owner_ = std::move(fresh);
-      buffered_.set_owner(owner_, cfg_.npes);
-      // Hull prefetch rides with the migration: post-regrid descriptors go
-      // to the stale view's neighbor ranks now, so the rebuild below can
-      // validate hints instead of probing.
-      if (distmeta_ && topo_ != nullptr)
-        exchange_hull_prefetch(rc, ps.span_id());
-      rebuild_rank_structures();
-      if (distmeta_) exchange_topology_deltas(deltas, rc, ps.span_id());
-      rc.migrated_blocks = ms.blocks;
-      rc.migration_messages = ms.messages;
-      rc.migration_bytes = ms.bytes;
-      rc.imbalance_after = load_imbalance(owner_, cfg_.npes);
-      last_regrid_ = rc;
-      totals_.add(rc);
-    }
-    return res;
-  }
-
-  /// Total of conserved variable `var` over the domain (global leaf order,
-  /// same fold as AmrSolver::total_conserved).
-  double total_conserved(int var) const {
-    double total = 0.0;
-    for (int id : forest_.leaves()) {
-      const RVec<D> dx = cell_dx(forest_.level(id));
-      double vol = 1.0;
-      for (int d = 0; d < D; ++d) vol *= dx[d];
-      ConstBlockView<D> v = block_view(id);
-      double s = 0.0;
-      for_each_cell<D>(layout_.interior_box(),
-                       [&](IVec<D> p) { s += v.at(var, p); });
-      total += s * vol;
-    }
-    return total;
   }
 
   /// Number of coarse/fine face corrections currently planned.
@@ -654,21 +304,17 @@ class RankSolver {
   }
 
  private:
-  bool use_stage2() const {
-    return cfg_.solver.rk_stages == 2 && cfg_.solver.flux_correction;
-  }
-
   void maybe_auto_checkpoint() {
-    if (cfg_.checkpoint_every <= 0) return;
-    if (step_index_ % cfg_.checkpoint_every == 0) save(cfg_.checkpoint_path);
+    if (rcfg_.checkpoint_every <= 0) return;
+    if (step_index_ % rcfg_.checkpoint_every == 0) save(rcfg_.checkpoint_path);
   }
 
   /// Fire the fault plan's one-shot kill trigger if this step is due.
   void maybe_kill() {
-    FaultPlan* const fp = cfg_.faults;
+    FaultPlan* const fp = rcfg_.faults;
     if (fp == nullptr || !fp->kill_due(step_index_)) return;
     const int r = fp->kill_rank();
-    AB_REQUIRE(r >= 0 && r < cfg_.npes,
+    AB_REQUIRE(r >= 0 && r < rcfg_.npes,
                "FaultPlan: kill_rank out of range");
     fp->consume_kill();
     if (!alive_[static_cast<std::size_t>(r)]) return;  // already dead
@@ -683,11 +329,11 @@ class RankSolver {
   /// surviving rank ids, so dead ranks own nothing.
   std::vector<int> partition_alive() const {
     std::vector<int> raw =
-        partition_blocks<D>(forest_, num_alive_, cfg_.policy);
-    if (num_alive_ == cfg_.npes) return raw;
+        partition_blocks<D>(forest_, num_alive_, rcfg_.policy);
+    if (num_alive_ == rcfg_.npes) return raw;
     std::vector<int> alive_ids;
     alive_ids.reserve(static_cast<std::size_t>(num_alive_));
-    for (int p = 0; p < cfg_.npes; ++p)
+    for (int p = 0; p < rcfg_.npes; ++p)
       if (alive_[static_cast<std::size_t>(p)]) alive_ids.push_back(p);
     for (int& o : raw)
       if (o >= 0) o = alive_ids[static_cast<std::size_t>(o)];
@@ -707,22 +353,15 @@ class RankSolver {
     owner_[static_cast<std::size_t>(id)] = pe;
   }
 
-  BlockStore<D>& store_of(int id) {
-    return stores_[static_cast<std::size_t>(owner_at(id))];
-  }
-  BlockStore<D>& scratch_of(int id) {
-    return scratch_[static_cast<std::size_t>(owner_at(id))];
-  }
-
   /// Per-rank boundary-face lists (each rank applies BCs to its own
   /// blocks); also rebuilds the per-rank flux-correction plans. Call after
   /// every exchanger rebuild or partition change.
   void rebuild_rank_structures() {
-    bfaces_by_pe_.assign(static_cast<std::size_t>(cfg_.npes), {});
+    bfaces_by_pe_.assign(static_cast<std::size_t>(rcfg_.npes), {});
     for (const auto& bf : exchanger_.boundary_faces())
       bfaces_by_pe_[static_cast<std::size_t>(owner_at(bf.block))].push_back(
           bf);
-    if (cfg_.solver.flux_correction)
+    if (cfg_.flux_correction)
       for (auto& r : registers_) r.rebuild(exchanger_);
     if (distmeta_) rebuild_local_topology();
   }
@@ -744,8 +383,8 @@ class RankSolver {
     // (empty everywhere else: construction, restore).
     const std::vector<std::vector<BlockDesc<D>>>* hints =
         prefetch_hints_.empty() ? nullptr : &prefetch_hints_;
-    topo_ = std::make_unique<LocalTopologySet<D>>(forest_, owner_, cfg_.npes,
-                                                  cfg_.policy, hints);
+    topo_ = std::make_unique<LocalTopologySet<D>>(forest_, owner_, rcfg_.npes,
+                                                  rcfg_.policy, hints);
     prefetch_hints_.clear();
     topo_probes_acc_ += topo_->stats().probes;
     topo_remote_acc_ += topo_->stats().remote_probes;
@@ -774,7 +413,7 @@ class RankSolver {
           "neighbor hull");
     }
     // Flux plan: cross-rank coarse/fine correction pairs likewise.
-    if (cfg_.solver.flux_correction) {
+    if (cfg_.flux_correction) {
       for (const auto& c : registers_.front().corrections()) {
         const int pf = owner_at(c.fine);
         const int pc = owner_at(c.coarse);
@@ -810,10 +449,10 @@ class RankSolver {
       msg_trace_.set_context(step_index_, obs::MsgPhase::TopoDelta,
                              parent_span);
     std::vector<std::vector<double>> packed(
-        static_cast<std::size_t>(cfg_.npes));
+        static_cast<std::size_t>(rcfg_.npes));
     std::int64_t msgs = 0;
     std::int64_t bytes = 0;
-    for (int p = 0; p < cfg_.npes; ++p) {
+    for (int p = 0; p < rcfg_.npes; ++p) {
       const auto& recs = deltas[static_cast<std::size_t>(p)];
       if (recs.empty()) continue;
       const std::vector<std::uint8_t> enc = encode_topo_delta<D>(recs);
@@ -835,7 +474,7 @@ class RankSolver {
       }
     }
     if (!async) {
-      for (int p = 0; p < cfg_.npes; ++p) {
+      for (int p = 0; p < rcfg_.npes; ++p) {
         const auto& buf = packed[static_cast<std::size_t>(p)];
         if (buf.empty()) continue;
         for (int q : topo_->rank(p).neighbor_ranks())
@@ -901,7 +540,7 @@ class RankSolver {
                              parent_span);
     // Pack per rank: [count, then per block: level, coords..., owner].
     std::vector<std::vector<double>> packed(
-        static_cast<std::size_t>(cfg_.npes));
+        static_cast<std::size_t>(rcfg_.npes));
     for (int id : forest_.leaves()) {
       const int pe = owner_at(id);
       std::vector<double>& buf = packed[static_cast<std::size_t>(pe)];
@@ -914,7 +553,7 @@ class RankSolver {
     }
     std::int64_t msgs = 0;
     std::int64_t bytes = 0;
-    for (int p = 0; p < cfg_.npes; ++p) {
+    for (int p = 0; p < rcfg_.npes; ++p) {
       const auto& buf = packed[static_cast<std::size_t>(p)];
       if (buf.empty()) continue;
       for (int q : topo_->rank(p).neighbor_ranks()) {
@@ -924,9 +563,9 @@ class RankSolver {
         bytes += static_cast<std::int64_t>(buf.size() * sizeof(double));
       }
     }
-    prefetch_hints_.assign(static_cast<std::size_t>(cfg_.npes), {});
-    const CurveMap<D> curve(forest_.config(), cfg_.policy);
-    for (int p = 0; p < cfg_.npes; ++p) {
+    prefetch_hints_.assign(static_cast<std::size_t>(rcfg_.npes), {});
+    const CurveMap<D> curve(forest_.config(), rcfg_.policy);
+    for (int p = 0; p < rcfg_.npes; ++p) {
       const auto& buf = packed[static_cast<std::size_t>(p)];
       if (buf.empty()) continue;
       for (int q : topo_->rank(p).neighbor_ranks()) {
@@ -958,68 +597,46 @@ class RankSolver {
     topo_delta_bytes_acc_ += bytes;
   }
 
+  /// One step of advance_to. A simulated rank death is recovered in
+  /// place: the dead rank is retired, the last auto-checkpoint reloaded,
+  /// its blocks re-partitioned across the survivors, and stepping resumes
+  /// from the checkpointed time (returns false: dt must be recomputed from
+  /// the restored state).
+  bool try_step(double dt) {
+    try {
+      step(dt);
+    } catch (const RankFailure& f) {
+      recover(f.rank());
+      return false;
+    }
+    return true;
+  }
+
+  // ------------------------------------------------------------------
+  // Ownership policy (see stepping_core.hpp): one store per rank.
+
+  int rank_of(int id) const { return owner_at(id); }
+  FluxRegister<D>& register_of(int id) {
+    return registers_[static_cast<std::size_t>(owner_at(id))];
+  }
+
   /// Buffered ghost exchange across all ranks + per-rank BCs. BC faces
   /// write only their own block's ghost slabs from its own data, so the
   /// per-rank grouping is order-independent (bitwise equal to the serial
   /// boundary-face order).
-  void fill_ghosts(std::vector<BlockStore<D>>& s, double t,
-                   RankStepCost& sc) {
-    obs::PhaseScope ps(cfg_.solver.telemetry, "ghost_exchange");
-    tag_phase(ps);
-    if (ps.span_id() != 0)
-      msg_trace_.set_context(step_index_, obs::MsgPhase::Ghost, ps.span_id());
+  void fill_set(StoreSet& s, double t, std::uint64_t span) {
+    if (span != 0)
+      msg_trace_.set_context(step_index_, obs::MsgPhase::Ghost, span);
     buffered_.fill_on([&s](int pe) -> BlockStore<D>& {
       return s[static_cast<std::size_t>(pe)];
     });
-    for (int pe = 0; pe < cfg_.npes; ++pe)
+    for (int pe = 0; pe < rcfg_.npes; ++pe)
       apply_boundary_conditions<D>(s[static_cast<std::size_t>(pe)], forest_,
                                    bfaces_by_pe_[static_cast<std::size_t>(pe)],
-                                   cfg_.solver.bc, t);
-    sc.ghost_messages += buffered_.messages_per_fill();
-    sc.ghost_bytes += buffered_.bytes_per_fill();
-    buffered_.add_per_pe_traffic(sc.per_rank);
-  }
-
-  /// One forward-Euler stage over all blocks, each updated on its owning
-  /// rank: out = in + dt L(in). With flux correction, boundary-face fluxes
-  /// are recorded into the owner's register and corrections exchanged
-  /// through the message board.
-  void run_stage(std::vector<BlockStore<D>>& in,
-                 std::vector<BlockStore<D>>& out, double dt,
-                 RankStepCost& sc) {
-    obs::PhaseScope ps(cfg_.solver.telemetry, "stage_update");
-    tag_phase(ps);
-    obs::Telemetry* const tel = cfg_.solver.telemetry;
-    obs::Tracer* const btr =
-        (tel != nullptr && tel->trace.enabled()) ? &tel->trace : nullptr;
-    const bool fc = cfg_.solver.flux_correction;
-    for (int id : forest_.leaves()) {
-      const int pe = owner_at(id);
-      const std::int64_t bt0 = btr != nullptr ? btr->now_ns() : 0;
-      const RVec<D> dx = cell_dx(forest_.level(id));
-      FluxRegister<D>& reg = registers_[static_cast<std::size_t>(pe)];
-      FaceFluxStorage<D>* ff =
-          (fc && reg.needs_fluxes(id)) ? &reg.storage(id) : nullptr;
-      const std::uint64_t f = fv_block_update_tiled<D, Phys>(
-          cfg_.solver.sub_block, layout_,
-          in[static_cast<std::size_t>(pe)].view(id).base,
-          out[static_cast<std::size_t>(pe)].view(id).base, phys_, dx, dt,
-          cfg_.solver.order, cfg_.solver.limiter, cfg_.solver.flux, ff,
-          nullptr, &kernel_scratch_);
-      flops_ += f;
-      rank_flops_[static_cast<std::size_t>(pe)] += f;
-      // Per-block compute span on the owning rank: what the critical-path
-      // reconstruction charges as that rank's useful work.
-      if (btr != nullptr)
-        btr->record(obs::TraceEvent{"stage_update", "compute", bt0,
-                                    btr->now_ns(), 0, btr->new_span_id(),
-                                    ps.span_id(), pe, step_index_});
-      // Async topology deltas: retire one deferred receive per block
-      // update, hiding the exchange behind compute.
-      if (topo_pending()) drain_topo_some(1);
-    }
-    block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
-    if (fc) exchange_and_apply_corrections(out, dt, sc, ps.span_id());
+                                   cfg_.bc, t);
+    step_cost_.ghost_messages += buffered_.messages_per_fill();
+    step_cost_.ghost_bytes += buffered_.bytes_per_fill();
+    buffered_.add_per_pe_traffic(step_cost_.per_rank);
   }
 
   /// Distributed refluxing round: every fine-side average is evaluated on
@@ -1028,15 +645,13 @@ class RankSolver {
   /// corrections are applied in plan order, which is the serial apply
   /// order (two faces of one coarse block can overlap in a corner cell,
   /// so the order is part of the bitwise contract).
-  void exchange_and_apply_corrections(std::vector<BlockStore<D>>& out,
-                                      double dt, RankStepCost& sc,
-                                      std::uint64_t parent_span = 0) {
+  void reflux_round(StoreSet& out, double dt, std::uint64_t span) {
     // Every rank's register rebuilds from the same exchanger plan, so the
     // correction lists are identical; use rank 0's as the shared plan.
     const auto& plan = registers_.front().corrections();
     board_.clear();
     if (msg_trace_.active())
-      msg_trace_.set_context(step_index_, obs::MsgPhase::Flux, parent_span);
+      msg_trace_.set_context(step_index_, obs::MsgPhase::Flux, span);
     std::vector<std::vector<double>> favg(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
       const auto& c = plan[i];
@@ -1063,50 +678,129 @@ class RankSolver {
           out[static_cast<std::size_t>(pc)].view(c.coarse), c,
           reg.storage(c.coarse), payload, dt);
     }
-    sc.flux_messages += board_.messages();
-    sc.flux_bytes += board_.bytes();
-    board_.add_per_pe_traffic(sc.per_rank);
+    step_cost_.flux_messages += board_.messages();
+    step_cost_.flux_bytes += board_.bytes();
+    board_.add_per_pe_traffic(step_cost_.per_rank);
     board_.flush_trace();
   }
 
-  void fix_block(BlockStore<D>& s, int id) {
-    apply_positivity_fix<D, Phys>(phys_, s, id, cfg_.solver.rho_floor,
-                                  cfg_.solver.p_floor);
+  /// Each block update runs on its owning rank: tally its flops there and,
+  /// when spans are collected, record a per-block compute span on that
+  /// rank — what the critical-path reconstruction charges as the rank's
+  /// useful work.
+  template <class F>
+  void around_block(int id, std::uint64_t span, const F& update) {
+    const int pe = owner_at(id);
+    obs::Tracer* const tr = span != 0 ? &cfg_.telemetry->trace : nullptr;
+    const std::int64_t t0 = tr != nullptr ? tr->now_ns() : 0;
+    rank_flops_[static_cast<std::size_t>(pe)] += update();
+    if (tr != nullptr)
+      tr->record(obs::TraceEvent{"stage_update", "compute", t0, tr->now_ns(),
+                                 0, tr->new_span_id(), span, pe,
+                                 step_index_});
+    // Async topology deltas: retire one deferred receive per block
+    // update, hiding the exchange behind compute.
+    if (topo_pending()) drain_topo_some(1);
   }
 
-  void finish_step(RankStepCost& sc, double dt, std::int64_t t0,
-                   std::uint64_t updates0) {
-    for (std::uint64_t f : rank_flops_) {
-      sc.flops += f;
-      sc.max_rank_flops = std::max(sc.max_rank_flops, f);
+  // Regrid: refined children are born on the parent's rank; a coarsening
+  // family is gathered to its first child's rank through the message
+  // board; then the partition is recomputed and blocks migrate. Criteria
+  // read only the flagged block's own data, so per-rank evaluation matches
+  // the single-store evaluation.
+
+  void regrid_begin(obs::PhaseScope& ps) {
+    if (ps.span_id() != 0) ps.set_context(0, -1, step_index_);
+    // The previous regrid's deferred topology deltas must land before a
+    // new round starts (normally they drained during stage compute).
+    drain_topo_all();
+    // Distributed metadata: each rank records the topology changes it
+    // performs, to broadcast (binarized-octree encoded) to its neighbor
+    // ranks after the regrid settles.
+    deltas_.assign(distmeta_ ? static_cast<std::size_t>(rcfg_.npes) : 0, {});
+    board_.clear();
+    if (msg_trace_.active())
+      msg_trace_.set_context(step_index_, obs::MsgPhase::Gather,
+                             ps.span_id());
+  }
+
+  void refined(const typename Forest<D>::RefineEvent& ev, int pe) {
+    if (distmeta_)
+      deltas_[static_cast<std::size_t>(pe)].push_back(
+          {TopoDeltaOp::Refine, forest_.level(ev.parent),
+           forest_.coords(ev.parent)});
+    for (int c : ev.children) set_owner_entry(c, pe);
+    owner_[static_cast<std::size_t>(ev.parent)] = -1;
+  }
+
+  /// Gather remote siblings onto the surviving parent's rank `pe`.
+  void gather(const Family& kids, int pe) {
+    const std::int64_t payload = block_payload_doubles<D>(layout_);
+    std::vector<double> buf(static_cast<std::size_t>(payload));
+    for (int c : kids) {
+      const int cp = owner_at(c);
+      if (cp == pe) continue;
+      pack_block_payload<D>(u_[static_cast<std::size_t>(cp)], c, buf.data());
+      board_.send(cp, pe, buf.data(), payload);
+      unpack_block_payload<D>(u_[static_cast<std::size_t>(pe)], c,
+                              board_.receive(cp, pe, payload));
+      u_[static_cast<std::size_t>(cp)].release(c);
     }
-    price_step(sc, cfg_.machine, cfg_.npes);
-    last_step_ = sc;
-    totals_.add(sc);
-    obs::Telemetry* const tel = cfg_.solver.telemetry;
-    if (tel != nullptr) emit_step_telemetry(tel, sc, dt, t0, updates0);
-    if (tel != nullptr && tel->trace.enabled() && step_span_ != 0)
-      tel->trace.record(obs::TraceEvent{"step", "step", t0,
-                                        tel->trace.now_ns(), 0, step_span_, 0,
-                                        -1, step_index_});
-    step_span_ = 0;
-    ++step_index_;
   }
 
-  /// Tag a phase span as a child of the in-flight step span (no-op when
-  /// span collection is off or outside a step).
-  void tag_phase(obs::PhaseScope& ps) {
-    if (ps.span_id() != 0) ps.set_context(step_span_, -1, step_index_);
+  void coarsened(int p, const Family& kids, int pe) {
+    for (int c : kids) owner_[static_cast<std::size_t>(c)] = -1;
+    set_owner_entry(p, pe);
+    if (distmeta_)
+      deltas_[static_cast<std::size_t>(pe)].push_back(
+          {TopoDeltaOp::Coarsen, forest_.level(p), forest_.coords(p)});
   }
 
-  /// Publish the step's traffic/imbalance through the metrics registry and
-  /// append a StepReport record (with per-rank traffic) if a report file is
-  /// open.
-  void emit_step_telemetry(obs::Telemetry* tel, const RankStepCost& sc,
-                           double dt, std::int64_t t0,
-                           std::uint64_t updates0) {
-    const double wall = static_cast<double>(tel->trace.now_ns() - t0) * 1e-9;
-    obs::MetricsRegistry& m = tel->metrics;
+  void regrid_end(bool changed, obs::PhaseScope& ps) {
+    RegridCost rc;
+    rc.gather_messages = board_.messages();
+    rc.gather_bytes = board_.bytes();
+    board_.flush_trace();
+    if (!changed) return;
+    // Load re-balancing, as the paper prescribes after every adaptation:
+    // recompute the partition for the new leaf set and migrate every
+    // block whose owner changed.
+    rc.imbalance_before = load_imbalance(owner_, rcfg_.npes);
+    std::vector<int> fresh = partition_alive();
+    if (msg_trace_.active())
+      msg_trace_.set_context(step_index_, obs::MsgPhase::Migrate,
+                             ps.span_id());
+    const MigrationStats ms =
+        migrate_blocks<D>(forest_.leaves(), owner_, fresh, u_, board_);
+    board_.flush_trace();
+    for (int id : forest_.leaves()) {
+      const int a = owner_at(id);
+      const int b = fresh[static_cast<std::size_t>(id)];
+      if (a == b) continue;
+      scratch_[static_cast<std::size_t>(a)].release(id);
+      scratch_[static_cast<std::size_t>(b)].ensure(id);
+    }
+    owner_ = std::move(fresh);
+    buffered_.set_owner(owner_, rcfg_.npes);
+    // Hull prefetch rides with the migration: post-regrid descriptors go
+    // to the stale view's neighbor ranks now, so the rebuild below can
+    // validate hints instead of probing.
+    if (distmeta_ && topo_ != nullptr)
+      exchange_hull_prefetch(rc, ps.span_id());
+    rebuild_rank_structures();
+    if (distmeta_) exchange_topology_deltas(deltas_, rc, ps.span_id());
+    rc.migrated_blocks = ms.blocks;
+    rc.migration_messages = ms.messages;
+    rc.migration_bytes = ms.bytes;
+    rc.imbalance_after = load_imbalance(owner_, rcfg_.npes);
+    last_regrid_ = rc;
+    totals_.add(rc);
+  }
+
+  /// The step's traffic/imbalance through the metrics registry, and the
+  /// per-rank traffic table in the step's report record.
+  void publish_step(obs::MetricsRegistry& m, obs::StepReport* r) {
+    const RankStepCost& sc = step_cost_;
     m.counter("rank.steps")->add(1);
     m.counter("rank.ghost_messages")
         ->add(static_cast<std::uint64_t>(sc.ghost_messages));
@@ -1120,16 +814,6 @@ class RankSolver {
     m.gauge("rank.load_imbalance")->set(sc.imbalance);
     m.gauge("rank.t_step_model_s")->set(sc.t_step);
     m.gauge("rank.efficiency")->set(sc.efficiency);
-    // Arena totals are cumulative; counters take per-step deltas.
-    const BlockPool::Stats& ps = block_pool_->stats();
-    m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
-    m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
-    m.counter("pool.reuse_hits")
-        ->add(static_cast<std::uint64_t>(ps.reuse_hits - pool_reuse_seen_));
-    m.counter("pool.fresh_allocs")
-        ->add(static_cast<std::uint64_t>(ps.fresh_allocs - pool_fresh_seen_));
-    pool_reuse_seen_ = ps.reuse_hits;
-    pool_fresh_seen_ = ps.fresh_allocs;
     if (distmeta_ && topo_ != nullptr) {
       // Per-rank topology footprint: the gauges must track blocks/rank +
       // hull, not total blocks (the distributed-metadata contract). Probe
@@ -1174,10 +858,9 @@ class RankSolver {
       m.gauge("wire.dedup_state_bytes")
           ->set(static_cast<double>(hub_->dedup_state_bytes()));
     }
-    publish_tune_gauges(m, tune_decision_);
-    if (cfg_.faults != nullptr) {
+    if (rcfg_.faults != nullptr) {
       // The plan's stats are run totals; counters take per-step deltas.
-      const FaultStats& fs = cfg_.faults->stats();
+      const FaultStats& fs = rcfg_.faults->stats();
       auto pub = [&m](const char* name, std::int64_t cur,
                       std::int64_t prev) {
         if (cur > prev)
@@ -1190,62 +873,32 @@ class RankSolver {
       pub("fault.retries", fs.retries, fault_prev_.retries);
       fault_prev_ = fs;
     }
-    if (tel->report() != nullptr) {
-      obs::StepReport r;
-      r.step = step_index_;
-      r.t = time_;
-      r.dt = dt;
-      r.wall_s = wall;
-      r.blocks = forest_.num_leaves();
-      r.cells_updated =
-          static_cast<std::int64_t>(block_updates_ - updates0) *
-          layout_.interior_cells();
-      r.layout = layout_string(layout_, cfg_.solver.sub_block);
-      r.phase_s = tel->take_phase_times();
-      const obs::MetricsSnapshot snap = m.snapshot();
-      r.gauges = snap.gauges;
-      r.counters.reserve(snap.counters.size());
-      for (const auto& [name, v] : snap.counters)
-        r.counters.emplace_back(name, static_cast<std::int64_t>(v));
-      r.per_rank.reserve(sc.per_rank.size());
-      for (std::size_t p = 0; p < sc.per_rank.size(); ++p) {
-        const PeTraffic& t = sc.per_rank[p];
-        obs::RankTrafficRecord rec;
-        rec.rank = static_cast<int>(p);
-        rec.sent_messages = t.sent_messages;
-        rec.recv_messages = t.recv_messages;
-        rec.sent_bytes = t.sent_bytes;
-        rec.recv_bytes = t.recv_bytes;
-        r.per_rank.push_back(rec);
-      }
-      tel->report()->write(r);
-    } else {
-      tel->take_phase_times();
+    if (r == nullptr) return;
+    r->per_rank.reserve(sc.per_rank.size());
+    for (std::size_t p = 0; p < sc.per_rank.size(); ++p) {
+      const PeTraffic& t = sc.per_rank[p];
+      obs::RankTrafficRecord rec;
+      rec.rank = static_cast<int>(p);
+      rec.sent_messages = t.sent_messages;
+      rec.recv_messages = t.recv_messages;
+      rec.sent_bytes = t.sent_bytes;
+      rec.recv_bytes = t.recv_bytes;
+      r->per_rank.push_back(rec);
     }
   }
 
-  BlockStore<D> make_store() const {
-    return BlockStore<D>(layout_, block_pool_);
-  }
-
-  /// Run the layout autotuner over the embedded solver config before any
-  /// layout-derived member is built (see AmrSolver::Config::autotune).
-  static Config resolve_cfg(Config cfg, const Phys& phys,
-                            tune::TuneDecision* dec) {
-    cfg.solver = tune::resolve_layout<D, Phys>(std::move(cfg.solver), phys, dec);
+  /// Modes the rank solver does not simulate, refused before any member is
+  /// built.
+  static const Config& supported(const Config& cfg) {
+    AB_REQUIRE(cfg.npes >= 1, "RankSolver: npes must be >= 1");
+    AB_REQUIRE(!cfg.solver.subcycling,
+               "RankSolver: subcycling is not supported");
+    AB_REQUIRE(cfg.solver.num_threads == 1,
+               "RankSolver: ranks are simulated serially");
     return cfg;
   }
 
-  // Declared before cfg_ so cfg_'s initializer (the autotuner) can fill it.
-  tune::TuneDecision tune_decision_;
-  Config cfg_;
-  Phys phys_;
-  Forest<D> forest_;
-  BlockLayout<D> layout_;
-  // One slab arena shared by every per-rank store (same layout throughout),
-  // so migration and refine/coarsen recycle slabs across ranks.
-  std::shared_ptr<BlockPool> block_pool_;
-  GhostExchanger<D> exchanger_;
+  Config rcfg_;  ///< solver member: the core's cfg_ (autotuned)
   std::vector<int> owner_;  ///< node id -> rank (-1 for non-leaves)
   BufferedExchange<D> buffered_;
   MessageBoard board_;
@@ -1256,10 +909,6 @@ class RankSolver {
   /// Cross-rank causal message tracing (bound to the telemetry's tracer at
   /// construction; inert while the tracer is disabled).
   obs::MsgTrace msg_trace_;
-  std::uint64_t step_span_ = 0;  ///< span id of the in-flight step (0 = none)
-  std::vector<BlockStore<D>> stores_;   ///< one private store per rank
-  std::vector<BlockStore<D>> scratch_;  ///< per-rank stage-1 result
-  std::vector<BlockStore<D>> stage2_;   ///< per-rank stage-2 (refluxing only)
   std::vector<FluxRegister<D>> registers_;  ///< per-rank flux recording
   std::vector<std::vector<BoundaryFace>> bfaces_by_pe_;
   /// Distributed metadata (Config::distributed_metadata / AB_DIST_META):
@@ -1296,19 +945,15 @@ class RankSolver {
   /// Hull-prefetch hints collected by exchange_hull_prefetch, consumed
   /// (and cleared) by the next rebuild_local_topology.
   std::vector<std::vector<BlockDesc<D>>> prefetch_hints_;
-  AlignedScratch kernel_scratch_;
+  /// Per-rank topology changes of the regrid in flight (distributed
+  /// metadata only).
+  std::vector<std::vector<TopoDeltaRecord<D>>> deltas_;
   std::vector<std::uint64_t> rank_flops_;
   std::vector<bool> alive_;  ///< per-rank liveness (deaths are permanent)
   int num_alive_ = 0;
   std::string last_checkpoint_path_;
   FaultStats fault_prev_;  ///< last stats published to the metrics registry
-  std::int64_t pool_reuse_seen_ = 0;  ///< pool counters exported so far
-  std::int64_t pool_fresh_seen_ = 0;
-  double time_ = 0.0;
-  std::uint64_t flops_ = 0;
-  std::uint64_t block_updates_ = 0;
-  std::int64_t step_index_ = 0;
-  RankStepCost last_step_{};
+  RankStepCost step_cost_{};  ///< the step in flight, then the last step
   RegridCost last_regrid_{};
   RankRunTotals totals_;
 };

@@ -3,6 +3,7 @@
 // mid-run regrids must stay BITWISE identical across thread counts, and a
 // rank-parallel run whose regrids re-partition and migrate blocks between
 // ranks (migration moves slabs through the shared pool) must match them.
+// Every run ends holding exactly two slabs per leaf.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -60,6 +61,11 @@ std::vector<double> run_script(Solver& solver, const ViewOf& view_of) {
   // The regrids must actually have exercised slab recycling.
   EXPECT_GT(solver.block_pool()->stats().reuse_hits, 0);
   EXPECT_GT(solver.block_pool()->stats().chunks, 0);
+  // Heun with refluxing holds two block sets, the state and the stage-1
+  // result: exactly two slabs per leaf, none kept for blocks that stopped
+  // being leaves.
+  EXPECT_EQ(solver.block_pool()->stats().slabs_in_use,
+            2 * solver.forest().num_leaves());
   return out;
 }
 

@@ -133,11 +133,13 @@ TEST(GhostBatchExecution, FillBlockMatchesReference) {
   seed_store(forest, a);
   seed_store(forest, b);
   // Prime both stores so prolongation slope stencils see identical ghosts,
-  // then spot-check the per-destination entry point against the reference.
+  // then spot-check the per-destination sequence (ops_into + apply, as the
+  // subcycled level pass runs it) against the reference.
   gx.fill(a);
   ab::testing::fill_per_cell(gx, b);
   for (int id : forest.leaves()) {
-    gx.fill_block(a, id);
+    for (int i : gx.ops_into(id))
+      gx.apply(a, gx.ops()[static_cast<std::size_t>(i)]);
     for (const auto& op : gx.ops())
       if (op.dst == id) ab::testing::apply_per_cell(gx, b, op);
   }

@@ -266,12 +266,15 @@ TEST(GhostExchanger, BoundaryFacesAreExactlyDomainBoundary) {
 }
 
 TEST(GhostExchanger, FillBlockFillsOnlyThatBlock) {
+  // One block's fill is its incoming ops (ops_into) applied one by one, the
+  // sequence the subcycled level pass runs.
   MixedFixture fx;
   auto fn = [](const RVec<2>& x, int) { return x[0] + 10.0 * x[1]; };
   set_from_function<2>(fx.forest, fx.store, fn);
   // Pick a block with a same-level neighbor.
   int id = fx.forest.find(0, {0, 0});
-  fx.gx.fill_block(fx.store, id);
+  for (int i : fx.gx.ops_into(id))
+    fx.gx.apply(fx.store, fx.gx.ops()[static_cast<std::size_t>(i)]);
   ConstBlockView<2> v = std::as_const(fx.store).view(id);
   // Its x-high ghost (same-level neighbor) is now correct...
   Box<2> slab = fx.lay.interior_box().face_ghost_slab(0, 1, fx.lay.ghost);

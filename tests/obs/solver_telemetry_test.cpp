@@ -4,6 +4,7 @@
 // trace spans, per-rank traffic tables — must be internally consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -227,6 +228,89 @@ TEST(TraceSpans, ThreadedRunRecordsPhasesAndBlockTasks) {
 }
 
 // ------------------------------------------------------------ RankSolver
+
+// Both solvers run one stepping core, so a serial and a rank-parallel run
+// of the same script (2D Euler with refluxing and a regrid) write the same
+// step records: the same phases, compute_dt and reflux included, and equal
+// step, time, block, cell, regrid and ghost-op fields. Only the rank
+// records carry a per-rank traffic table.
+TEST(StepReportJsonl, SerialAndRankRecordsMatch) {
+  const int steps = 4;
+  const int npes = 3;
+  GradientCriterion<2> crit{0, 0.05, 0.01, 2};
+  auto run_script = [&](auto& solver) {
+    solver.init(euler_ic);
+    solver.adapt(crit);
+    solver.init(euler_ic);
+    for (int i = 0; i < steps; ++i) {
+      solver.step(solver.compute_dt());
+      if (i == 1) solver.adapt(crit);
+    }
+  };
+  const std::string serial_path =
+      ::testing::TempDir() + "serial_vs_rank_serial.jsonl";
+  const std::string rank_path =
+      ::testing::TempDir() + "serial_vs_rank_rank.jsonl";
+  {
+    obs::Telemetry tel;
+    ASSERT_TRUE(tel.open_report(serial_path));
+    auto cfg = base_cfg(1);
+    cfg.telemetry = &tel;
+    AmrSolver<2, Euler<2>> serial(cfg, euler);
+    run_script(serial);
+  }
+  {
+    obs::Telemetry tel;
+    ASSERT_TRUE(tel.open_report(rank_path));
+    RankSolver<2, Euler<2>>::Config rcfg;
+    rcfg.solver = base_cfg(1);
+    rcfg.solver.telemetry = &tel;
+    rcfg.npes = npes;
+    rcfg.transport = wire::TransportKind::Board;
+    RankSolver<2, Euler<2>> ranks(rcfg, euler);
+    run_script(ranks);
+  }
+
+  const std::vector<testjson::Value> serial = read_jsonl(serial_path);
+  const std::vector<testjson::Value> rank = read_jsonl(rank_path);
+  ASSERT_EQ(serial.size(), static_cast<std::size_t>(steps));
+  ASSERT_EQ(rank.size(), serial.size());
+  double regrid_events = 0.0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "step " << i);
+    const testjson::Value& a = serial[i];
+    const testjson::Value& b = rank[i];
+    for (const char* field : {"step", "t", "dt", "blocks", "cells_updated",
+                              "refined", "coarsened"}) {
+      ASSERT_NE(a.find(field), nullptr) << field;
+      ASSERT_NE(b.find(field), nullptr) << field;
+      EXPECT_EQ(a.find(field)->number, b.find(field)->number) << field;
+    }
+    regrid_events +=
+        a.find("refined")->number + a.find("coarsened")->number;
+    const testjson::Value* ga = a.find("ghost_ops");
+    const testjson::Value* gb = b.find("ghost_ops");
+    ASSERT_NE(ga, nullptr);
+    ASSERT_NE(gb, nullptr);
+    for (const char* kind : {"copy", "restrict", "prolong"})
+      EXPECT_EQ(ga->find(kind)->number, gb->find(kind)->number) << kind;
+    EXPECT_GT(ga->find("copy")->number, 0.0);
+    const std::vector<std::string> phases = a.find("phases")->keys();
+    EXPECT_EQ(phases, b.find("phases")->keys());
+    for (const char* name : {"compute_dt", "ghost_exchange", "stage_update",
+                             "reflux", "epilogue"})
+      EXPECT_NE(std::find(phases.begin(), phases.end(), name), phases.end())
+          << name;
+    EXPECT_EQ(a.find("per_rank"), nullptr);
+    const testjson::Value* per_rank = b.find("per_rank");
+    ASSERT_NE(per_rank, nullptr);
+    EXPECT_EQ(per_rank->arr.size(), static_cast<std::size_t>(npes));
+  }
+  // The script's regrids (before step 0 and after step 1) changed the grid.
+  EXPECT_GT(regrid_events, 0.0);
+  std::remove(serial_path.c_str());
+  std::remove(rank_path.c_str());
+}
 
 template <class Phys>
 void expect_rank_identical(const RankSolver<2, Phys>& a,

@@ -87,7 +87,7 @@ TEST(ThreadPool, BackToBackCallsStayApart) {
   for (int call = 0; call < 200000; ++call) {
     const std::int64_t n = 5 + call % 4;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](std::int64_t i) { hits[i].fetch_add(1); }, 1);
+    pool.parallel_for(n, [&](std::int64_t i) { hits[i].fetch_add(1); });
     for (std::int64_t i = 0; i < n; ++i)
       ASSERT_EQ(hits[i].load(), 1) << "call " << call << " index " << i;
   }
