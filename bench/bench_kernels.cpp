@@ -16,6 +16,7 @@
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
+#include "physics/lanes.hpp"
 #include "physics/mhd.hpp"
 #include "util/aligned.hpp"
 
@@ -254,4 +255,12 @@ BENCHMARK(BM_WaveSpeedScan);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The instruction set fv_block_update dispatches its lanes to here.
+  benchmark::AddCustomContext("lane_isa", lanes::isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

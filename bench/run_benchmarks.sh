@@ -6,15 +6,16 @@
 #                       per-benchmark speedup_vs_seed ratio;
 #   BENCH_solver.json   the end-to-end BM_SolverStep results alone (the
 #                       thread-scaling numbers docs/PERFORMANCE.md quotes).
-# Both carry a "host" block (compiler, flags, nproc, git sha) so numbers
-# are attributable to the machine and build that produced them.
+# Both carry a "host" block (compiler, flags, lane ISA, nproc, git sha) so
+# numbers are attributable to the machine and build that produced them.
 #
 # Usage: bench/run_benchmarks.sh [build-dir] [extra bench_kernels args...]
 # Extra args are passed to bench_kernels; with --benchmark_repetitions=N
 # the per-repetition medians are used for the ratios, which smooths
-# machine noise. Keep AB_NATIVE_ARCH fixed across runs you intend to
-# compare; the seed baseline was recorded with AB_NATIVE_ARCH=OFF (plain
-# -O3); see docs/PERFORMANCE.md for how to read cross-config comparisons.
+# machine noise. The kernel picks its lane width from the CPU at run time;
+# the lane_isa stamp (from bench_kernels' context) says which it ran, and
+# runs you compare should share it. See docs/PERFORMANCE.md for how to
+# read cross-config comparisons.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -100,8 +101,6 @@ trap 'rm -f "$raw" "$churn_raw" "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw"'
 
 # Host metadata stamped into both output files.
 compiler="$(c++ --version 2>/dev/null | head -1 || echo unknown)"
-native_arch="$(grep -E '^AB_NATIVE_ARCH:BOOL=' "$build_dir/CMakeCache.txt" \
-  2>/dev/null | cut -d= -f2 || echo unknown)"
 cxx_flags="$(grep -E '^CMAKE_CXX_FLAGS_RELEASE:' "$build_dir/CMakeCache.txt" \
   2>/dev/null | cut -d= -f2- || true)"
 git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
@@ -114,7 +113,7 @@ ncpu="$(nproc 2>/dev/null || echo unknown)"
 seed="$repo_root/bench/BENCH_kernels_seed.json"
 out="$repo_root/BENCH_kernels.json"
 solver_out="$repo_root/BENCH_solver.json"
-AB_BENCH_COMPILER="$compiler" AB_BENCH_NATIVE_ARCH="$native_arch" \
+AB_BENCH_COMPILER="$compiler" \
 AB_BENCH_CXX_FLAGS="$cxx_flags" AB_BENCH_GIT_SHA="$git_sha" \
 AB_BENCH_NPROC="$ncpu" AB_BENCH_BUILD_TYPE="$build_type" \
 python3 - "$raw" "$seed" "$out" "$solver_out" "$churn_raw" \
@@ -126,7 +125,8 @@ import json, os, sys
 after = json.load(open(raw_path))
 host = {
     "compiler": os.environ.get("AB_BENCH_COMPILER", "unknown"),
-    "native_arch": os.environ.get("AB_BENCH_NATIVE_ARCH", "unknown"),
+    # The instruction set the kernel dispatched its lanes to on this host.
+    "lane_isa": after.get("context", {}).get("lane_isa", "unknown"),
     "cxx_flags_release": os.environ.get("AB_BENCH_CXX_FLAGS", ""),
     # Our CMAKE_BUILD_TYPE — not google-benchmark's library_build_type,
     # which describes the system benchmark library, not this code.

@@ -86,35 +86,36 @@ struct Euler {
   /// exactly the bits of flux_and_speeds on both states followed by the
   /// Rusanov combine of detail::numerical_flux.
   ///
-  /// Faces are solved two at a time in f64x2 lanes, an odd last face in a
-  /// double (src/physics/lanes.hpp); the pressure clamp and the std::max
-  /// chain are mask selects. The lanes are explicit because the library's
-  /// -O3 build does not vectorize this loop: at the baseline ISA std::sqrt
-  /// keeps its errno path as a branch.
+  /// Faces are solved W at a time in lanes (lanes::for_row<W>: f64x4
+  /// and f64x2 groups, an odd last face in a double; src/physics/lanes.hpp);
+  /// the pressure clamp and the std::max chain are mask selects. The lanes
+  /// are explicit because the library's -O3 build does not vectorize this
+  /// loop: std::sqrt keeps its errno path as a branch.
+  template <int W>
   void rusanov_flux_row(int dir, const double* pL, std::int64_t sL,
                         const double* pR, std::int64_t sR, double* F,
                         std::int64_t lane, int nf) const {
     if (dir == 0) {
-      rusanov_flux_row_impl<0>(pL, sL, pR, sR, F, lane, nf);
+      rusanov_flux_row_impl<W, 0>(pL, sL, pR, sR, F, lane, nf);
     } else if constexpr (D >= 2) {
       if (dir == 1) {
-        rusanov_flux_row_impl<1>(pL, sL, pR, sR, F, lane, nf);
+        rusanov_flux_row_impl<W, 1>(pL, sL, pR, sR, F, lane, nf);
       } else if constexpr (D >= 3) {
-        rusanov_flux_row_impl<2>(pL, sL, pR, sR, F, lane, nf);
+        rusanov_flux_row_impl<W, 2>(pL, sL, pR, sR, F, lane, nf);
       }
     }
   }
 
-  template <int dirc>
+  template <int W, int dirc>
   void rusanov_flux_row_impl(const double* pL, std::int64_t sL,
                              const double* pR, std::int64_t sR, double* F,
                              std::int64_t lane, int nf) const {
-    lanes::for_row(nf, [&]<class V>(std::type_identity<V>, int i) {
+    lanes::for_row<W>(nf, [&]<class V>(std::type_identity<V>, int i) {
       rusanov_lanes<dirc, V>(pL + i, sL, pR + i, sR, F + i, lane);
     });
   }
 
-  /// The Rusanov flux for the lanes::kWidth<V> faces starting at pL / pR /
+  /// The Rusanov flux for the faces one V holds, starting at pL / pR /
   /// F, with the expressions of flux_and_speeds in its order. Its |m|^2
   /// sum starts from 0.0; 0.0 + x*x is x*x for every x.
   template <int dirc, class V>

@@ -115,30 +115,32 @@ inline void numerical_flux(const Phys& phys, FluxScheme scheme,
 /// (lane scratch at stride `lane`, or the block array at stride
 /// field_stride() for the unreconstructed first-order case). Flux component
 /// v of face i is written to F[v * lane + i].
-template <class Phys>
+template <int W, class Phys>
 inline void flux_row(const Phys& phys, FluxScheme scheme, int dir,
                      const double* pL, std::int64_t strideL, const double* pR,
                      std::int64_t strideR, double* F, std::int64_t lane,
                      int nf) {
   using State = typename Phys::State;
-  // Physics-provided row forms (two faces at a time in explicit SIMD lanes,
+  // Physics-provided row forms (W faces at a time in explicit SIMD lanes,
   // src/physics/lanes.hpp; bitwise identical to the per-face evaluation)
   // take precedence.
   if constexpr (requires {
-                  phys.rusanov_flux_row(dir, pL, strideL, pR, strideR, F,
-                                        lane, nf);
+                  phys.template rusanov_flux_row<W>(dir, pL, strideL, pR,
+                                                    strideR, F, lane, nf);
                 }) {
     if (scheme == FluxScheme::Rusanov) {
-      phys.rusanov_flux_row(dir, pL, strideL, pR, strideR, F, lane, nf);
+      phys.template rusanov_flux_row<W>(dir, pL, strideL, pR, strideR, F,
+                                        lane, nf);
       return;
     }
   }
   if constexpr (requires {
-                  phys.hlld_flux_row(dir, pL, strideL, pR, strideR, F, lane,
-                                     nf);
+                  phys.template hlld_flux_row<W>(dir, pL, strideL, pR,
+                                                 strideR, F, lane, nf);
                 }) {
     if (scheme == FluxScheme::Hlld) {
-      phys.hlld_flux_row(dir, pL, strideL, pR, strideR, F, lane, nf);
+      phys.template hlld_flux_row<W>(dir, pL, strideL, pR, strideR, F, lane,
+                                     nf);
       return;
     }
   }
@@ -153,70 +155,16 @@ inline void flux_row(const Phys& phys, FluxScheme scheme, int dir,
   }
 }
 
-}  // namespace detail
-
-/// Estimated floating-point operations for one block update (used by the
-/// machine model; mirrors what fv_block_update returns).
-template <int D, class Phys>
-std::uint64_t fv_update_flops(const BlockLayout<D>& lay, SpatialOrder order) {
-  const IVec<D> m = lay.interior;
-  std::uint64_t faces = 0;
-  for (int dim = 0; dim < D; ++dim) {
-    std::uint64_t f = static_cast<std::uint64_t>(m[dim]) + 1;
-    for (int d = 0; d < D; ++d)
-      if (d != dim) f *= static_cast<std::uint64_t>(m[d]);
-    faces += f;
-  }
-  std::uint64_t per_face = 2 * Phys::kFluxFlops + 2 * Phys::kSpeedFlops +
-                           5 * Phys::NVAR + 4;
-  if (order == SpatialOrder::Second) per_face += 10 * Phys::NVAR;
-  std::uint64_t cells = static_cast<std::uint64_t>(lay.interior_cells());
-  std::uint64_t per_cell = 4 * static_cast<std::uint64_t>(D) * Phys::NVAR;
-  if (Phys::kHasSource) per_cell += 8 * D + 16;
-  return faces * per_face + cells * per_cell;
-}
-
-/// Single forward-Euler stage over one block: uout = uin + dt * L(uin).
-/// `uin`/`uout` are block base pointers (see BlockStore::view().base);
-/// ghosts of uin must be filled. Returns the flop count.
-///
-/// If `face_fluxes` is non-null (and allocated), the numerical fluxes
-/// through the block's 2*D boundary faces are recorded for later
-/// coarse/fine flux correction (see src/amr/flux_register.hpp).
-///
-/// `scratch` holds the pencil lanes; it is grown on demand and reused
-/// across calls. Pass one AlignedScratch per sweeping thread (the AMR
-/// driver keeps one per pool thread); when null, a thread-local arena is
-/// used, so concurrent calls are always safe.
-template <int D, class Phys>
-std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
-                              double* uout, const Phys& phys,
-                              const RVec<D>& dx, double dt, SpatialOrder order,
-                              LimiterKind lim = LimiterKind::VanLeer,
-                              FluxScheme scheme = FluxScheme::Rusanov,
-                              FaceFluxStorage<D>* face_fluxes = nullptr,
-                              const Box<D>* sub_box = nullptr,
-                              AlignedScratch* scratch = nullptr) {
-  static_assert(Phys::NVAR >= 1);
-  AB_REQUIRE(lay.nvar == Phys::NVAR, "fv_block_update: nvar mismatch");
-  AB_REQUIRE(lay.ghost >= (order == SpatialOrder::Second ? 2 : 1),
-             "fv_block_update: insufficient ghost layers for this order");
-
+/// The arithmetic of fv_block_update over `interior` at lane width W, with
+/// its pencil lanes in `pencil` (5 * NVAR lanes of `lane` doubles each).
+template <int W, int D, class Phys>
+void block_update(const BlockLayout<D>& lay, const double* uin, double* uout,
+                  const Phys& phys, const RVec<D>& dx, double dt,
+                  SpatialOrder order, LimiterKind lim, FluxScheme scheme,
+                  FaceFluxStorage<D>* face_fluxes, const Box<D>& interior,
+                  double* pencil, std::int64_t lane) {
   const std::int64_t fs = lay.field_stride();
   const IVec<D> m = lay.interior;
-  // Sub-blocking (the paper's fix for the 32^3 cache peak: "data mining the
-  // larger blocks into smaller ones"): update only `sub_box` of the
-  // interior. Tiling the interior with sub-boxes reproduces the full update
-  // exactly — interior tile faces are computed identically from both sides,
-  // and each tile writes only its own cells.
-  const Box<D> interior = sub_box != nullptr ? *sub_box : lay.interior_box();
-  if (sub_box != nullptr) {
-    AB_REQUIRE(lay.interior_box().contains(*sub_box),
-               "fv_block_update: sub_box outside the interior");
-    AB_REQUIRE(face_fluxes == nullptr,
-               "fv_block_update: face-flux recording needs the full block");
-  }
-
   constexpr int NV = Phys::NVAR;
   const bool second = order == SpatialOrder::Second;
   const int n0 = interior.hi[0] - interior.lo[0];  // cells per pencil
@@ -224,12 +172,7 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
 
   // Pencil lanes: slope lanes for two adjacent cell rows, left/right face
   // states, and fluxes — one contiguous aligned double lane per variable.
-  static thread_local AlignedScratch tls_scratch;
-  AlignedScratch& scr = scratch != nullptr ? *scratch : tls_scratch;
-  const std::int64_t lane =
-      (static_cast<std::int64_t>(n0) + 2 + 7) & ~std::int64_t{7};
-  double* lanes = scr.acquire(static_cast<std::size_t>(5 * NV * lane));
-  double* sA = lanes;              // slope lane, cell row A
+  double* sA = pencil;             // slope lane, cell row A
   double* sB = sA + NV * lane;     // slope lane, cell row B
   double* qL = sB + NV * lane;     // reconstructed left face states
   double* qR = qL + NV * lane;     // reconstructed right face states
@@ -259,7 +202,7 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
       if (second) {
         for (int v = 0; v < NV; ++v) {
           const double* u = uin + v * fs + roff;
-          limited_slope_row(lim, u - 2, u - 1, u, sA + v * lane, n0 + 2);
+          limited_slope_row<W>(lim, u - 2, u - 1, u, sA + v * lane, n0 + 2);
         }
         for (int v = 0; v < NV; ++v) {
           const double* AB_RESTRICT u = uin + v * fs + roff;
@@ -271,10 +214,10 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
             r[i] = u[i] - 0.5 * s[i + 1];
           }
         }
-        detail::flux_row(phys, scheme, 0, qL, lane, qR, lane, Fl, lane, nf0);
+        flux_row<W>(phys, scheme, 0, qL, lane, qR, lane, Fl, lane, nf0);
       } else {
-        detail::flux_row(phys, scheme, 0, uin + roff - 1, fs, uin + roff, fs,
-                         Fl, lane, nf0);
+        flux_row<W>(phys, scheme, 0, uin + roff - 1, fs, uin + roff, fs, Fl,
+                    lane, nf0);
       }
       if (face_fluxes != nullptr) {
         for (int v = 0; v < NV; ++v) {
@@ -310,10 +253,10 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
       if (second) {
         for (int v = 0; v < NV; ++v) {
           const double* u = uin + v * fs + base;
-          limited_slope_row(lim, u + (jlo - 2) * sd, u + (jlo - 1) * sd,
-                            u + jlo * sd, sL + v * lane, n0);
-          limited_slope_row(lim, u + (jlo - 1) * sd, u + jlo * sd,
-                            u + (jlo + 1) * sd, sR + v * lane, n0);
+          limited_slope_row<W>(lim, u + (jlo - 2) * sd, u + (jlo - 1) * sd,
+                               u + jlo * sd, sL + v * lane, n0);
+          limited_slope_row<W>(lim, u + (jlo - 1) * sd, u + jlo * sd,
+                               u + (jlo + 1) * sd, sR + v * lane, n0);
         }
       }
       for (int j = jlo; j <= jhi; ++j) {
@@ -332,11 +275,10 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
               r[t] = ur[t] - 0.5 * sr[t];
             }
           }
-          detail::flux_row(phys, scheme, dim, qL, lane, qR, lane, Fl, lane,
-                           n0);
+          flux_row<W>(phys, scheme, dim, qL, lane, qR, lane, Fl, lane, n0);
         } else {
-          detail::flux_row(phys, scheme, dim, uin + offL, fs, uin + offR, fs,
-                           Fl, lane, n0);
+          flux_row<W>(phys, scheme, dim, uin + offL, fs, uin + offR, fs, Fl,
+                      lane, n0);
         }
         if (face_fluxes != nullptr && (j == 0 || j == m[dim])) {
           const int side = j == 0 ? 0 : 1;
@@ -366,31 +308,96 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
           std::swap(sL, sR);
           for (int v = 0; v < NV; ++v) {
             const double* u = uin + v * fs + base;
-            limited_slope_row(lim, u + j * sd, u + (j + 1) * sd,
-                              u + (j + 2) * sd, sR + v * lane, n0);
+            limited_slope_row<W>(lim, u + j * sd, u + (j + 1) * sd,
+                                 u + (j + 2) * sd, sR + v * lane, n0);
           }
         }
       }
     });
   }
 
-  // Non-conservative source terms (Powell eight-wave for MHD).
+  // Non-conservative source terms (Powell eight-wave for MHD), one pencil
+  // row at a time: W cells per step, bitwise identical to add_source per
+  // cell (the oracle the reference kernel keeps).
   if constexpr (Phys::kHasSource) {
-    using State = typename Phys::State;
-    for_each_cell<D>(interior, [&](IVec<D> p) {
+    std::array<std::int64_t, D> strides;
+    for (int d = 0; d < D; ++d) strides[d] = lay.stride(d);
+    for_each_row<D>(interior, [&](IVec<D> p, int n) {
       const std::int64_t off = lay.offset(p);
-      const State u = detail::load_state<Phys>(uin, fs, off);
-      std::array<State, 2 * D> nbrs;
-      for (int d = 0; d < D; ++d) {
-        const std::int64_t s = lay.stride(d);
-        nbrs[2 * d + 0] = detail::load_state<Phys>(uin, fs, off - s);
-        nbrs[2 * d + 1] = detail::load_state<Phys>(uin, fs, off + s);
-      }
-      State du{};
-      phys.add_source(u, nbrs, dx, dt, du);
-      for (int v = 0; v < Phys::NVAR; ++v) uout[v * fs + off] += du[v];
+      phys.template add_source_row<W>(uin + off, fs, strides, dx, dt,
+                                      uout + off, n);
     });
   }
+}
+
+}  // namespace detail
+
+/// Estimated floating-point operations for one block update (used by the
+/// machine model; mirrors what fv_block_update returns).
+template <int D, class Phys>
+std::uint64_t fv_update_flops(const BlockLayout<D>& lay, SpatialOrder order) {
+  const IVec<D> m = lay.interior;
+  std::uint64_t faces = 0;
+  for (int dim = 0; dim < D; ++dim) {
+    std::uint64_t f = static_cast<std::uint64_t>(m[dim]) + 1;
+    for (int d = 0; d < D; ++d)
+      if (d != dim) f *= static_cast<std::uint64_t>(m[d]);
+    faces += f;
+  }
+  std::uint64_t per_face = 2 * Phys::kFluxFlops + 2 * Phys::kSpeedFlops +
+                           5 * Phys::NVAR + 4;
+  if (order == SpatialOrder::Second) per_face += 10 * Phys::NVAR;
+  std::uint64_t cells = static_cast<std::uint64_t>(lay.interior_cells());
+  std::uint64_t per_cell = 4 * static_cast<std::uint64_t>(D) * Phys::NVAR;
+  if (Phys::kHasSource) per_cell += 8 * D + 16;
+  return faces * per_face + cells * per_cell;
+}
+
+/// fv_block_update at lane width W: 2 runs the rows in f64x2 lanes at the
+/// ISA the caller is compiled for; 4 runs the whole update inside the AVX2
+/// entry (lanes::at_width), which only a CPU with lanes::max_width() == 4
+/// may call. Both give identical bytes. fv_block_update picks the width;
+/// tests call both.
+template <int W, int D, class Phys>
+std::uint64_t fv_block_update_at(const BlockLayout<D>& lay, const double* uin,
+                                 double* uout, const Phys& phys,
+                                 const RVec<D>& dx, double dt,
+                                 SpatialOrder order,
+                                 LimiterKind lim = LimiterKind::VanLeer,
+                                 FluxScheme scheme = FluxScheme::Rusanov,
+                                 FaceFluxStorage<D>* face_fluxes = nullptr,
+                                 const Box<D>* sub_box = nullptr,
+                                 AlignedScratch* scratch = nullptr) {
+  static_assert(Phys::NVAR >= 1);
+  AB_REQUIRE(lay.nvar == Phys::NVAR, "fv_block_update: nvar mismatch");
+  AB_REQUIRE(lay.ghost >= (order == SpatialOrder::Second ? 2 : 1),
+             "fv_block_update: insufficient ghost layers for this order");
+
+  // Sub-blocking (the paper's fix for the 32^3 cache peak: "data mining the
+  // larger blocks into smaller ones"): update only `sub_box` of the
+  // interior. Tiling the interior with sub-boxes reproduces the full update
+  // exactly — interior tile faces are computed identically from both sides,
+  // and each tile writes only its own cells.
+  const Box<D> interior = sub_box != nullptr ? *sub_box : lay.interior_box();
+  if (sub_box != nullptr) {
+    AB_REQUIRE(lay.interior_box().contains(*sub_box),
+               "fv_block_update: sub_box outside the interior");
+    AB_REQUIRE(face_fluxes == nullptr,
+               "fv_block_update: face-flux recording needs the full block");
+  }
+
+  static thread_local AlignedScratch tls_scratch;
+  AlignedScratch& scr = scratch != nullptr ? *scratch : tls_scratch;
+  const int n0 = interior.hi[0] - interior.lo[0];
+  const std::int64_t lane =
+      (static_cast<std::int64_t>(n0) + 2 + 7) & ~std::int64_t{7};
+  double* pencil =
+      scr.acquire(static_cast<std::size_t>(5 * Phys::NVAR * lane));
+  lanes::at_width<W>([&] {
+    detail::block_update<W, D, Phys>(lay, uin, uout, phys, dx, dt, order, lim,
+                                     scheme, face_fluxes, interior, pencil,
+                                     lane);
+  });
 
   std::uint64_t flops = fv_update_flops<D, Phys>(lay, order);
   if (sub_box != nullptr) {
@@ -399,6 +406,40 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
             static_cast<std::uint64_t>(lay.interior_cells());
   }
   return flops;
+}
+
+/// Single forward-Euler stage over one block: uout = uin + dt * L(uin).
+/// `uin`/`uout` are block base pointers (see BlockStore::view().base);
+/// ghosts of uin must be filled. Returns the flop count.
+///
+/// If `face_fluxes` is non-null (and allocated), the numerical fluxes
+/// through the block's 2*D boundary faces are recorded for later
+/// coarse/fine flux correction (see src/amr/flux_register.hpp).
+///
+/// `scratch` holds the pencil lanes; it is grown on demand and reused
+/// across calls. Pass one AlignedScratch per sweeping thread (the AMR
+/// driver keeps one per pool thread); when null, a thread-local arena is
+/// used, so concurrent calls are always safe.
+///
+/// The update runs at the widest lane width this CPU supports
+/// (lanes::max_width(): the AVX2 entry where the CPU has AVX2), chosen
+/// once per call for the whole block.
+template <int D, class Phys>
+std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
+                              double* uout, const Phys& phys,
+                              const RVec<D>& dx, double dt, SpatialOrder order,
+                              LimiterKind lim = LimiterKind::VanLeer,
+                              FluxScheme scheme = FluxScheme::Rusanov,
+                              FaceFluxStorage<D>* face_fluxes = nullptr,
+                              const Box<D>* sub_box = nullptr,
+                              AlignedScratch* scratch = nullptr) {
+  if (lanes::max_width() == lanes::kWidest)
+    return fv_block_update_at<lanes::kWidest, D, Phys>(
+        lay, uin, uout, phys, dx, dt, order, lim, scheme, face_fluxes,
+        sub_box, scratch);
+  return fv_block_update_at<2, D, Phys>(lay, uin, uout, phys, dx, dt, order,
+                                        lim, scheme, face_fluxes, sub_box,
+                                        scratch);
 }
 
 /// Whole-block update with optional sub-blocked loop tiling: when `tile` > 0

@@ -7,7 +7,7 @@
 // MinMod and None run the per-value functions in plain loops, which GCC
 // vectorizes at the baseline ISA. It does not if-convert van Leer's
 // guarded division or MC's early return, so those two rows run explicit
-// two-lane bodies (src/physics/lanes.hpp) with every branch a mask select.
+// lane bodies (src/physics/lanes.hpp) with every branch a mask select.
 // Both forms evaluate the identical arithmetic, so the pencil kernel stays
 // bitwise identical to the scalar reference.
 #pragma once
@@ -54,20 +54,20 @@ inline double mc_slope(double dm, double dp) {
 
 inline double central_slope(double dm, double dp) { return 0.5 * (dm + dp); }
 
-/// vanleer_slope for lanes::kWidth<V> cells: the same expressions, the
+/// vanleer_slope for the cells one V holds: the same expressions, the
 /// early return a select.
 template <class V>
-inline V vanleer_slope_lanes(V dm, V dp) {
+inline V vanleer_slope_lanes(const V& dm, const V& dp) {
   const V denom = dm + dp;
   const V slope = 2.0 * dm * dp / denom;
   return lanes::select((dm * dp <= 0.0) | (denom == 0.0),
                        lanes::broadcast<V>(0.0), slope);
 }
 
-/// mc_slope for lanes::kWidth<V> cells: the same expressions, every branch
+/// mc_slope for the cells one V holds: the same expressions, every branch
 /// a select.
 template <class V>
-inline V mc_slope_lanes(V dm, V dp) {
+inline V mc_slope_lanes(const V& dm, const V& dp) {
   const V c = 0.5 * (dm + dp);
   const V am = 2.0 * lanes::fabs(dm), ap = 2.0 * lanes::fabs(dp);
   const V lim = lanes::select(am < ap, am, ap);
@@ -97,7 +97,9 @@ inline double limited_slope(LimiterKind k, double dm, double dp) {
 
 /// Row form: s[i] = limited_slope(k, uc[i] - um[i], up[i] - uc[i]) for
 /// i in [0, n). `um`, `uc`, `up` are the lower/center/upper neighbor rows of
-/// the cells being limited (stride-1 along the pencil axis).
+/// the cells being limited (stride-1 along the pencil axis). W is the lane
+/// width of the van Leer and MC bodies (lanes::for_row).
+template <int W>
 inline void limited_slope_row(LimiterKind k, const double* AB_RESTRICT um,
                               const double* AB_RESTRICT uc,
                               const double* AB_RESTRICT up,
@@ -108,7 +110,7 @@ inline void limited_slope_row(LimiterKind k, const double* AB_RESTRICT um,
         s[i] = detail::minmod_slope(uc[i] - um[i], up[i] - uc[i]);
       break;
     case LimiterKind::VanLeer:
-      lanes::for_row(n, [&]<class V>(std::type_identity<V>, int i) {
+      lanes::for_row<W>(n, [&]<class V>(std::type_identity<V>, int i) {
         const V c = lanes::load<V>(uc + i);
         lanes::store<V>(s + i,
                         detail::vanleer_slope_lanes(c - lanes::load<V>(um + i),
@@ -116,7 +118,7 @@ inline void limited_slope_row(LimiterKind k, const double* AB_RESTRICT um,
       });
       break;
     case LimiterKind::MC:
-      lanes::for_row(n, [&]<class V>(std::type_identity<V>, int i) {
+      lanes::for_row<W>(n, [&]<class V>(std::type_identity<V>, int i) {
         const V c = lanes::load<V>(uc + i);
         lanes::store<V>(s + i,
                         detail::mc_slope_lanes(c - lanes::load<V>(um + i),

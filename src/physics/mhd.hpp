@@ -147,31 +147,33 @@ struct IdealMhd {
   /// exactly the bits of flux_and_speeds on both states followed by the
   /// Rusanov combine of detail::numerical_flux.
   ///
-  /// Faces are solved two at a time in f64x2 lanes, an odd last face in a
-  /// double (src/physics/lanes.hpp); the pressure and discriminant clamps
-  /// and the std::max chain are mask selects, as in hlld_flux_row.
+  /// Faces are solved W at a time in lanes, an odd last face in a double
+  /// (lanes::for_row<W>, src/physics/lanes.hpp); the pressure and
+  /// discriminant clamps and the std::max chain are mask selects, as in
+  /// hlld_flux_row.
+  template <int W>
   void rusanov_flux_row(int dir, const double* pL, std::int64_t sL,
                         const double* pR, std::int64_t sR, double* F,
                         std::int64_t lane, int nf) const {
     if (dir == 0) {
-      rusanov_flux_row_impl<0>(pL, sL, pR, sR, F, lane, nf);
+      rusanov_flux_row_impl<W, 0>(pL, sL, pR, sR, F, lane, nf);
     } else if (dir == 1) {
-      rusanov_flux_row_impl<1>(pL, sL, pR, sR, F, lane, nf);
+      rusanov_flux_row_impl<W, 1>(pL, sL, pR, sR, F, lane, nf);
     } else if constexpr (D >= 3) {
-      rusanov_flux_row_impl<2>(pL, sL, pR, sR, F, lane, nf);
+      rusanov_flux_row_impl<W, 2>(pL, sL, pR, sR, F, lane, nf);
     }
   }
 
-  template <int dirc>
+  template <int W, int dirc>
   void rusanov_flux_row_impl(const double* pL, std::int64_t sL,
                              const double* pR, std::int64_t sR, double* F,
                              std::int64_t lane, int nf) const {
-    lanes::for_row(nf, [&]<class V>(std::type_identity<V>, int i) {
+    lanes::for_row<W>(nf, [&]<class V>(std::type_identity<V>, int i) {
       rusanov_lanes<dirc, V>(pL + i, sL, pR + i, sR, F + i, lane);
     });
   }
 
-  /// The Rusanov flux for the lanes::kWidth<V> faces starting at pL / pR /
+  /// The Rusanov flux for the faces one V holds, starting at pL / pR /
   /// F, with the expressions of flux_and_speeds in its order. Its |m|^2
   /// and |B|^2 sums start from 0.0; 0.0 + x*x is x*x for every x, but a
   /// v.B term can be -0.0, so that sum keeps its 0.0.
@@ -254,6 +256,55 @@ struct IdealMhd {
       du[imag(i)] += c * u[imom(i)] * inv_rho;
     }
     du[ieng()] += c * vdotb;
+  }
+
+  /// Row form of the kernel's source step over `n` cells: cell i's variable
+  /// v is u[v*fs + i], its face neighbours along d are at +-stride[d], and
+  /// out[v*fs + i] gets the increment add_source writes into a zeroed du
+  /// added to it. Every cell gets exactly the bits of that per-cell step,
+  /// including the 0.0 + x of each accumulation into du (0.0 + -0.0 is
+  /// +0.0, and the density's increment is a bare 0.0).
+  ///
+  /// Cells are updated W at a time in lanes, an odd last cell in a double
+  /// (lanes::for_row<W>); div B is central differences of stride-1 loads.
+  template <int W>
+  void add_source_row(const double* u, std::int64_t fs,
+                      const std::array<std::int64_t, D>& stride,
+                      const RVec<D>& dx, double dt, double* out,
+                      int n) const {
+    lanes::for_row<W>(n, [&]<class V>(std::type_identity<V>, int i) {
+      source_lanes<V>(u + i, fs, stride, dx, dt, out + i);
+    });
+  }
+
+  /// add_source plus the accumulation into out for the cells one V
+  /// holds, starting at u / out, with add_source's expressions in its order.
+  template <class V>
+  void source_lanes(const double* u, std::int64_t fs,
+                    const std::array<std::int64_t, D>& stride,
+                    const RVec<D>& dx, double dt, double* out) const {
+    auto q = [&](int k) { return lanes::load<V>(u + k * fs); };
+    V divb = lanes::broadcast<V>(0.0);
+    for (int d = 0; d < D; ++d) {
+      const double* b = u + imag(d) * fs;
+      divb = divb + (lanes::load<V>(b + stride[d]) -
+                     lanes::load<V>(b - stride[d])) /
+                        (2.0 * dx[d]);
+    }
+    const V inv_rho = 1.0 / q(irho());
+    V vdotb = lanes::broadcast<V>(0.0);
+    for (int k = 0; k < 3; ++k)
+      vdotb = vdotb + q(imom(k)) * inv_rho * q(imag(k));
+    const V c = -dt * divb;
+    V du[NVAR];
+    du[irho()] = lanes::broadcast<V>(0.0);
+    for (int k = 0; k < 3; ++k) {
+      du[imom(k)] = 0.0 + c * q(imag(k));
+      du[imag(k)] = 0.0 + c * q(imom(k)) * inv_rho;
+    }
+    du[ieng()] = 0.0 + c * vdotb;
+    for (int k = 0; k < NVAR; ++k)
+      lanes::store<V>(out + k * fs, lanes::load<V>(out + k * fs) + du[k]);
   }
 
   /// HLLD approximate Riemann solver (Miyoshi & Kusano, JCP 2005): a
@@ -434,35 +485,36 @@ struct IdealMhd {
   /// pL[v*sL + i] / pR[v*sR + i], flux component v is written to
   /// F[v*lane + i]. Each face gets exactly the bits hlld_flux returns.
   ///
-  /// Faces are solved two at a time in f64x2 lanes, an odd last face in a
-  /// double (src/physics/lanes.hpp). hlld_lanes evaluates every region of
-  /// the wave fan with hlld_flux's expressions in its order of operations
-  /// and turns each branch into a mask select, so a lane carries no control
-  /// flow. The lanes are explicit because the library's -O3 build does not
-  /// vectorize this loop: std::sqrt keeps its errno path as a branch and the
-  /// guarded divisions are not speculated.
+  /// Faces are solved W at a time in lanes, an odd last face in a double
+  /// (lanes::for_row<W>, src/physics/lanes.hpp). hlld_lanes evaluates
+  /// every region of the wave fan with hlld_flux's expressions in its order
+  /// of operations and turns each branch into a mask select, so a lane
+  /// carries no control flow. The lanes are explicit because the library's
+  /// -O3 build does not vectorize this loop: std::sqrt keeps its errno path
+  /// as a branch and the guarded divisions are not speculated.
+  template <int W>
   void hlld_flux_row(int dir, const double* pL, std::int64_t sL,
                      const double* pR, std::int64_t sR, double* F,
                      std::int64_t lane, int nf) const {
     if (dir == 0) {
-      hlld_flux_row_impl<0>(pL, sL, pR, sR, F, lane, nf);
+      hlld_flux_row_impl<W, 0>(pL, sL, pR, sR, F, lane, nf);
     } else if (dir == 1) {
-      hlld_flux_row_impl<1>(pL, sL, pR, sR, F, lane, nf);
+      hlld_flux_row_impl<W, 1>(pL, sL, pR, sR, F, lane, nf);
     } else if constexpr (D >= 3) {
-      hlld_flux_row_impl<2>(pL, sL, pR, sR, F, lane, nf);
+      hlld_flux_row_impl<W, 2>(pL, sL, pR, sR, F, lane, nf);
     }
   }
 
-  template <int dirc>
+  template <int W, int dirc>
   void hlld_flux_row_impl(const double* pL, std::int64_t sL,
                           const double* pR, std::int64_t sR, double* F,
                           std::int64_t lane, int nf) const {
-    lanes::for_row(nf, [&]<class V>(std::type_identity<V>, int i) {
+    lanes::for_row<W>(nf, [&]<class V>(std::type_identity<V>, int i) {
       hlld_lanes<dirc, V>(pL + i, sL, pR + i, sR, F + i, lane);
     });
   }
 
-  /// hlld_flux for the lanes::kWidth<V> faces starting at pL / pR / F.
+  /// hlld_flux for the faces one V holds, starting at pL / pR / F.
   template <int dirc, class V>
   void hlld_lanes(const double* pL, std::int64_t sL, const double* pR,
                   std::int64_t sR, double* F, std::int64_t lane) const {
@@ -525,7 +577,7 @@ struct IdealMhd {
       V rho, e, vdotb;
       V v[3], b[3];
     };
-    auto make_star = [&](const Side& d, V sk) {
+    auto make_star = [&](const Side& d, const V& sk) {
       Star st;
       const V rsk = d.rho * (sk - d.u);
       const V rsk2 = rsk * (sk - d.u);

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "physics/lanes.hpp"
+
 namespace ab::tune {
 
 namespace {
@@ -221,21 +223,10 @@ std::string host_fingerprint(int dim, int nvar, int ghost) {
 #else
       "unknown"
 #endif
-     << "|isa:" <<
-#if defined(__AVX512F__)
-      "avx512"
-#elif defined(__AVX2__)
-      "avx2"
-#elif defined(__AVX__)
-      "avx"
-#elif defined(__SSE2__) || defined(__x86_64__)
-      "sse2"
-#elif defined(__ARM_NEON)
-      "neon"
-#else
-      "scalar"
-#endif
-     << "|d:" << dim << "|nvar:" << nvar << "|g:" << ghost;
+     // The ISA the probed kernel ran in (its run-time lane dispatch), not
+     // the one this file was compiled for.
+     << "|isa:" << lanes::isa() << "|d:" << dim << "|nvar:" << nvar
+     << "|g:" << ghost;
   return os.str();
 }
 

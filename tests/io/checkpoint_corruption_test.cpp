@@ -21,11 +21,13 @@
 #include "io/checkpoint.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
 
-const char* kPath = "/tmp/ab_checkpoint_corruption_test.bin";
+/// The running test's checkpoint file.
+std::string ckpt_path() { return testing::temp_path("checkpoint.bin"); }
 
 Forest<2>::Config forest_cfg() {
   Forest<2>::Config c;
@@ -52,11 +54,11 @@ std::vector<char> saved_image() {
         v.at(var, p) = id * 1000.0 + var * 100.0 + p[0] * 10.0 + p[1];
     });
   }
-  save_checkpoint<2>(kPath, f, store, 1.5);
-  std::ifstream is(kPath, std::ios::binary);
+  save_checkpoint<2>(ckpt_path(), f, store, 1.5);
+  std::ifstream is(ckpt_path(), std::ios::binary);
   std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
                           std::istreambuf_iterator<char>());
-  std::remove(kPath);
+  std::remove(ckpt_path().c_str());
   return bytes;
 }
 
@@ -94,19 +96,19 @@ std::vector<Section> section_layout(const std::vector<char>& bytes) {
 /// the outputs were not touched (forest still pristine, store empty).
 /// Returns the error message for content checks.
 std::string expect_rejected(const std::vector<char>& bytes) {
-  write_bytes(kPath, bytes);
+  write_bytes(ckpt_path(), bytes);
   Forest<2> g(forest_cfg());
   BlockStore<2> s(layout());
   std::string msg;
   try {
-    load_checkpoint<2>(kPath, g, s);
+    load_checkpoint<2>(ckpt_path(), g, s);
     ADD_FAILURE() << "corrupt checkpoint was accepted";
   } catch (const Error& e) {
     msg = e.what();
   }
   EXPECT_EQ(g.num_leaves(), 4) << "rejected load mutated the forest";
   EXPECT_EQ(s.num_allocated(), 0) << "rejected load mutated the store";
-  std::remove(kPath);
+  std::remove(ckpt_path().c_str());
   return msg;
 }
 
@@ -265,17 +267,17 @@ TEST(CheckpointCorruption, SaveIsAtomicAndLeavesNoTempFile) {
   Forest<2> f(forest_cfg());
   BlockStore<2> store(layout());
   for (int id : f.leaves()) store.ensure(id);
-  save_checkpoint<2>(kPath, f, store, 1.0);
+  save_checkpoint<2>(ckpt_path(), f, store, 1.0);
   // Overwrite in place: the second save must replace the first atomically.
-  save_checkpoint<2>(kPath, f, store, 2.0);
+  save_checkpoint<2>(ckpt_path(), f, store, 2.0);
   struct stat st{};
-  EXPECT_NE(stat(kPath, &st), -1);
-  EXPECT_EQ(stat((std::string(kPath) + ".tmp").c_str(), &st), -1)
+  EXPECT_NE(stat(ckpt_path().c_str(), &st), -1);
+  EXPECT_EQ(stat((ckpt_path() + ".tmp").c_str(), &st), -1)
       << "temporary file left behind after save";
   Forest<2> g(forest_cfg());
   BlockStore<2> s(layout());
-  EXPECT_DOUBLE_EQ(load_checkpoint<2>(kPath, g, s), 2.0);
-  std::remove(kPath);
+  EXPECT_DOUBLE_EQ(load_checkpoint<2>(ckpt_path(), g, s), 2.0);
+  std::remove(ckpt_path().c_str());
 }
 
 /// Tmp siblings of `path` (anything named <base>.tmp*) left in its
@@ -301,8 +303,7 @@ TEST(CheckpointCorruption, ConcurrentSaversNeverTearTheFile) {
   // bytes, and every rename publishes one writer's complete file. A
   // reader racing the writers must only ever see a complete, CRC-valid
   // checkpoint from one of them.
-  const std::string path = "/tmp/ab_ckpt_concurrent_" +
-                           std::to_string(::getpid()) + ".bin";
+  const std::string path = testing::temp_path("concurrent.bin");
   const int kWriters = 4;
   const int kSaves = 40;
   Forest<2> f(forest_cfg());
@@ -381,8 +382,7 @@ TEST(CheckpointCorruption, StrayTmpFromACrashedWriterIsNeverRead) {
   // A writer that dies mid-assembly leaves a garbage tmp under its unique
   // suffix. The real path (the previous complete checkpoint) must stay
   // loadable, and the loader must never fall back to ANY tmp sibling.
-  const std::string path = "/tmp/ab_ckpt_stray_" +
-                           std::to_string(::getpid()) + ".bin";
+  const std::string path = testing::temp_path("stray.bin");
   Forest<2> f(forest_cfg());
   BlockStore<2> store(layout());
   for (int id : f.leaves()) store.ensure(id);

@@ -7,11 +7,13 @@
 
 #include "amr/solver.hpp"
 #include "physics/euler.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
 
-const char* kPath = "/tmp/ab_checkpoint_test.bin";
+/// The running test's checkpoint file.
+std::string ckpt_path() { return testing::temp_path("checkpoint.bin"); }
 
 Forest<2>::Config forest_cfg() {
   Forest<2>::Config c;
@@ -36,11 +38,11 @@ TEST(Checkpoint, RoundTripTopologyAndData) {
         v.at(var, p) = id * 1000.0 + var * 100.0 + p[0] * 10.0 + p[1];
     });
   }
-  save_checkpoint<2>(kPath, f, store, 3.25);
+  save_checkpoint<2>(ckpt_path(), f, store, 3.25);
 
   Forest<2> g(forest_cfg());
   BlockStore<2> store2(lay);
-  const double t = load_checkpoint<2>(kPath, g, store2);
+  const double t = load_checkpoint<2>(ckpt_path(), g, store2);
   EXPECT_DOUBLE_EQ(t, 3.25);
   EXPECT_EQ(g.num_leaves(), f.num_leaves());
   // Identical leaf sets and data, matched by (level, coords).
@@ -55,7 +57,7 @@ TEST(Checkpoint, RoundTripTopologyAndData) {
         ASSERT_EQ(a.at(var, p), b.at(var, p));
     });
   }
-  std::remove(kPath);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(Checkpoint, V1FilesStillLoad) {
@@ -99,20 +101,20 @@ TEST(Checkpoint, RejectsMismatchedConfig) {
   BlockLayout<2> lay({4, 4}, 2, 3);
   BlockStore<2> store(lay);
   for (int id : f.leaves()) store.ensure(id);
-  save_checkpoint<2>(kPath, f, store, 0.0);
+  save_checkpoint<2>(ckpt_path(), f, store, 0.0);
 
   // Wrong root grid.
   Forest<2>::Config bad = forest_cfg();
   bad.root_blocks = {4, 4};
   Forest<2> g(bad);
   BlockStore<2> s2(lay);
-  EXPECT_THROW(load_checkpoint<2>(kPath, g, s2), Error);
+  EXPECT_THROW(load_checkpoint<2>(ckpt_path(), g, s2), Error);
 
   // Wrong layout.
   Forest<2> h(forest_cfg());
   BlockStore<2> s3(BlockLayout<2>({4, 4}, 2, 2));
-  EXPECT_THROW(load_checkpoint<2>(kPath, h, s3), Error);
-  std::remove(kPath);
+  EXPECT_THROW(load_checkpoint<2>(ckpt_path(), h, s3), Error);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(Checkpoint, RejectsNonPristineForest) {
@@ -120,23 +122,23 @@ TEST(Checkpoint, RejectsNonPristineForest) {
   BlockLayout<2> lay({4, 4}, 2, 1);
   BlockStore<2> store(lay);
   for (int id : f.leaves()) store.ensure(id);
-  save_checkpoint<2>(kPath, f, store, 0.0);
+  save_checkpoint<2>(ckpt_path(), f, store, 0.0);
 
   Forest<2> g(forest_cfg());
   g.refine(g.leaves()[0]);
   BlockStore<2> s2(lay);
-  EXPECT_THROW(load_checkpoint<2>(kPath, g, s2), Error);
-  std::remove(kPath);
+  EXPECT_THROW(load_checkpoint<2>(ckpt_path(), g, s2), Error);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(Checkpoint, RejectsGarbageFile) {
-  std::FILE* fp = std::fopen(kPath, "wb");
+  std::FILE* fp = std::fopen(ckpt_path().c_str(), "wb");
   std::fputs("not a checkpoint", fp);
   std::fclose(fp);
   Forest<2> g(forest_cfg());
   BlockStore<2> s(BlockLayout<2>({4, 4}, 2, 1));
-  EXPECT_THROW(load_checkpoint<2>(kPath, g, s), Error);
-  std::remove(kPath);
+  EXPECT_THROW(load_checkpoint<2>(ckpt_path(), g, s), Error);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(Checkpoint, SolverRestartContinuesIdentically) {
@@ -169,10 +171,10 @@ TEST(Checkpoint, SolverRestartContinuesIdentically) {
   b->adapt(crit);
   b->init(ic);
   for (int i = 0; i < 5; ++i) b->step(dt);
-  b->save(kPath);
+  b->save(ckpt_path());
 
   auto c = make();
-  c->restore(kPath);
+  c->restore(ckpt_path());
   EXPECT_DOUBLE_EQ(c->time(), b->time());
   for (int i = 0; i < 5; ++i) c->step(dt);
 
@@ -188,7 +190,7 @@ TEST(Checkpoint, SolverRestartContinuesIdentically) {
         ASSERT_DOUBLE_EQ(va.at(k, p), vc.at(k, p));
     });
   }
-  std::remove(kPath);
+  std::remove(ckpt_path().c_str());
 }
 
 TEST(Checkpoint, RestartAfterMidRunRegridIsBitwise) {
@@ -196,7 +198,7 @@ TEST(Checkpoint, RestartAfterMidRunRegridIsBitwise) {
   // topology, reload into a fresh solver, and continue — the restarted
   // run must be BITWISE identical (ASSERT_EQ, not near) to the
   // uninterrupted one, through a further regrid on the restarted side.
-  const char* path = "/tmp/ab_checkpoint_regrid_test.bin";
+  const std::string path = testing::temp_path("regrid.bin");
   Euler<2> phys;
   auto make = [&] {
     AmrSolver<2, Euler<2>>::Config cfg;
@@ -255,7 +257,7 @@ TEST(Checkpoint, RestartAfterMidRunRegridIsBitwise) {
       for (int k = 0; k < 4; ++k) ASSERT_EQ(va.at(k, p), vc.at(k, p));
     });
   }
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include "io/output.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,7 +46,7 @@ int count_lines(const std::string& path) {
 
 TEST(Output, CsvHasHeaderAndOneRowPerCell) {
   Fixture fx;
-  const std::string path = "/tmp/ab_test_cells.csv";
+  const std::string path = testing::temp_path("cells.csv");
   write_cells_csv<2>(path, fx.forest, fx.store, {"rho", "u"});
   // 7 blocks * 16 cells + header.
   EXPECT_EQ(count_lines(path), 7 * 16 + 1);
@@ -59,13 +60,14 @@ TEST(Output, CsvHasHeaderAndOneRowPerCell) {
 TEST(Output, CsvRejectsNameMismatch) {
   Fixture fx;
   EXPECT_THROW(
-      write_cells_csv<2>("/tmp/ab_x.csv", fx.forest, fx.store, {"rho"}),
+      write_cells_csv<2>(testing::temp_path("x.csv"), fx.forest, fx.store,
+                         {"rho"}),
       Error);
 }
 
 TEST(Output, VtkWritesMasterAndBlockFiles) {
   Fixture fx;
-  const std::string prefix = "/tmp/ab_test_vtk";
+  const std::string prefix = testing::temp_path("vtk");
   write_vtk_blocks<2>(prefix, fx.forest, fx.store, {"rho", "u"});
   std::ifstream master(prefix + ".visit");
   ASSERT_TRUE(master.good());

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "io/output.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
@@ -22,7 +23,7 @@ TEST(Pgm, WritesCorrectHeaderAndSize) {
     for_each_cell<2>(lay.interior_box(),
                      [&](IVec<2> p) { v.at(0, p) = f.level(id); });
   }
-  const std::string path = "/tmp/ab_test.pgm";
+  const std::string path = testing::temp_path("slice.pgm");
   write_pgm_slice(path, f, store, 0);
 
   std::ifstream is(path, std::ios::binary);
@@ -57,7 +58,7 @@ TEST(Pgm, ConstantFieldDoesNotDivideByZero) {
   BlockLayout<2> lay({4, 4}, 1, 2);
   BlockStore<2> store(lay);
   store.ensure(f.leaves()[0]);
-  const std::string path = "/tmp/ab_test_const.pgm";
+  const std::string path = testing::temp_path("const.pgm");
   write_pgm_slice(path, f, store, 1);
   std::ifstream is(path, std::ios::binary);
   EXPECT_TRUE(is.good());
@@ -70,7 +71,7 @@ TEST(Pgm, RejectsBadVariable) {
   Forest<2> f(cfg);
   BlockStore<2> store(BlockLayout<2>({4, 4}, 1, 1));
   store.ensure(f.leaves()[0]);
-  EXPECT_THROW(write_pgm_slice("/tmp/x.pgm", f, store, 3), Error);
+  EXPECT_THROW(write_pgm_slice(testing::temp_path("x.pgm"), f, store, 3), Error);
 }
 
 }  // namespace

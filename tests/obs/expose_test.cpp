@@ -16,6 +16,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab::obs {
 namespace {
@@ -61,7 +62,7 @@ TEST(PrometheusText, EmptySnapshotIsEmpty) {
 TEST(DumpMetrics, WritesAtomicallyAndLeavesNoTmpFile) {
   MetricsRegistry reg;
   reg.counter("dump.events")->add(7);
-  const std::string path = "expose_test_dump.prom";
+  const std::string path = testing::temp_path("dump.prom");
   ASSERT_TRUE(dump_metrics(reg, path));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -10,6 +10,7 @@
 
 #include "obs/report.hpp"
 #include "support/mini_json.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab::obs {
 namespace {
@@ -156,7 +157,7 @@ TEST(JsonLine, EscapesMetricNames) {
 }
 
 TEST(ReportWriter, WritesOneLinePerRecord) {
-  const std::string path = ::testing::TempDir() + "report_test_steps.jsonl";
+  const std::string path = testing::temp_path("steps.jsonl");
   {
     ReportWriter w(path);
     ASSERT_TRUE(w.ok());

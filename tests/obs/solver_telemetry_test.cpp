@@ -18,6 +18,7 @@
 #include "parsim/rank_solver.hpp"
 #include "physics/euler.hpp"
 #include "support/mini_json.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
@@ -94,8 +95,7 @@ TEST_P(TelemetryBitwise, ActiveTelemetryDoesNotPerturbSolution) {
 
   obs::Telemetry tel;
   tel.trace.set_enabled(true);
-  const std::string path = ::testing::TempDir() + "tel_bitwise_" +
-                           std::to_string(threads) + ".jsonl";
+  const std::string path = testing::temp_path("report.jsonl");
   ASSERT_TRUE(tel.open_report(path));
   const std::vector<double> observed = run(threads, &tel);
 
@@ -109,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, TelemetryBitwise, ::testing::Values(1, 4));
 
 void check_report(int threads) {
   obs::Telemetry tel;
-  const std::string path = ::testing::TempDir() + "tel_report_" +
-                           std::to_string(threads) + ".jsonl";
+  const std::string path =
+      testing::temp_path(std::to_string(threads) + ".jsonl");
   ASSERT_TRUE(tel.open_report(path));
   run(threads, &tel);
 
@@ -248,9 +248,9 @@ TEST(StepReportJsonl, SerialAndRankRecordsMatch) {
     }
   };
   const std::string serial_path =
-      ::testing::TempDir() + "serial_vs_rank_serial.jsonl";
+      testing::temp_path("serial.jsonl");
   const std::string rank_path =
-      ::testing::TempDir() + "serial_vs_rank_rank.jsonl";
+      testing::temp_path("rank.jsonl");
   {
     obs::Telemetry tel;
     ASSERT_TRUE(tel.open_report(serial_path));
@@ -337,7 +337,7 @@ TEST(RankSolverTelemetry, PerRankTrafficRecordsAndBitwiseInvisibility) {
   RankSolver<2, Euler<2>> plain(rcfg, euler);
 
   obs::Telemetry tel;
-  const std::string path = ::testing::TempDir() + "rank_tel.jsonl";
+  const std::string path = testing::temp_path("rank.jsonl");
   ASSERT_TRUE(tel.open_report(path));
   rcfg.solver.telemetry = &tel;
   RankSolver<2, Euler<2>> observed(rcfg, euler);

@@ -19,6 +19,7 @@
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
 #include "support/rng.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
@@ -266,8 +267,8 @@ void copy_file(const std::string& from, const std::string& to) {
 /// state must be bitwise equal to a fresh solver restarted from the same
 /// checkpoint and advanced without any failure.
 TEST(Recovery, RankDeathRecoversBitwiseFromLastCheckpoint) {
-  const std::string ckpt = "/tmp/ab_fault_recovery_ckpt.bin";
-  const std::string ref = "/tmp/ab_fault_recovery_ref.bin";
+  const std::string ckpt = testing::temp_path("ckpt.bin");
+  const std::string ref = testing::temp_path("ref.bin");
   Euler<2> phys;
   const auto scfg = euler_cfg();
   const auto ic = euler_ic(phys);
@@ -328,7 +329,7 @@ TEST(Recovery, RankDeathRecoversBitwiseFromLastCheckpoint) {
 }
 
 TEST(Recovery, AdvanceToRecoversAndAdaptExcludesDeadRank) {
-  const std::string ckpt = "/tmp/ab_fault_advance_ckpt.bin";
+  const std::string ckpt = testing::temp_path("ckpt.bin");
   Euler<2> phys;
   const auto scfg = euler_cfg();
   FaultPlan::Config fcfg;
@@ -394,7 +395,7 @@ TEST(Recovery, CadenceRequiresAPath) {
 }
 
 TEST(Recovery, TelemetryCountsCheckpointsFaultsAndRecoveries) {
-  const std::string ckpt = "/tmp/ab_fault_telemetry_ckpt.bin";
+  const std::string ckpt = testing::temp_path("ckpt.bin");
   Euler<2> phys;
   obs::Telemetry tel;
   FaultPlan::Config fcfg;

@@ -38,6 +38,7 @@
 #include "physics/euler.hpp"
 #include "support/rng.hpp"
 #include "util/crc32.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
@@ -765,9 +766,7 @@ class WireSpmdRecovery
 TEST_P(WireSpmdRecovery, KilledRankRecoversBitwise) {
   const wire::TransportKind kind = GetParam();
   const int npes = 3;
-  const std::string base =
-      "/tmp/ab_wire_spmd_recovery_" + std::to_string(::getpid()) + "_" +
-      wire::transport_name(kind);
+  const std::string base = testing::temp_path(wire::transport_name(kind));
   Euler<2> phys;
   const auto scfg = euler_cfg(true);
   const auto ic = euler_ic(phys);

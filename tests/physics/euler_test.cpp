@@ -2,14 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
-#include <cstdint>
-#include <vector>
-
-#include "physics/kernel.hpp"
-#include "support/flux_row.hpp"
-#include "support/rng.hpp"
 
 namespace ab {
 namespace {
@@ -118,99 +111,6 @@ TEST(Euler, OneDimensionalVariant) {
   phys.flux(u, 0, f);
   EXPECT_NEAR(f[0], 1.0, 1e-13);
   EXPECT_NEAR(f[1], 2.0, 1e-13);  // rho v^2 + p
-}
-
-/// A row of `n` random Euler cells: some rows drift supersonically
-/// through the faces, some cells repeat their neighbour, and about one in
-/// eight has p < 0 or p = 0 exactly, so both arms of the pressure clamp run.
-template <int D>
-std::vector<typename Euler<D>::State> fuzz_euler_cells(
-    const Euler<D>& phys, int dir, int n, testing::SplitMix64& rng) {
-  using E = Euler<D>;
-  const double sign = rng.below(2) == 0 ? 1.0 : -1.0;
-  const double drift = rng.below(3) == 0 ? sign * rng.uniform(1.5, 6.0) : 0.0;
-  std::vector<typename E::State> cells;
-  for (int c = 0; c < n; ++c) {
-    if (c > 0 && rng.below(6) == 0) {
-      cells.push_back(cells.back());
-      continue;
-    }
-    const double rho = rng.uniform(0.2, 2.0);
-    double p = rng.uniform(0.05, 2.0);
-    double v[D];
-    for (int k = 0; k < D; ++k) v[k] = rng.uniform(-2.0, 2.0);
-    v[dir] += drift;
-    switch (rng.below(16)) {
-      case 0:
-        p = -rng.uniform(0.01, 0.5);
-        break;
-      case 1:  // at rest with zero energy: the pressure is exactly 0
-        p = 0.0;
-        for (int k = 0; k < D; ++k) v[k] = 0.0;
-        break;
-      default:
-        break;
-    }
-    typename E::State u{};
-    u[E::irho()] = rho;
-    double ke = 0.0;
-    for (int k = 0; k < D; ++k) {
-      u[E::imom(k)] = rho * v[k];
-      ke += v[k] * v[k];
-    }
-    u[E::ieng()] = p / (phys.gamma - 1.0) + 0.5 * rho * ke;
-    cells.push_back(u);
-  }
-  return cells;
-}
-
-/// Fuzzes rusanov_flux_row(dir) against detail::numerical_flux face by
-/// face, for rows of nf in {1, 2, 8, 9} in lane-scratch and in block
-/// layout. `clamped[0]` / `clamped[1]` count face states whose pressure
-/// was kept / clamped to 0 for the sound speed.
-template <int D>
-void fuzz_rusanov_row(const Euler<D>& phys, int dir, std::uint64_t seed,
-                      std::array<std::int64_t, 2>& clamped) {
-  using State = typename Euler<D>::State;
-  testing::SplitMix64 rng(seed);
-  auto row = [&](const double* pL, std::int64_t sL, const double* pR,
-                 std::int64_t sR, double* F, std::int64_t lane, int nf) {
-    phys.rusanov_flux_row(dir, pL, sL, pR, sR, F, lane, nf);
-  };
-  auto face = [&](const State& uL, const State& uR, State& f) {
-    detail::numerical_flux<Euler<D>>(phys, FluxScheme::Rusanov, uL, uR, dir,
-                                     f);
-  };
-  for (int nf : {1, 2, 8, 9}) {
-    for (bool block_stride : {false, true}) {
-      for (int row_index = 0; row_index < 200; ++row_index) {
-        const auto cells = fuzz_euler_cells<D>(phys, dir, nf + 1, rng);
-        for (int i = 0; i < nf; ++i)
-          for (const State& u : {cells[i], cells[i + 1]})
-            ++clamped[phys.pressure(u) > 0.0 ? 0 : 1];
-        SCOPED_TRACE(::testing::Message()
-                     << "D=" << D << " dir=" << dir << " seed=" << seed
-                     << " row=" << row_index);
-        ASSERT_NO_FATAL_FAILURE(
-            testing::expect_row_matches_faces(cells, block_stride, row, face));
-      }
-    }
-  }
-}
-
-TEST(Euler, RusanovRowMatchesPerFaceBitwise) {
-  std::array<std::int64_t, 2> clamped{};
-  Euler<1> phys1;
-  fuzz_rusanov_row<1>(phys1, 0, testing::splitmix64(10), clamped);
-  Euler<2> phys2;
-  for (int dir = 0; dir < 2; ++dir)
-    fuzz_rusanov_row<2>(phys2, dir, testing::splitmix64(20 + dir), clamped);
-  Euler<3> phys3;
-  phys3.gamma = 5.0 / 3.0;
-  for (int dir = 0; dir < 3; ++dir)
-    fuzz_rusanov_row<3>(phys3, dir, testing::splitmix64(30 + dir), clamped);
-  EXPECT_GT(clamped[0], 0) << "no face state had p > 0";
-  EXPECT_GT(clamped[1], 0) << "no face state had its pressure clamped";
 }
 
 }  // namespace

@@ -1,19 +1,13 @@
 // HLLD approximate Riemann solver for ideal MHD (Miyoshi & Kusano 2005).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "amr/solver.hpp"
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
 #include "physics/mhd.hpp"
-#include "support/flux_row.hpp"
-#include "support/rng.hpp"
 #include "util/aligned.hpp"
 
 namespace ab {
@@ -175,144 +169,6 @@ TEST(Hlld, BlastStaysPhysical) {
       ASSERT_TRUE(std::isfinite(phys.pressure(s)));
     });
   }
-}
-
-// --- hlld_flux_row against the per-face solver -------------------------
-
-// The regions of the wave fan hlld_flux can return, plus the clamp and
-// degenerate-denominator arms the row form turns into selects.
-enum Arm {
-  kSupersonicLeft,
-  kSupersonicRight,
-  kBn0StarLeft,
-  kBn0StarRight,
-  kStarLeft,
-  kStarRight,
-  kDoubleStarLeft,
-  kDoubleStarRight,
-  kDegenerateStar,     // a star state in the flux had its Bt switched off
-  kPressureClamp,      // a side's fast speed clamped p < 0 to 0
-  kDiscriminantClamp,  // a side's fast-speed discriminant was clamped
-  kNumArms
-};
-constexpr const char* kArmNames[kNumArms] = {
-    "supersonic left",  "supersonic right",  "bn=0 star left",
-    "bn=0 star right",  "star left",         "star right",
-    "double star left", "double star right", "degenerate star",
-    "pressure clamp",   "discriminant clamp"};
-
-/// Marks in `hit` the arms hlld_flux(uL, uR, dir) takes, recomputing its
-/// branch conditions with its expressions.
-template <int D>
-void mark_arms(const IdealMhd<D>& phys, const typename IdealMhd<D>::State& uL,
-               const typename IdealMhd<D>::State& uR, int dir,
-               std::array<std::int64_t, kNumArms>& hit) {
-  using M = IdealMhd<D>;
-  auto clamps = [&](const typename M::State& q) {
-    double b2 = 0.0;
-    for (int i = 0; i < 3; ++i) b2 += q[M::imag(i)] * q[M::imag(i)];
-    double p = phys.pressure(q);
-    if (p < 0.0) {
-      ++hit[kPressureClamp];
-      p = 0.0;
-    }
-    const double rho = q[M::irho()];
-    const double a2 = phys.gamma * p / rho;
-    const double cad2 = q[M::imag(dir)] * q[M::imag(dir)] / rho;
-    const double s = a2 + b2 / rho;
-    if (s * s - 4.0 * a2 * cad2 < 0.0) ++hit[kDiscriminantClamp];
-    return phys.pressure(q) + 0.5 * b2;  // total pressure
-  };
-  const double ptl = clamps(uL), ptr = clamps(uR);
-  const double ul = uL[M::imom(dir)] / uL[M::irho()];
-  const double ur = uR[M::imom(dir)] / uR[M::irho()];
-  const double bn = 0.5 * (uL[M::imag(dir)] + uR[M::imag(dir)]);
-  const double cfl = phys.fast_speed(uL, dir), cfr = phys.fast_speed(uR, dir);
-  const double sl = std::min(ul - cfl, ur - cfr);
-  const double sr = std::max(ul + cfl, ur + cfr);
-  if (sl >= 0.0) {
-    ++hit[kSupersonicLeft];
-    return;
-  }
-  if (sr <= 0.0) {
-    ++hit[kSupersonicRight];
-    return;
-  }
-  const double dl = (sl - ul) * uL[M::irho()];
-  const double dr = (sr - ur) * uR[M::irho()];
-  const double sm = (dr * ur - dl * ul - ptr + ptl) / (dr - dl);
-  // Star density and whether the star's denominator is degenerate.
-  auto star = [&](const typename M::State& q, double u, double sk,
-                  bool& degenerate) {
-    const double rho = q[M::irho()];
-    const double denom = rho * (sk - u) * (sk - sm) - bn * bn;
-    degenerate = !(std::fabs(denom) >
-                   1e-12 * (rho * (sk - u) * (sk - u) + bn * bn + 1e-300));
-    return rho * (sk - u) / (sk - sm);
-  };
-  bool degl = false, degr = false;
-  const double rhol = star(uL, ul, sl, degl), rhor = star(uR, ur, sr, degr);
-  bool degenerate = false;
-  if (bn == 0.0) {
-    ++hit[sm >= 0.0 ? kBn0StarLeft : kBn0StarRight];
-    degenerate = sm >= 0.0 ? degl : degr;
-  } else if (sm - std::fabs(bn) / std::sqrt(rhol) >= 0.0) {
-    ++hit[kStarLeft];
-    degenerate = degl;
-  } else if (sm + std::fabs(bn) / std::sqrt(rhor) <= 0.0) {
-    ++hit[kStarRight];
-    degenerate = degr;
-  } else {
-    ++hit[sm >= 0.0 ? kDoubleStarLeft : kDoubleStarRight];
-    degenerate = degl || degr;
-  }
-  if (degenerate) ++hit[kDegenerateStar];
-}
-
-/// Fuzzes hlld_flux_row(dir) against hlld_flux face by face, for rows of
-/// nf in {1, 2, 8, 9} in lane-scratch and in block layout.
-template <int D>
-void fuzz_hlld_row(const IdealMhd<D>& phys, int dir, std::uint64_t seed,
-                   std::array<std::int64_t, kNumArms>& hit) {
-  using State = typename IdealMhd<D>::State;
-  testing::SplitMix64 rng(seed);
-  auto row = [&](const double* pL, std::int64_t sL, const double* pR,
-                 std::int64_t sR, double* F, std::int64_t lane, int nf) {
-    phys.hlld_flux_row(dir, pL, sL, pR, sR, F, lane, nf);
-  };
-  auto face = [&](const State& uL, const State& uR, State& f) {
-    phys.hlld_flux(uL, uR, dir, f);
-  };
-  for (int nf : {1, 2, 8, 9}) {
-    for (bool block_stride : {false, true}) {
-      for (int row_index = 0; row_index < 400; ++row_index) {
-        // Face i sits between cells i and i + 1.
-        const auto cells = testing::fuzz_mhd_cells<D>(phys, dir, nf + 1, rng);
-        for (int i = 0; i < nf; ++i)
-          mark_arms<D>(phys, cells[i], cells[i + 1], dir, hit);
-        SCOPED_TRACE(::testing::Message()
-                     << "D=" << D << " dir=" << dir << " seed=" << seed
-                     << " row=" << row_index);
-        ASSERT_NO_FATAL_FAILURE(
-            testing::expect_row_matches_faces(cells, block_stride, row, face));
-      }
-    }
-  }
-}
-
-TEST(Hlld, RowMatchesPerFaceBitwise) {
-  std::array<std::int64_t, kNumArms> hit{};
-  IdealMhd<2> phys2;
-  phys2.gamma = 1.4;
-  for (int dir = 0; dir < 2; ++dir)
-    fuzz_hlld_row<2>(phys2, dir, testing::splitmix64(20 + dir), hit);
-  IdealMhd<3> phys3;
-  for (int dir = 0; dir < 3; ++dir)
-    fuzz_hlld_row<3>(phys3, dir, testing::splitmix64(30 + dir), hit);
-  // Every arm of the per-face branch tree was exercised, so no select in
-  // the row form went untested.
-  for (int a = 0; a < kNumArms; ++a)
-    EXPECT_GT(hit[a], 0) << "no face took the " << kArmNames[a] << " arm";
 }
 
 TEST(Hlld, SchemeRejectedForPhysicsWithoutIt) {

@@ -3,6 +3,8 @@
 // same arithmetic on the same values in the same per-cell order — across every
 // physics, spatial order, limiter, and flux scheme, including face-flux
 // recording, sub-box tiling, and execution through the threaded AMR driver.
+// Each direct comparison runs at lane width 2 and, through the AVX2 entry,
+// at width 4 (support/lane_width.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,8 +17,9 @@
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
-#include "support/kernel_reference.hpp"
 #include "physics/mhd.hpp"
+#include "support/kernel_reference.hpp"
+#include "support/lane_width.hpp"
 #include "util/aligned.hpp"
 
 namespace ab {
@@ -39,7 +42,7 @@ void fill_block(const BlockLayout<D>& lay, double* base, const F& state_of) {
   });
 }
 
-template <int D, class Phys, class F>
+template <int W, int D, class Phys, class F>
 void expect_bitwise_equal(const Phys& phys, const F& state_of,
                           SpatialOrder order, LimiterKind lim,
                           FluxScheme scheme, int m = 8) {
@@ -51,7 +54,7 @@ void expect_bitwise_equal(const Phys& phys, const F& state_of,
   std::memset(reference.data(), 0, nd * sizeof(double));
   const RVec<D> dx(0.01);
   const double dt = 1e-4;
-  const std::uint64_t fa = fv_block_update<D, Phys>(
+  const std::uint64_t fa = fv_block_update_at<W, D, Phys>(
       lay, uin.data(), pencil.data(), phys, dx, dt, order, lim, scheme);
   const std::uint64_t fb = fv_block_update_reference<D, Phys>(
       lay, uin.data(), reference.data(), phys, dx, dt, order, lim, scheme);
@@ -63,7 +66,7 @@ void expect_bitwise_equal(const Phys& phys, const F& state_of,
       << " scheme=" << static_cast<int>(scheme);
 }
 
-TEST(KernelEquivalence, Advection3DAllLimitersAndSchemes) {
+AB_LANE_WIDTH_TEST(KernelEquivalence, Advection3DAllLimitersAndSchemes) {
   LinearAdvection<3> phys;
   phys.velocity = {1.0, 0.5, -0.2};
   auto state_of = [](IVec<3> p) {
@@ -74,7 +77,7 @@ TEST(KernelEquivalence, Advection3DAllLimitersAndSchemes) {
   for (SpatialOrder order : kOrders)
     for (LimiterKind lim : kLimiters)
       for (FluxScheme scheme : {FluxScheme::Rusanov, FluxScheme::Hll})
-        expect_bitwise_equal<3>(phys, state_of, order, lim, scheme);
+        expect_bitwise_equal<W, 3>(phys, state_of, order, lim, scheme);
 }
 
 template <int D>
@@ -88,9 +91,10 @@ typename Euler<D>::State smooth_euler(const Euler<D>& phys, IVec<D> p) {
 }
 
 // m = 8 is the default block: even rows throughout except the dim-0 flux
-// rows (nf0 = 9), which end on a one-face tail in the two-lane row forms.
-// At m = 9 the transverse flux and slope rows get the odd tail instead.
-TEST(KernelEquivalence, Euler3DAllLimitersAndSchemes) {
+// rows (nf0 = 9), which end on a one-face tail at both widths. At m = 9 the
+// transverse flux and slope rows get the odd tail instead, and the dim-0
+// rows (nf0 = 10) a two-lane group after the four-lane ones at width 4.
+AB_LANE_WIDTH_TEST(KernelEquivalence, Euler3DAllLimitersAndSchemes) {
   Euler<3> phys;
   auto state_of = [&](IVec<3> p) { return smooth_euler<3>(phys, p); };
   for (int m : {8, 9})
@@ -98,10 +102,10 @@ TEST(KernelEquivalence, Euler3DAllLimitersAndSchemes) {
       for (LimiterKind lim : kLimiters)
         for (FluxScheme scheme :
              {FluxScheme::Rusanov, FluxScheme::Hll, FluxScheme::Roe})
-          expect_bitwise_equal<3>(phys, state_of, order, lim, scheme, m);
+          expect_bitwise_equal<W, 3>(phys, state_of, order, lim, scheme, m);
 }
 
-TEST(KernelEquivalence, Mhd3DAllLimitersAndSchemes) {
+AB_LANE_WIDTH_TEST(KernelEquivalence, Mhd3DAllLimitersAndSchemes) {
   IdealMhd<3> phys;
   auto state_of = [&](IVec<3> p) {
     const double phase = 0.3 * p[0] + 0.45 * p[1] - 0.25 * p[2];
@@ -115,12 +119,12 @@ TEST(KernelEquivalence, Mhd3DAllLimitersAndSchemes) {
     for (LimiterKind lim : kLimiters)
       for (FluxScheme scheme :
            {FluxScheme::Rusanov, FluxScheme::Hll, FluxScheme::Hlld})
-        expect_bitwise_equal<3>(phys, state_of, order, lim, scheme);
+        expect_bitwise_equal<W, 3>(phys, state_of, order, lim, scheme);
 }
 
 // The 2D HLLD path ot2d_mhd runs: at m = 8 (its block shape) a dim-0 row
-// has nf0 = 9 faces, so the two-lane row form ends on a one-face tail; at
-// m = 9 the dim-0 rows are even (nf0 = 10) and the transverse rows odd.
+// has nf0 = 9 faces, so the row forms end on a one-face tail; at m = 9 the
+// dim-0 rows are even (nf0 = 10) and the transverse rows odd.
 template <int D>
 typename IdealMhd<D>::State smooth_mhd(const IdealMhd<D>& phys, IVec<D> p) {
   const double phase = 0.35 * p[0] + 0.5 * p[1];
@@ -131,32 +135,35 @@ typename IdealMhd<D>::State smooth_mhd(const IdealMhd<D>& phys, IVec<D> p) {
       0.8 + 0.3 * std::cos(0.7 * phase));
 }
 
-TEST(KernelEquivalence, Mhd2DHlldAllLimiters) {
+AB_LANE_WIDTH_TEST(KernelEquivalence, Mhd2DHlldAllLimiters) {
   IdealMhd<2> phys;
   auto state_of = [&](IVec<2> p) { return smooth_mhd<2>(phys, p); };
   for (int m : {8, 9})
     for (SpatialOrder order : kOrders)
       for (LimiterKind lim : kLimiters)
-        expect_bitwise_equal<2>(phys, state_of, order, lim, FluxScheme::Hlld,
-                                m);
+        expect_bitwise_equal<W, 2>(phys, state_of, order, lim,
+                                   FluxScheme::Hlld, m);
 }
 
-TEST(KernelEquivalence, LowerDimensions) {
+AB_LANE_WIDTH_TEST(KernelEquivalence, LowerDimensions) {
   Euler<1> phys1;
   auto s1 = [&](IVec<1> p) { return smooth_euler<1>(phys1, p); };
   Euler<2> phys2;
   auto s2 = [&](IVec<2> p) { return smooth_euler<2>(phys2, p); };
   for (SpatialOrder order : kOrders)
     for (LimiterKind lim : kLimiters) {
-      expect_bitwise_equal<1>(phys1, s1, order, lim, FluxScheme::Hll, 16);
-      expect_bitwise_equal<1>(phys1, s1, order, lim, FluxScheme::Rusanov, 16);
-      expect_bitwise_equal<2>(phys2, s2, order, lim, FluxScheme::Rusanov, 10);
+      expect_bitwise_equal<W, 1>(phys1, s1, order, lim, FluxScheme::Hll, 16);
+      expect_bitwise_equal<W, 1>(phys1, s1, order, lim, FluxScheme::Rusanov,
+                                 16);
+      expect_bitwise_equal<W, 2>(phys2, s2, order, lim, FluxScheme::Rusanov,
+                                 10);
       // The rank_p8_churn block.
-      expect_bitwise_equal<2>(phys2, s2, order, lim, FluxScheme::Rusanov, 8);
+      expect_bitwise_equal<W, 2>(phys2, s2, order, lim, FluxScheme::Rusanov,
+                                 8);
     }
 }
 
-template <int D, class Phys, class F>
+template <int W, int D, class Phys, class F>
 void expect_face_fluxes_equal(const Phys& phys, const F& state_of,
                               FluxScheme scheme) {
   BlockLayout<D> lay(IVec<D>(8), 2, Phys::NVAR);
@@ -168,8 +175,9 @@ void expect_face_fluxes_equal(const Phys& phys, const F& state_of,
     FaceFluxStorage<D> ffa, ffb;
     ffa.allocate(lay);
     ffb.allocate(lay);
-    fv_block_update<D, Phys>(lay, uin.data(), pencil.data(), phys, dx, 1e-4,
-                             order, LimiterKind::VanLeer, scheme, &ffa);
+    fv_block_update_at<W, D, Phys>(lay, uin.data(), pencil.data(), phys, dx,
+                                   1e-4, order, LimiterKind::VanLeer, scheme,
+                                   &ffa);
     fv_block_update_reference<D, Phys>(lay, uin.data(), reference.data(),
                                        phys, dx, 1e-4, order,
                                        LimiterKind::VanLeer, scheme, &ffb);
@@ -183,19 +191,19 @@ void expect_face_fluxes_equal(const Phys& phys, const F& state_of,
   }
 }
 
-TEST(KernelEquivalence, FaceFluxRecording) {
+AB_LANE_WIDTH_TEST(KernelEquivalence, FaceFluxRecording) {
   Euler<3> euler;
-  expect_face_fluxes_equal<3>(
+  expect_face_fluxes_equal<W, 3>(
       euler, [&](IVec<3> p) { return smooth_euler<3>(euler, p); },
       FluxScheme::Hll);
   // ot2d_mhd records its HLLD face fluxes for flux correction.
   IdealMhd<2> mhd;
-  expect_face_fluxes_equal<2>(
+  expect_face_fluxes_equal<W, 2>(
       mhd, [&](IVec<2> p) { return smooth_mhd<2>(mhd, p); },
       FluxScheme::Hlld);
 }
 
-TEST(KernelEquivalence, SubBoxTilingMatchesFullUpdate) {
+AB_LANE_WIDTH_TEST(KernelEquivalence, SubBoxTilingMatchesFullUpdate) {
   Euler<3> phys;
   BlockLayout<3> lay(IVec<3>(8), 2, Euler<3>::NVAR);
   const std::size_t nd = static_cast<std::size_t>(lay.block_doubles());
@@ -211,10 +219,10 @@ TEST(KernelEquivalence, SubBoxTilingMatchesFullUpdate) {
     for (int j = 0; j < 2; ++j)
       for (int i = 0; i < 2; ++i) {
         Box<3> sub{{4 * i, 4 * j, 4 * k}, {4 * i + 4, 4 * j + 4, 4 * k + 4}};
-        fv_block_update<3, Euler<3>>(lay, uin.data(), tiled.data(), phys, dx,
-                                     1e-4, SpatialOrder::Second,
-                                     LimiterKind::VanLeer, FluxScheme::Rusanov,
-                                     nullptr, &sub);
+        fv_block_update_at<W, 3, Euler<3>>(
+            lay, uin.data(), tiled.data(), phys, dx, 1e-4,
+            SpatialOrder::Second, LimiterKind::VanLeer, FluxScheme::Rusanov,
+            nullptr, &sub);
       }
   fv_block_update_reference<3, Euler<3>>(lay, uin.data(), reference.data(),
                                          phys, dx, 1e-4, SpatialOrder::Second,

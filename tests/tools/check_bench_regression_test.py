@@ -43,31 +43,30 @@ class HostFieldGuards(unittest.TestCase):
             [sys.executable, TOOL, "--seed", seed, "--current", current],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
-    def test_native_arch_mismatch_is_refused(self):
+    def test_lane_isa_mismatch_is_refused(self):
         base = {"build_type": "Release"}
-        r = self.compare(dict(base, native_arch="ON"),
-                         dict(base, native_arch="OFF"))
+        r = self.compare(dict(base, lane_isa="avx2"),
+                         dict(base, lane_isa="sse2"))
         self.assertNotEqual(r.returncode, 0)
-        self.assertIn("native-arch mismatch", r.stderr)
+        self.assertIn("lane-ISA mismatch", r.stderr)
         self.assertNotIn("OK:", r.stdout)
 
-    def test_matching_native_arch_is_compared(self):
-        host = {"build_type": "Release", "native_arch": "OFF"}
+    def test_matching_lane_isa_is_compared(self):
+        host = {"build_type": "Release", "lane_isa": "avx2"}
         r = self.compare(host, dict(host))
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("OK: 1 benchmark(s)", r.stdout)
 
-    def test_undeclared_native_arch_is_compared(self):
+    def test_undeclared_lane_isa_is_compared(self):
         r = self.compare({"build_type": "Release"},
-                         {"build_type": "Release", "native_arch": "ON"})
+                         {"build_type": "Release", "lane_isa": "avx2"})
         self.assertEqual(r.returncode, 0, r.stderr)
 
     def test_build_type_mismatch_is_refused(self):
-        r = self.compare({"build_type": "Release", "native_arch": "OFF"},
-                         {"build_type": "Debug", "native_arch": "OFF"})
+        r = self.compare({"build_type": "Release", "lane_isa": "avx2"},
+                         {"build_type": "Debug", "lane_isa": "avx2"})
         self.assertNotEqual(r.returncode, 0)
         self.assertIn("build-type mismatch", r.stderr)
-
 
 if __name__ == "__main__":
     unittest.main()

@@ -8,8 +8,10 @@
 
 #include "amr/solver.hpp"
 #include "physics/euler.hpp"
+#include "physics/lanes.hpp"
 #include "tune/autotuner.hpp"
 #include "tune/cache.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
@@ -65,7 +67,7 @@ TEST(TuneCache, JsonRoundTripIsByteStable) {
 }
 
 TEST(TuneCache, SaveThenLoadWithMatchingKey) {
-  const std::string path = ::testing::TempDir() + "/tune_cache_rt.json";
+  const std::string path = testing::temp_path("cache.json");
   const tune::TuneCache c = sample_cache();
   ASSERT_TRUE(tune::save_cache(path, c));
   const std::optional<tune::TuneCache> back =
@@ -79,7 +81,7 @@ TEST(TuneCache, SaveThenLoadWithMatchingKey) {
 }
 
 TEST(TuneCache, HostKeyMismatchRejected) {
-  const std::string path = ::testing::TempDir() + "/tune_cache_key.json";
+  const std::string path = testing::temp_path("cache.json");
   ASSERT_TRUE(tune::save_cache(path, sample_cache()));
   EXPECT_FALSE(tune::load_cache(path, "other-host|different").has_value());
   std::remove(path.c_str());
@@ -87,7 +89,7 @@ TEST(TuneCache, HostKeyMismatchRejected) {
 
 TEST(TuneCache, MissingFileIsNullopt) {
   EXPECT_FALSE(
-      tune::load_cache(::testing::TempDir() + "/no_such_cache.json", "")
+      tune::load_cache(testing::temp_path("no_such_cache.json"), "")
           .has_value());
 }
 
@@ -120,7 +122,7 @@ TEST(TuneCache, CorruptionAndTruncationRejected) {
 }
 
 TEST(TuneCache, SolverFallsBackToFreshProbeOnCorruptCache) {
-  const std::string path = ::testing::TempDir() + "/tune_cache_corrupt.json";
+  const std::string path = testing::temp_path("cache.json");
   write_file(path, "{\"format\":1,\"host_key\":\"trunc");
   typename AmrSolver<2, Euler<2>>::Config cfg;
   cfg.forest.root_blocks = {4, 4};
@@ -142,7 +144,7 @@ TEST(TuneCache, SolverFallsBackToFreshProbeOnCorruptCache) {
 }
 
 TEST(TuneCache, SolverReprobesOnForeignHostKey) {
-  const std::string path = ::testing::TempDir() + "/tune_cache_foreign.json";
+  const std::string path = testing::temp_path("cache.json");
   tune::TuneCache foreign = sample_cache();
   foreign.host_key = "some-other-machine|cxx:x|isa:y|d:2|nvar:4|g:2";
   ASSERT_TRUE(tune::save_cache(path, foreign));
@@ -174,6 +176,15 @@ TEST(TuneCache, HostFingerprintEncodesProblemShape) {
   EXPECT_NE(a, tune::host_fingerprint(2, 8, 2));
   EXPECT_NE(a, tune::host_fingerprint(3, 4, 2));
   EXPECT_EQ(a, tune::host_fingerprint(3, 8, 2));  // stable within a build
+}
+
+// A layout probed on one kernel ISA must not be reused by another, so the
+// key names the ISA the kernel dispatches to at run time: on a CPU with
+// AVX2 a baseline build's key says avx2, not the compile-time sse2.
+TEST(TuneCache, HostFingerprintNamesDispatchedKernelIsa) {
+  const std::string a = tune::host_fingerprint(2, 8, 2);
+  const std::string isa = lanes::max_width() == 4 ? "avx2" : lanes::isa();
+  EXPECT_NE(a.find("|isa:" + isa + "|"), std::string::npos) << a;
 }
 
 }  // namespace

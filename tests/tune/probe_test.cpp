@@ -11,6 +11,7 @@
 #include "physics/mhd.hpp"
 #include "tune/autotuner.hpp"
 #include "tune/probe.hpp"
+#include "support/temp_path.hpp"
 
 namespace ab {
 namespace {
@@ -145,7 +146,7 @@ typename AmrSolver<2, Euler<2>>::Config autotuned_cfg(
 TEST(TuneEnv, EndToEndProbePickRecordThenReuse) {
   EnvGuard env(nullptr);  // decide from the config flag alone
   const std::string cache =
-      ::testing::TempDir() + "/tune_probe_e2e_cache.json";
+      testing::temp_path("cache.json");
   std::remove(cache.c_str());
   Euler<2> phys;
 
@@ -179,7 +180,7 @@ TEST(TuneEnv, EndToEndProbePickRecordThenReuse) {
 
 TEST(TuneEnv, EnvZeroForcesOffAndLayoutUntouched) {
   EnvGuard env("0");
-  const std::string cache = ::testing::TempDir() + "/tune_env_off_cache.json";
+  const std::string cache = testing::temp_path("cache.json");
   std::remove(cache.c_str());
   Euler<2> phys;
   AmrSolver<2, Euler<2>> solver(autotuned_cfg(cache), phys);
@@ -197,7 +198,7 @@ TEST(TuneEnv, EnvZeroForcesOffAndLayoutUntouched) {
 
 TEST(TuneEnv, EnvOneForcesOnOverConfigDefault) {
   EnvGuard env("1");
-  const std::string cache = ::testing::TempDir() + "/tune_env_on_cache.json";
+  const std::string cache = testing::temp_path("cache.json");
   std::remove(cache.c_str());
   auto cfg = autotuned_cfg(cache);
   cfg.autotune = false;  // env wins

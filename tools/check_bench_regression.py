@@ -23,8 +23,9 @@ seed by more than --threshold (a ratio: 1.5 means "fails below 1/1.5 of the
 seed items/second"). Benchmarks missing on either side are reported but do
 not fail the check, and the seed context's compiler/flags are echoed so
 cross-configuration comparisons are visible for what they are. Files whose
-host blocks both declare a build_type, or both a native_arch, must agree on
-it; a mismatch is refused before any comparison.
+host blocks both declare a build_type, or both a lane_isa (the instruction
+set the kernel dispatched its lanes to), must agree on it; a mismatch is
+refused before any comparison.
 
 --obs-overhead additionally (or standalone) asserts that attaching a quiet
 Telemetry to the rank solver costs no more than --obs-overhead-max (default
@@ -88,7 +89,8 @@ def load_benchmarks(path, label):
     host = doc.get("host", {})
     if not isinstance(host, dict):
         host = {}
-    return benches, context, host.get("build_type"), host.get("native_arch")
+    return (benches, context, host.get("build_type"),
+            host.get("lane_isa", context.get("lane_isa")))
 
 
 def run_benchmarks(binary, bench_filter, repetitions):
@@ -111,7 +113,8 @@ def run_benchmarks(binary, bench_filter, repetitions):
     except json.JSONDecodeError as e:
         sys.exit(f"error: {binary} did not produce valid benchmark JSON "
                  f"({e.msg})")
-    return doc.get("benchmarks", []), doc.get("context", {}), None, None
+    context = doc.get("context", {})
+    return doc.get("benchmarks", []), context, None, context.get("lane_isa")
 
 
 def check_obs_overhead(path, max_frac):
@@ -259,14 +262,14 @@ def main():
             return obs_status
         print()
 
-    seed_benches, seed_ctx, seed_bt, seed_na = load_benchmarks(
+    seed_benches, seed_ctx, seed_bt, seed_isa = load_benchmarks(
         args.seed, "seed baseline")
     if args.bench_binary:
-        cur_benches, cur_ctx, cur_bt, cur_na = run_benchmarks(
+        cur_benches, cur_ctx, cur_bt, cur_isa = run_benchmarks(
             args.bench_binary, args.filter, args.repetitions
         )
     else:
-        cur_benches, cur_ctx, cur_bt, cur_na = load_benchmarks(
+        cur_benches, cur_ctx, cur_bt, cur_isa = load_benchmarks(
             args.current, "current")
 
     # Comparisons must be like-for-like: a Debug run "regressing" against a
@@ -282,15 +285,14 @@ def main():
             "CMAKE_BUILD_TYPE (bench/run_benchmarks.sh enforces Release) "
             "before comparing"
         )
-    # Likewise for AB_NATIVE_ARCH: -march=native -fno-math-errno is what
-    # lets GCC vectorize the Rusanov flux rows, so ON and OFF runs of the
-    # same code differ by the build, not by the change.
-    if seed_na and cur_na and seed_na != cur_na:
+    # Likewise for the lane ISA: the kernel picks its lane width from the
+    # CPU at run time (four doubles under AVX2, else two), so runs on hosts
+    # that dispatch differently differ by the host, not by the change.
+    if seed_isa and cur_isa and seed_isa != cur_isa:
         sys.exit(
-            f"error: native-arch mismatch — seed was built with "
-            f"AB_NATIVE_ARCH={seed_na} but the current run with "
-            f"AB_NATIVE_ARCH={cur_na}; rebuild both with the same "
-            "-DAB_NATIVE_ARCH before comparing"
+            f"error: lane-ISA mismatch — the seed's kernel ran in "
+            f"{seed_isa} lanes but the current run's in {cur_isa}; "
+            "compare runs from hosts that dispatch to the same ISA"
         )
 
     seed_rep = representative(seed_benches)

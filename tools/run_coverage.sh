@@ -14,8 +14,7 @@ label="${2:-}"
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
-  -DAB_COVERAGE=ON \
-  -DAB_NATIVE_ARCH=OFF
+  -DAB_COVERAGE=ON
 cmake --build "$build_dir" -j
 
 ctest_args=(--test-dir "$build_dir" --output-on-failure -j "$(nproc)")

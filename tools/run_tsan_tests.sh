@@ -11,8 +11,7 @@ build_dir="${1:-$repo_root/build-tsan}"
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DAB_SANITIZE_THREAD=ON \
-  -DAB_NATIVE_ARCH=OFF
+  -DAB_SANITIZE_THREAD=ON
 
 targets=(thread_pool_test block_pool_test ghost_test
          ghost_batch_test parallel_solver_test amr_solver_test
