@@ -25,7 +25,7 @@ build_dir="${1:-$repo_root/build}"
 if [ ! -x "$build_dir/bench/bench_kernels" ]; then
   echo "bench_kernels not built; configuring $build_dir" >&2
   cmake -B "$build_dir" -S "$repo_root" > /dev/null
-  cmake --build "$build_dir" --target bench_kernels -j > /dev/null
+  cmake --build "$build_dir" --target bench_kernels -j "$(nproc)" > /dev/null
 fi
 
 # Refuse to record numbers from a non-Release build: -O0/-Og results are
@@ -49,23 +49,23 @@ if [ "$build_type" != "Release" ]; then
 fi
 
 if [ ! -x "$build_dir/bench/abl_regrid_churn" ]; then
-  cmake --build "$build_dir" --target abl_regrid_churn -j > /dev/null
+  cmake --build "$build_dir" --target abl_regrid_churn -j "$(nproc)" > /dev/null
 fi
 
 if [ ! -x "$build_dir/bench/fig5_block_size" ]; then
-  cmake --build "$build_dir" --target fig5_block_size -j > /dev/null
+  cmake --build "$build_dir" --target fig5_block_size -j "$(nproc)" > /dev/null
 fi
 
 if [ ! -x "$build_dir/bench/abl_scale_ranks" ]; then
-  cmake --build "$build_dir" --target abl_scale_ranks -j > /dev/null
+  cmake --build "$build_dir" --target abl_scale_ranks -j "$(nproc)" > /dev/null
 fi
 
 if [ ! -x "$build_dir/bench/abl_obs_overhead" ]; then
-  cmake --build "$build_dir" --target abl_obs_overhead -j > /dev/null
+  cmake --build "$build_dir" --target abl_obs_overhead -j "$(nproc)" > /dev/null
 fi
 
 if [ ! -x "$build_dir/bench/abl_wire_transport" ]; then
-  cmake --build "$build_dir" --target abl_wire_transport -j > /dev/null
+  cmake --build "$build_dir" --target abl_wire_transport -j "$(nproc)" > /dev/null
 fi
 
 raw="$(mktemp)"

@@ -33,8 +33,7 @@ class FluxRegister {
   static constexpr int kSubfaces = 1 << (D - 1);
 
   /// One coarse/fine face correction. Public so distributed drivers can
-  /// walk the plan and route fine-side payloads between ranks (the plan is
-  /// identical on every rank; only the flux storage is rank-local).
+  /// walk the plan and route fine-side payloads between ranks.
   struct Correction {
     int coarse = -1;
     int fine = -1;

@@ -31,6 +31,7 @@ class AmrSolver : public SteppingCore<D, Phys, AmrSolver<D, Phys>> {
   using Core = SteppingCore<D, Phys, AmrSolver<D, Phys>>;
   friend Core;
   using typename Core::StoreSet;
+  using Core::block_tmp_;
   using Core::block_updates_;
   using Core::cfg_;
   using Core::exchanger_;
@@ -162,7 +163,9 @@ class AmrSolver : public SteppingCore<D, Phys, AmrSolver<D, Phys>> {
   /// Apply one ghost op for a subcycled fill at time `tau`: same-level and
   /// finer sources are synchronized at tau (recursion invariant); coarser
   /// sources are interpolated linearly between their old (scratch_) and
-  /// current (u_) states.
+  /// current (u_) states. The old state's prolongation is packed into the
+  /// thread's block buffer, the current one applied in place, and each row
+  /// blended.
   void apply_subcycled_op(const GhostOp<D>& op, double tau) {
     if (op.kind != GhostOpKind::Prolong) {
       exchanger_.apply(u_[0], op);
@@ -177,22 +180,19 @@ class AmrSolver : public SteppingCore<D, Phys, AmrSolver<D, Phys>> {
       exchanger_.apply(u_[0], op);  // pure current state
       return;
     }
-    BlockView<D> dst = u_[0].view(op.dst);
-    ConstBlockView<D> cur = std::as_const(u_[0]).view(op.src);
-    ConstBlockView<D> old = std::as_const(scratch_[0]).view(op.src);
+    double* old = block_tmp_[this->thread_slot()].acquire(
+        static_cast<std::size_t>(exchanger_.op_payload_doubles(op)));
+    exchanger_.pack_op(scratch_[0], op, old);
+    exchanger_.apply(u_[0], op);
+    const BlockLayout<D>& lay = this->layout_;
+    double* base = u_[0].view(op.dst).base;
     for (int v = 0; v < Phys::NVAR; ++v) {
-      for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-        IVec<D> gf = q + op.a;
-        IVec<D> cc, parity;
-        for (int d = 0; d < D; ++d) {
-          cc[d] = (gf[d] >> 1) - op.b[d];
-          parity[d] = gf[d] & 1;
-        }
-        const double vo = prolong_value<D>(old, v, cc, parity, op.valid,
-                                           exchanger_.prolongation());
-        const double vc = prolong_value<D>(cur, v, cc, parity, op.valid,
-                                           exchanger_.prolongation());
-        dst.at(v, q) = (1.0 - theta) * vo + theta * vc;
+      double* d = base + v * lay.field_stride();
+      for_each_row<D>(op.dst_box, [&](IVec<D> q, int n) {
+        double* cur = d + lay.offset(q);
+        for (int t = 0; t < n; ++t)
+          cur[t] = (1.0 - theta) * old[t] + theta * cur[t];
+        old += n;
       });
     }
   }

@@ -170,68 +170,36 @@ void GhostExchanger<D>::rebuild() {
 
 namespace {
 
-/// Evaluate one op from the source data, emitting (var, cell, value) in a
-/// deterministic order (vars outer, dst_box cells inner). Backs the
-/// sender-side message pack, which tests pair with unpack_op as the
-/// per-cell oracle for the batched row paths.
-template <int D, class Emit>
-void compute_op(const BlockLayout<D>& layout, Prolongation prolongation,
-                const ConstBlockView<D>& src, const GhostOp<D>& op,
-                Emit&& emit) {
-  const int nvar = layout.nvar;
-  switch (op.kind) {
-    case GhostOpKind::SameCopy:
-      for (int v = 0; v < nvar; ++v)
-        for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-          emit(v, q, src.at(v, q + op.a));
-        });
-      break;
-    case GhostOpKind::Restrict:
-      for (int v = 0; v < nvar; ++v)
-        for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-          emit(v, q, restrict_value<D>(src, v, q.shifted_left(1) + op.a));
-        });
-      break;
-    case GhostOpKind::Prolong:
-      for (int v = 0; v < nvar; ++v)
-        for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-          IVec<D> gf = q + op.a;  // global fine index (unwrapped)
-          IVec<D> cc, parity;
-          for (int d = 0; d < D; ++d) {
-            cc[d] = (gf[d] >> 1) - op.b[d];
-            parity[d] = gf[d] & 1;
-          }
-          emit(v, q,
-               prolong_value<D>(src, v, cc, parity, op.valid, prolongation));
-        });
-      break;
-  }
-}
-
-}  // namespace
-
-// The batched executor: each op runs as rows along the unit-stride axis.
-// SameCopy rows are straight memcpy; Restrict rows average 2^D stride-2
-// source streams; Prolong rows reuse the per-row-constant transverse
-// parities and slope-validity flags. All arithmetic matches compute_op
-// value for value, so the fill is bitwise identical to pack_op/unpack_op.
-template <int D>
-void GhostExchanger<D>::apply_op(BlockStore<D>& store,
-                                 const GhostOp<D>& op) const {
-  BlockView<D> dst = store.view(op.dst);
-  ConstBlockView<D> src = std::as_const(store).view(op.src);
-  const BlockLayout<D>& lay = layout_;
+// The one copy/restrict/prolong arithmetic: op `op` evaluated from source
+// block data `src` as rows along the unit-stride axis. SameCopy rows are
+// straight memcpy; Restrict rows average 2^D stride-2 source streams;
+// Prolong rows reuse the per-row-constant transverse parities and
+// slope-validity flags. The destination is chosen at compile time: with
+// kPacked false, `out` is the destination block's data and each row lands
+// at its dst_box cells; with kPacked true, `out` is a message buffer and
+// the rows are appended var-major in for_each_cell order (the wire format).
+template <bool kPacked, int D>
+void transfer_rows(const BlockLayout<D>& lay, Prolongation kind,
+                   const GhostOp<D>& op, const double* src, double* out) {
   const std::int64_t fs = lay.field_stride();
   const Box<D>& b = op.dst_box;
   if (b.empty()) return;
+  double* cursor = out;  // packed: the next free buffer entry
 
   switch (op.kind) {
     case GhostOpKind::SameCopy: {
       for (int v = 0; v < lay.nvar; ++v) {
-        const double* s = src.base + v * fs;
-        double* d = dst.base + v * fs;
+        const double* s = src + v * fs;
+        double* d = out + v * fs;
         for_each_row<D>(b, [&](IVec<D> q, int n) {
-          std::memcpy(d + lay.offset(q), s + lay.offset(q + op.a),
+          double* dp;
+          if constexpr (kPacked) {
+            dp = cursor;
+            cursor += n;
+          } else {
+            dp = d + lay.offset(q);
+          }
+          std::memcpy(dp, s + lay.offset(q + op.a),
                       sizeof(double) * static_cast<std::size_t>(n));
         });
       }
@@ -247,10 +215,16 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
         child[mask] = off;
       }
       for (int v = 0; v < lay.nvar; ++v) {
-        const double* s = src.base + v * fs;
-        double* d = dst.base + v * fs;
+        const double* s = src + v * fs;
+        double* d = out + v * fs;
         for_each_row<D>(b, [&](IVec<D> q, int n) {
-          double* AB_RESTRICT dp = d + lay.offset(q);
+          double* AB_RESTRICT dp;
+          if constexpr (kPacked) {
+            dp = cursor;
+            cursor += n;
+          } else {
+            dp = d + lay.offset(q);
+          }
           const double* AB_RESTRICT sp =
               s + lay.offset(q.shifted_left(1) + op.a);
           for (int t = 0; t < n; ++t) {
@@ -265,12 +239,17 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
     }
     case GhostOpKind::Prolong: {
       const Box<D>& valid = op.valid;
-      const Prolongation kind = prolongation_;
       for (int v = 0; v < lay.nvar; ++v) {
-        const double* s = src.base + v * fs;
-        double* d = dst.base + v * fs;
+        const double* s = src + v * fs;
+        double* d = out + v * fs;
         for_each_row<D>(b, [&](IVec<D> q, int n) {
-          double* AB_RESTRICT dp = d + lay.offset(q);
+          double* AB_RESTRICT dp;
+          if constexpr (kPacked) {
+            dp = cursor;
+            cursor += n;
+          } else {
+            dp = d + lay.offset(q);
+          }
           // Transverse coordinates are fixed along the row: precompute the
           // coarse cell, parity factor, and slope-validity per dimension.
           IVec<D> cc{};
@@ -322,23 +301,42 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
   }
 }
 
+}  // namespace
+
+template <int D>
+void apply_transfer(const BlockLayout<D>& layout, Prolongation prolongation,
+                    const GhostOp<D>& op, const double* src, double* dst) {
+  transfer_rows<false, D>(layout, prolongation, op, src, dst);
+}
+
+template <int D>
+void GhostExchanger<D>::apply(BlockStore<D>& store,
+                              const GhostOp<D>& op) const {
+  apply_transfer<D>(layout_, prolongation_, op,
+                    std::as_const(store).view(op.src).base,
+                    store.view(op.dst).base);
+}
+
 template <int D>
 void GhostExchanger<D>::pack_op(const BlockStore<D>& store,
                                 const GhostOp<D>& op, double* buf) const {
-  ConstBlockView<D> src = store.view(op.src);
-  std::int64_t k = 0;
-  compute_op<D>(layout_, prolongation_, src, op,
-                [&](int, IVec<D>, double val) { buf[k++] = val; });
+  transfer_rows<true, D>(layout_, prolongation_, op, store.view(op.src).base,
+                         buf);
 }
 
 template <int D>
 void GhostExchanger<D>::unpack_op(BlockStore<D>& store, const GhostOp<D>& op,
                                   const double* buf) const {
-  BlockView<D> dst = store.view(op.dst);
-  std::int64_t k = 0;
-  for (int v = 0; v < layout_.nvar; ++v)
-    for_each_cell<D>(op.dst_box,
-                     [&](IVec<D> q) { dst.at(v, q) = buf[k++]; });
+  const BlockLayout<D>& lay = layout_;
+  double* base = store.view(op.dst).base;
+  for (int v = 0; v < lay.nvar; ++v) {
+    double* d = base + v * lay.field_stride();
+    for_each_row<D>(op.dst_box, [&](IVec<D> q, int n) {
+      std::memcpy(d + lay.offset(q), buf,
+                  sizeof(double) * static_cast<std::size_t>(n));
+      buf += n;
+    });
+  }
 }
 
 template <int D>
@@ -352,13 +350,12 @@ void GhostExchanger<D>::fill(BlockStore<D>& store, ThreadPool* pool) const {
     if (pool != nullptr) {
       pool->parallel_for(static_cast<std::int64_t>(hi - lo),
                          [&](std::int64_t i) {
-                           apply_op(store,
-                                    ops_[static_cast<std::size_t>(
-                                        exec_order_[lo + i])]);
+                           apply(store, ops_[static_cast<std::size_t>(
+                                            exec_order_[lo + i])]);
                          });
     } else {
       for (int i = lo; i < hi; ++i)
-        apply_op(store, ops_[static_cast<std::size_t>(exec_order_[i])]);
+        apply(store, ops_[static_cast<std::size_t>(exec_order_[i])]);
     }
   };
   run_range(0, phase1_count_);
@@ -375,5 +372,12 @@ std::int64_t GhostExchanger<D>::total_cells() const {
 template class GhostExchanger<1>;
 template class GhostExchanger<2>;
 template class GhostExchanger<3>;
+
+template void apply_transfer<1>(const BlockLayout<1>&, Prolongation,
+                                const GhostOp<1>&, const double*, double*);
+template void apply_transfer<2>(const BlockLayout<2>&, Prolongation,
+                                const GhostOp<2>&, const double*, double*);
+template void apply_transfer<3>(const BlockLayout<3>&, Prolongation,
+                                const GhostOp<3>&, const double*, double*);
 
 }  // namespace ab

@@ -99,9 +99,9 @@ class GhostExchanger {
   ///
   /// Execution is batched: ops run in exec_order() — grouped by kind and
   /// destination — and each op executes as contiguous row copies (SameCopy)
-  /// or per-row vector loops (Restrict/Prolong) rather than per-cell
-  /// emit callbacks. Results are bitwise identical to pack_op followed by
-  /// unpack_op, the per-cell path.
+  /// or per-row vector loops (Restrict/Prolong), the same row executor
+  /// pack_op runs, so a fill is bitwise identical to pack_op followed by
+  /// unpack_op.
   void fill(BlockStore<D>& store, ThreadPool* pool = nullptr) const;
 
   /// Indices into ops() of the ops whose destination is block `dst`, in
@@ -112,24 +112,24 @@ class GhostExchanger {
 
   /// Apply a single op from the plan (advanced drivers — e.g. the
   /// subcycling stepper — select and time-blend ops themselves).
-  void apply(BlockStore<D>& store, const GhostOp<D>& op) const {
-    apply_op(store, op);
-  }
+  void apply(BlockStore<D>& store, const GhostOp<D>& op) const;
 
   /// Doubles one op's message carries: its dst cells times nvar.
   std::int64_t op_payload_doubles(const GhostOp<D>& op) const {
     return op.cells() * layout_.nvar;
   }
 
-  /// Sender-side evaluation: compute the op's destination ghost values from
-  /// the SOURCE block's data and emit them into `buf` (var-major, dst_box
-  /// cells in for_each_cell order; op_payload_doubles entries). This is the
-  /// message a distributed implementation sends — restriction/prolongation
-  /// happen on the owning processor, as in the original production code.
+  /// Sender-side evaluation: the row executor apply() runs, writing the
+  /// op's destination values from the SOURCE block's data into `buf`
+  /// instead (var-major, dst_box cells in for_each_cell order;
+  /// op_payload_doubles entries). This is the message a distributed
+  /// implementation sends — restriction/prolongation happen on the owning
+  /// processor, as in the original production code.
   void pack_op(const BlockStore<D>& store, const GhostOp<D>& op,
                double* buf) const;
 
-  /// Receiver-side: write a packed payload into the destination ghosts.
+  /// Receiver-side: copy a packed payload into the destination ghosts, one
+  /// row at a time.
   void unpack_op(BlockStore<D>& store, const GhostOp<D>& op,
                  const double* buf) const;
 
@@ -155,7 +155,6 @@ class GhostExchanger {
   const GhostPlanStats& plan_stats() const { return plan_stats_; }
 
  private:
-  void apply_op(BlockStore<D>& store, const GhostOp<D>& op) const;
   void plan_face(int id, int dim, int side);
 
   const Forest<D>* forest_;
@@ -168,6 +167,17 @@ class GhostExchanger {
   std::vector<BoundaryFace> boundary_faces_;
   GhostPlanStats plan_stats_;
 };
+
+/// The row executor behind GhostExchanger::fill, for block data outside an
+/// exchanger: evaluate `op` (its kind, dst_box, a, b and, for Prolong,
+/// valid; src and dst are not read) from the block data `src` into the
+/// block data `dst`, both laid out by `layout`. Refinement and coarsening
+/// run it with a Prolong op from parent to child or a Restrict op from
+/// child to parent (regrid_data.hpp). Instantiated for D = 1, 2, 3 in
+/// ghost.cpp.
+template <int D>
+void apply_transfer(const BlockLayout<D>& layout, Prolongation prolongation,
+                    const GhostOp<D>& op, const double* src, double* dst);
 
 extern template class GhostExchanger<1>;
 extern template class GhostExchanger<2>;

@@ -1,15 +1,14 @@
-// Prolongation (coarse -> fine) and restriction (fine -> coarse) operators.
+// Prolongation (coarse -> fine) choices and the slope limiter they share.
 //
-// These fill ghost cells across resolution jumps and transfer block data on
-// refinement/coarsening. Restriction is the conservative 2^D-cell volume
-// average. Prolongation is either piecewise constant (first order) or
-// limited linear (second order); both conserve the coarse cell total because
-// fine-cell offsets are the symmetric +-1/4 of the coarse cell size.
+// Prolongation and restriction (fine -> coarse) fill ghost cells across
+// resolution jumps and transfer block data on refinement/coarsening; their
+// arithmetic is GhostExchanger's row executor (ghost.cpp). Restriction is
+// the conservative 2^D-cell volume average. Prolongation is piecewise
+// constant (first order) or linear, limited or not (second order); all
+// conserve the coarse cell total because fine-cell offsets are the
+// symmetric +-1/4 of the coarse cell size. A fine cell's slope along a
+// dimension drops to zero when its stencil leaves the op's `valid` box.
 #pragma once
-
-#include "core/block_store.hpp"
-#include "util/box.hpp"
-#include "util/vec.hpp"
 
 namespace ab {
 
@@ -27,46 +26,6 @@ inline double minmod(double a, double b) {
   double ab = b < 0 ? -b : b;
   double m = aa < ab ? aa : ab;
   return a > 0 ? m : -m;
-}
-
-/// Value prolonged to the fine cell lying inside coarse cell `cc` of `src`
-/// at sub-cell position `parity` (0 = low half, 1 = high half, per
-/// dimension). Slope stencils are clamped to `valid` (normally the source
-/// interior box) so prolongation never reads unfilled ghost cells; a slope
-/// whose stencil is clamped on either side is dropped to zero.
-template <int D>
-double prolong_value(const ConstBlockView<D>& src, int var, IVec<D> cc,
-                     IVec<D> parity, const Box<D>& valid, Prolongation kind) {
-  const double c = src.at(var, cc);
-  if (kind == Prolongation::Constant) return c;
-  double v = c;
-  for (int d = 0; d < D; ++d) {
-    IVec<D> lo = cc, hi = cc;
-    lo[d] -= 1;
-    hi[d] += 1;
-    if (lo[d] < valid.lo[d] || hi[d] >= valid.hi[d]) continue;  // zero slope
-    const double s =
-        kind == Prolongation::Linear
-            ? 0.5 * (src.at(var, hi) - src.at(var, lo))
-            : minmod(src.at(var, hi) - c, c - src.at(var, lo));
-    v += (parity[d] ? 0.25 : -0.25) * s;
-  }
-  return v;
-}
-
-/// Conservative restriction: average of the 2^D fine cells whose low corner
-/// (in `src` local coordinates) is `fine_corner`.
-template <int D>
-double restrict_value(const ConstBlockView<D>& src, int var,
-                      IVec<D> fine_corner) {
-  constexpr int kChildren = 1 << D;
-  double sum = 0.0;
-  for (int mask = 0; mask < kChildren; ++mask) {
-    IVec<D> p = fine_corner;
-    for (int d = 0; d < D; ++d) p[d] += (mask >> d) & 1;
-    sum += src.at(var, p);
-  }
-  return sum / kChildren;
 }
 
 }  // namespace ab

@@ -18,7 +18,7 @@
 // delta. The solver is therefore bitwise identical to the single-address-
 // space AmrSolver (serial, no subcycling) by construction, because:
 //   - ghost values arriving by message are sender-side evaluations packed
-//     with the exact arithmetic GhostExchanger::fill uses (verified in
+//     by the row executor GhostExchanger::fill runs (verified in
 //     tests/parsim/buffered_exchange_test.cpp);
 //   - flux corrections route through FluxRegister::pack_fine_avg /
 //     apply_correction — the same functions the serial apply() calls —
@@ -110,11 +110,9 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       : Core(supported(cfg).solver, std::move(phys), cfg.npes),
         rcfg_(std::move(cfg)),
         owner_(partition_blocks<D>(forest_, rcfg_.npes, rcfg_.policy)),
-        buffered_(exchanger_, owner_, rcfg_.npes) {
+        buffered_(exchanger_, owner_, rcfg_.npes),
+        flux_register_(forest_, layout_) {
     rcfg_.solver = cfg_;  // as the autotuner resolved it
-    registers_.reserve(static_cast<std::size_t>(rcfg_.npes));
-    for (int p = 0; p < rcfg_.npes; ++p)
-      registers_.emplace_back(forest_, layout_);
     for (int id : forest_.leaves()) {
       this->store_of(u_, id).ensure(id);
       this->store_of(scratch_, id).ensure(id);
@@ -300,7 +298,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
 
   /// Number of coarse/fine face corrections currently planned.
   int flux_corrections_planned() const {
-    return registers_.front().num_corrections();
+    return flux_register_.num_corrections();
   }
 
  private:
@@ -354,15 +352,14 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   }
 
   /// Per-rank boundary-face lists (each rank applies BCs to its own
-  /// blocks); also rebuilds the per-rank flux-correction plans. Call after
-  /// every exchanger rebuild or partition change.
+  /// blocks); also rebuilds the flux-correction plan. Call after every
+  /// exchanger rebuild or partition change.
   void rebuild_rank_structures() {
     bfaces_by_pe_.assign(static_cast<std::size_t>(rcfg_.npes), {});
     for (const auto& bf : exchanger_.boundary_faces())
       bfaces_by_pe_[static_cast<std::size_t>(owner_at(bf.block))].push_back(
           bf);
-    if (cfg_.flux_correction)
-      for (auto& r : registers_) r.rebuild(exchanger_);
+    if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
     if (distmeta_) rebuild_local_topology();
   }
 
@@ -414,7 +411,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     }
     // Flux plan: cross-rank coarse/fine correction pairs likewise.
     if (cfg_.flux_correction) {
-      for (const auto& c : registers_.front().corrections()) {
+      for (const auto& c : flux_register_.corrections()) {
         const int pf = owner_at(c.fine);
         const int pc = owner_at(c.coarse);
         if (pf == pc) continue;
@@ -616,9 +613,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   // Ownership policy (see stepping_core.hpp): one store per rank.
 
   int rank_of(int id) const { return owner_at(id); }
-  FluxRegister<D>& register_of(int id) {
-    return registers_[static_cast<std::size_t>(owner_at(id))];
-  }
+  FluxRegister<D>& register_of(int) { return flux_register_; }
 
   /// Buffered ghost exchange across all ranks + per-rank BCs. BC faces
   /// write only their own block's ghost slabs from its own data, so the
@@ -646,9 +641,8 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// order (two faces of one coarse block can overlap in a corner cell,
   /// so the order is part of the bitwise contract).
   void reflux_round(StoreSet& out, double dt, std::uint64_t span) {
-    // Every rank's register rebuilds from the same exchanger plan, so the
-    // correction lists are identical; use rank 0's as the shared plan.
-    const auto& plan = registers_.front().corrections();
+    FluxRegister<D>& reg = flux_register_;
+    const auto& plan = reg.corrections();
     board_.clear();
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::Flux, span);
@@ -656,7 +650,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     for (std::size_t i = 0; i < plan.size(); ++i) {
       const auto& c = plan[i];
       const int pf = owner_at(c.fine);
-      FluxRegister<D>& reg = registers_[static_cast<std::size_t>(pf)];
       favg[i].resize(static_cast<std::size_t>(reg.correction_doubles(c)));
       reg.pack_fine_avg(c, reg.storage(c.fine), favg[i].data());
       const int pc = owner_at(c.coarse);
@@ -668,7 +661,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       const auto& c = plan[i];
       const int pf = owner_at(c.fine);
       const int pc = owner_at(c.coarse);
-      FluxRegister<D>& reg = registers_[static_cast<std::size_t>(pc)];
       const double* payload =
           (pf == pc)
               ? favg[i].data()
@@ -909,7 +901,10 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// Cross-rank causal message tracing (bound to the telemetry's tracer at
   /// construction; inert while the tracer is disabled).
   obs::MsgTrace msg_trace_;
-  std::vector<FluxRegister<D>> registers_;  ///< per-rank flux recording
+  /// Flux recording for every rank's blocks: one correction plan, and one
+  /// storage per block, written by its owner's update and read on its owner
+  /// (pack_fine_avg on the fine side, apply_correction on the coarse side).
+  FluxRegister<D> flux_register_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_pe_;
   /// Distributed metadata (Config::distributed_metadata / AB_DIST_META):
   /// per-rank local views rebuilt with every partition change; the probe

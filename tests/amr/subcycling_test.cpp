@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 
 #include "amr/solver.hpp"
 #include "physics/advection.hpp"
@@ -209,6 +212,132 @@ TEST(Subcycling, EulerPulseConservesMassClosely) {
       ASSERT_GT(v.at(0, p), 0.0);
       ASSERT_TRUE(std::isfinite(v.at(3, p)));
     });
+  }
+}
+
+// -------------------------------------------------------------------
+// Golden bytes of subcycled mixed-level runs. A subcycled level pass fills
+// coarse-sourced ghosts with the time blend of the coarse block's old and
+// current prolongations, and the run refines and coarsens, so these digests
+// pin the blend, the prolongation arithmetic of every Prolongation, and the
+// refine/coarsen data transfer. The values were recorded with the per-cell
+// prolongation the blend was first written with; every thread count must
+// reproduce them.
+
+/// FNV-1a over the leaf ids, levels, and interior bytes, in leaf order.
+template <int D, class Phys>
+std::uint64_t interior_digest(const AmrSolver<D, Phys>& solver) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= c[i];
+      h *= 1099511628211ull;
+    }
+  };
+  const BlockLayout<D>& lay = solver.store().layout();
+  for (int id : solver.forest().leaves()) {
+    const int level = solver.forest().level(id);
+    mix(&id, sizeof id);
+    mix(&level, sizeof level);
+    ConstBlockView<D> v = solver.store().view(id);
+    for (int var = 0; var < lay.nvar; ++var)
+      for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
+        const double x = v.at(var, p);
+        mix(&x, sizeof x);
+      });
+  }
+  return h;
+}
+
+/// A subcycled Euler run on a periodic mixed-level grid: refine twice
+/// around a pressure pulse, step, coarsen the half of the refined region
+/// away from the pulse, and step again. Polynomial initial data keeps the
+/// bytes free of libm.
+template <int D>
+std::uint64_t subcycled_digest(Prolongation prolongation, int threads) {
+  using Phys = Euler<D>;
+  typename AmrSolver<D, Phys>::Config cfg;
+  cfg.forest.root_blocks = IVec<D>(2);
+  for (int d = 0; d < D; ++d) cfg.forest.periodic[d] = true;
+  cfg.forest.max_level = 2;
+  cfg.cells_per_block = IVec<D>(D == 3 ? 4 : 8);
+  cfg.rk_stages = 1;
+  cfg.subcycling = true;
+  cfg.prolongation = prolongation;
+  cfg.num_threads = threads;
+  Phys phys;
+  AmrSolver<D, Phys> solver(cfg, phys);
+  solver.init([&](const RVec<D>& x, typename Phys::State& s) {
+    double r2 = 0.0;
+    RVec<D> vel;
+    for (int d = 0; d < D; ++d) {
+      const double dx = x[d] - 0.3;
+      r2 += dx * dx;
+      vel[d] = 0.5 - 0.2 * d;
+    }
+    const double w = r2 < 0.04 ? (1.0 - r2 / 0.04) * (1.0 - r2 / 0.04) : 0.0;
+    s = phys.from_primitive(1.0 + 0.4 * w, vel, 1.0 + 2.0 * w);
+  });
+  // Refine blocks overlapping [0.2, 0.45)^D; coarsen refined families whose
+  // blocks lie outside [0.26, 0.3)^D.
+  auto overlaps = [&solver](int id, double lo, double hi) {
+    const RVec<D> blo = solver.forest().block_lo(id);
+    const RVec<D> bhi = solver.forest().block_hi(id);
+    for (int d = 0; d < D; ++d)
+      if (!(blo[d] < hi && bhi[d] > lo)) return false;
+    return true;
+  };
+  auto refine = [&](const Forest<D>& f, const BlockStore<D>&, int id) {
+    return f.level(id) < 2 && overlaps(id, 0.2, 0.45) ? AdaptFlag::Refine
+                                                      : AdaptFlag::Keep;
+  };
+  auto coarsen = [&](const Forest<D>& f, const BlockStore<D>&, int id) {
+    return f.level(id) > 0 && !overlaps(id, 0.26, 0.3) ? AdaptFlag::Coarsen
+                                                      : AdaptFlag::Keep;
+  };
+  solver.adapt(refine);
+  solver.adapt(refine);
+  EXPECT_EQ(solver.forest().stats().max_level, 2);
+  for (int i = 0; i < 3; ++i) solver.step(solver.compute_dt());
+  EXPECT_GT(solver.adapt(coarsen).coarsened, 0);
+  EXPECT_EQ(solver.forest().stats().max_level, 2);
+  for (int i = 0; i < 3; ++i) solver.step(solver.compute_dt());
+  return interior_digest(solver);
+}
+
+struct SubcycledGolden {
+  int dim;
+  Prolongation prolongation;
+  std::uint64_t digest;
+};
+
+TEST(Subcycling, MixedLevelRunsMatchGoldenDigests) {
+  const SubcycledGolden goldens[] = {
+      {1, Prolongation::Constant, 0xa85656ec2bb3f54cull},
+      {1, Prolongation::LimitedLinear, 0xd491e09c184d1f64ull},
+      {1, Prolongation::Linear, 0x99a9e6fab45621acull},
+      {2, Prolongation::Constant, 0x9cf68af3a959714bull},
+      {2, Prolongation::LimitedLinear, 0x66078575467f8ff8ull},
+      {2, Prolongation::Linear, 0xd72fab481e50c6b0ull},
+      {3, Prolongation::Constant, 0x262c25490672a511ull},
+      {3, Prolongation::LimitedLinear, 0x851b82a197ee0cb0ull},
+      {3, Prolongation::Linear, 0xe18deee4155d8e6cull},
+  };
+  for (const SubcycledGolden& g : goldens) {
+    for (int threads : {1, 3}) {
+      const std::uint64_t got =
+          g.dim == 1   ? subcycled_digest<1>(g.prolongation, threads)
+          : g.dim == 2 ? subcycled_digest<2>(g.prolongation, threads)
+                       : subcycled_digest<3>(g.prolongation, threads);
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llx",
+                    static_cast<unsigned long long>(got));
+      EXPECT_EQ(got, g.digest)
+          << "D=" << g.dim << " prolongation "
+          << static_cast<int>(g.prolongation) << " threads " << threads
+          << ": digest " << hex;
+    }
   }
 }
 

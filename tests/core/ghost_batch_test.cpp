@@ -1,11 +1,13 @@
 // The batched ghost executor (kind/destination-sorted exec order, row
 // memcpy SameCopy, per-row vector Restrict/Prolong loops) must fill exactly
-// the same bytes as the per-cell path (pack_op + unpack_op).
+// the same bytes as the per-cell oracle (tests/support/ghost_reference.hpp),
+// and its packed form (pack_op) must produce the oracle's wire payload.
 #include "core/ghost.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/block_store.hpp"
@@ -144,6 +146,57 @@ TEST(GhostBatchExecution, FillBlockMatchesReference) {
       if (op.dst == id) ab::testing::apply_per_cell(gx, b, op);
   }
   expect_stores_equal(forest, a, b);
+}
+
+/// pack_op's buffer is the per-cell oracle's payload, byte for byte (the
+/// wire format: var-major, dst_box in for_each_cell order), and unpack_op
+/// of it writes exactly what the oracle's apply writes.
+template <int D>
+void check_pack_unpack(const Forest<D>& forest, IVec<D> m, int pad0) {
+  const BlockLayout<D> lay(m, 2, 3, pad0);
+  const std::size_t bytes =
+      static_cast<std::size_t>(lay.block_doubles()) * sizeof(double);
+  std::int64_t kinds[3] = {0, 0, 0};
+  for (Prolongation p : {Prolongation::Constant, Prolongation::Linear,
+                         Prolongation::LimitedLinear}) {
+    GhostExchanger<D> gx(forest, lay, p);
+    BlockStore<D> unpacked(lay), reference(lay);
+    seed_store(forest, unpacked);
+    seed_store(forest, reference);
+    for (const GhostOp<D>& op : gx.ops()) {
+      ++kinds[static_cast<int>(op.kind)];
+      std::vector<double> buf(
+          static_cast<std::size_t>(gx.op_payload_doubles(op)));
+      gx.pack_op(unpacked, op, buf.data());
+      const std::vector<double> want = ab::testing::payload_per_cell<D>(
+          lay, p, op, std::as_const(reference).view(op.src).base);
+      ASSERT_EQ(want.size(), buf.size());
+      ASSERT_EQ(0, std::memcmp(buf.data(), want.data(),
+                               buf.size() * sizeof(double)))
+          << "D=" << D << " pad0=" << pad0 << " prolongation "
+          << static_cast<int>(p) << " op kind "
+          << static_cast<int>(op.kind);
+      gx.unpack_op(unpacked, op, buf.data());
+      ab::testing::apply_per_cell(gx, reference, op);
+      ASSERT_EQ(0, std::memcmp(unpacked.view(op.dst).base,
+                               reference.view(op.dst).base, bytes))
+          << "D=" << D << " pad0=" << pad0 << " dst " << op.dst;
+    }
+    expect_stores_equal(forest, unpacked, reference);
+  }
+  for (int k = 0; k < 3; ++k) EXPECT_GT(kinds[k], 0) << "op kind " << k;
+}
+
+TEST(GhostBatchExecution, PackMatchesPerCellPayload) {
+  for (int pad0 : {0, 1}) {
+    check_pack_unpack<1>(mixed_forest<1>(IVec<1>(4), false), IVec<1>(8),
+                         pad0);
+    check_pack_unpack<1>(mixed_forest<1>(IVec<1>(4), true), IVec<1>(8),
+                         pad0);
+    check_pack_unpack<2>(mixed_forest<2>({2, 2}, true), IVec<2>{8, 6}, pad0);
+    check_pack_unpack<3>(mixed_forest<3>({2, 2, 2}, true), IVec<3>{6, 4, 4},
+                         pad0);
+  }
 }
 
 }  // namespace

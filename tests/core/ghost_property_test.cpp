@@ -160,8 +160,9 @@ TEST(GhostPropertyPlan, SourceReadsStayInsideAllocations) {
 // -------------------------------------------------------------------
 // Batched executor vs per-cell oracle, fuzzed over random refine/coarsen
 // sequences: GhostExchanger::fill must produce byte-identical blocks to
-// the per-cell path (pack_op + unpack_op) run in the two-phase order, in
-// every dimension, and again after further topology churn + rebuild().
+// the per-cell oracle (support/ghost_reference.hpp) run in the two-phase
+// order, in every dimension, and again after further topology churn +
+// rebuild().
 
 /// Identical random values (interiors AND ghosts, so untouched ghost bytes
 /// can't mask a miss) into both stores for the current leaf set.

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "support/ghost_reference.hpp"
+#include "support/rng.hpp"
 
 namespace ab {
 namespace {
@@ -200,6 +205,152 @@ TEST(RegridData, ProlongRequiresParentData) {
   EXPECT_THROW(
       prolong_to_children<2>(fx.store, events[0], Prolongation::Constant),
       Error);
+}
+
+// -------------------------------------------------------------------
+// Row executor vs per-cell oracle: prolong_to_children and
+// restrict_to_parent must write exactly the bytes of the per-cell
+// operators (tests/support/ghost_reference.hpp) into the target interiors
+// and nothing else, in every dimension, with and without dim-0 padding,
+// for every Prolongation.
+
+/// Random values over a block's whole allocation (ghosts included, so a
+/// read outside the interior would show), with slopes of both signs.
+template <int D>
+void seed_random(const BlockLayout<D>& lay, double* base,
+                 ab::testing::SplitMix64& rng) {
+  for (std::int64_t i = 0; i < lay.block_doubles(); ++i)
+    base[i] = rng.uniform(-2.0, 2.0);
+}
+
+std::vector<double> copy_block(const double* base, std::int64_t n) {
+  return std::vector<double>(base, base + n);
+}
+
+/// minmod's arms over a parent interior: [zero, positive, negative] counts
+/// of the one-sided difference pairs whose stencil stays in the interior.
+template <int D>
+void count_minmod_arms(const BlockLayout<D>& lay, const double* parent,
+                       std::int64_t arms[3]) {
+  ConstBlockView<D> p{parent, &lay};
+  for (int v = 0; v < lay.nvar; ++v)
+    for_each_cell<D>(lay.interior_box(), [&](IVec<D> c) {
+      for (int d = 0; d < D; ++d) {
+        if (c[d] - 1 < 0 || c[d] + 1 >= lay.interior[d]) continue;
+        IVec<D> lo = c, hi = c;
+        lo[d] -= 1;
+        hi[d] += 1;
+        const double a = p.at(v, hi) - p.at(v, c);
+        const double b = p.at(v, c) - p.at(v, lo);
+        ++arms[a * b <= 0.0 ? 0 : (a > 0 ? 1 : 2)];
+      }
+    });
+}
+
+template <int D>
+void check_regrid_matches_oracle(IVec<D> m, int pad0, std::uint64_t seed) {
+  typename Forest<D>::Config cfg;
+  cfg.max_level = 1;
+  const BlockLayout<D> lay(m, 2, 2, pad0);
+  const std::int64_t n = lay.block_doubles();
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+  std::int64_t arms[3] = {0, 0, 0};
+  for (Prolongation kind : {Prolongation::Constant, Prolongation::Linear,
+                            Prolongation::LimitedLinear}) {
+    SCOPED_TRACE(::testing::Message() << "D=" << D << " pad0=" << pad0
+                                    << " prolongation "
+                                    << static_cast<int>(kind));
+    ab::testing::SplitMix64 rng(seed);
+    Forest<D> forest(cfg);
+    BlockStore<D> store(lay);
+    const int root = forest.leaves()[0];
+    store.ensure(root);
+    seed_random<D>(lay, store.view(root).base, rng);
+    const std::vector<double> parent = copy_block(store.view(root).base, n);
+    if (kind == Prolongation::LimitedLinear)
+      count_minmod_arms<D>(lay, parent.data(), arms);
+    const auto ev = forest.refine(root)[0];
+    // Pre-seed the children so bytes outside their interiors are known.
+    std::vector<std::vector<double>> expect;
+    for (int ci = 0; ci < Forest<D>::kNumChildren; ++ci) {
+      store.ensure(ev.children[ci]);
+      double* c = store.view(ev.children[ci]).base;
+      seed_random<D>(lay, c, rng);
+      expect.push_back(copy_block(c, n));
+      // The per-cell oracle: child cell q is fine cell q + off of the
+      // parent region, in coarse cell (q + off) >> 1.
+      BlockView<D> want{expect.back().data(), &lay};
+      ConstBlockView<D> pv{parent.data(), &lay};
+      for (int v = 0; v < lay.nvar; ++v)
+        for_each_cell<D>(lay.interior_box(), [&](IVec<D> q) {
+          IVec<D> cc, parity;
+          for (int d = 0; d < D; ++d) {
+            const int gf = q[d] + ((ci >> d) & 1) * m[d];
+            cc[d] = gf >> 1;
+            parity[d] = gf & 1;
+          }
+          want.at(v, q) = ab::testing::prolong_value<D>(
+              pv, v, cc, parity, lay.interior_box(), kind);
+        });
+    }
+    prolong_to_children<D>(store, ev, kind);
+    ASSERT_FALSE(store.has(root));
+    for (int ci = 0; ci < Forest<D>::kNumChildren; ++ci)
+      ASSERT_EQ(0, std::memcmp(store.view(ev.children[ci]).base,
+                               expect[ci].data(), bytes))
+          << "child " << ci;
+
+    // Coarsen back from fresh random children: parent cell p averages the
+    // child's fine cells from corner 2p - o*m.
+    std::vector<std::vector<double>> kids;
+    for (int ci = 0; ci < Forest<D>::kNumChildren; ++ci) {
+      double* c = store.view(ev.children[ci]).base;
+      seed_random<D>(lay, c, rng);
+      kids.push_back(copy_block(c, n));
+    }
+    store.ensure(root);
+    seed_random<D>(lay, store.view(root).base, rng);
+    std::vector<double> want = copy_block(store.view(root).base, n);
+    BlockView<D> wv{want.data(), &lay};
+    for (int ci = 0; ci < Forest<D>::kNumChildren; ++ci) {
+      ConstBlockView<D> kv{kids[ci].data(), &lay};
+      Box<D> sub;
+      for (int d = 0; d < D; ++d) {
+        const int o = (ci >> d) & 1;
+        sub.lo[d] = o * (m[d] / 2);
+        sub.hi[d] = (o + 1) * (m[d] / 2);
+      }
+      for (int v = 0; v < lay.nvar; ++v)
+        for_each_cell<D>(sub, [&](IVec<D> p) {
+          IVec<D> corner;
+          for (int d = 0; d < D; ++d)
+            corner[d] = 2 * p[d] - ((ci >> d) & 1) * m[d];
+          wv.at(v, p) = ab::testing::restrict_value<D>(kv, v, corner);
+        });
+    }
+    restrict_to_parent<D>(store, root, ev.children);
+    for (int c : ev.children) ASSERT_FALSE(store.has(c));
+    ASSERT_EQ(0, std::memcmp(store.view(root).base, want.data(), bytes));
+  }
+  // The limited slopes took minmod's zero arm and both signed arms.
+  EXPECT_GT(arms[0], 0);
+  EXPECT_GT(arms[1], 0);
+  EXPECT_GT(arms[2], 0);
+}
+
+TEST(RegridData, RowTransferMatchesPerCellOracle1D) {
+  for (int pad0 : {0, 1})
+    check_regrid_matches_oracle<1>(IVec<1>(8), pad0, 11);
+}
+
+TEST(RegridData, RowTransferMatchesPerCellOracle2D) {
+  for (int pad0 : {0, 1})
+    check_regrid_matches_oracle<2>(IVec<2>{8, 6}, pad0, 12);
+}
+
+TEST(RegridData, RowTransferMatchesPerCellOracle3D) {
+  for (int pad0 : {0, 1})
+    check_regrid_matches_oracle<3>(IVec<3>{6, 4, 4}, pad0, 13);
 }
 
 }  // namespace

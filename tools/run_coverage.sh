@@ -15,7 +15,7 @@ label="${2:-}"
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DAB_COVERAGE=ON
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 
 ctest_args=(--test-dir "$build_dir" --output-on-failure -j "$(nproc)")
 if [[ -n "$label" ]]; then

@@ -21,7 +21,7 @@ targets=(thread_pool_test block_pool_test ghost_test
          topo_codec_test local_topology_test
          trace_test msg_trace_test expose_test span_conservation_test
          wire_transport_test)
-cmake --build "$build_dir" -j --target "${targets[@]}"
+cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
 
 # ThreadPool and the parallel_for phases of the steppers (ghost fill,
 # stage update, epilogue, subcycled level passes) are the threaded code;
