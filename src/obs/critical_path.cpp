@@ -8,6 +8,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "util/json_text.hpp"
+
 namespace ab::obs {
 
 namespace {
@@ -125,21 +127,6 @@ StepCriticalPath analyze_step(std::int64_t step,
     out.critical_s += n.dur_s;
   }
   return out;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
 }
 
 }  // namespace

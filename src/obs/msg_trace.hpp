@@ -1,22 +1,22 @@
 // Cross-rank causal message tracing: the span context every message
-// carries and the hook the parsim transports call to emit parent-linked
-// send/receive spans.
+// carries and the hook the parsim message layer calls to emit
+// parent-linked send/receive spans.
 //
-// Every BufferedExchange message and MessageBoard channel is stamped at
-// send time with a compact SpanContext — trace id, the send span's id
-// (which the matching receive joins as its parent), sending rank, step,
-// and phase — and joined at receive time. The context travels OUT OF BAND
-// next to the payload: it is never mixed into the double-valued wire
-// buffer, so message CRCs, fault-injection RNG draws, and the bitwise
-// payload contract are unchanged whether tracing is on or off. The
-// documented byte layout below is what a real wire transport would ship
-// alongside each message (and what the codec tests pin down).
+// Every MessageBoard channel (one rank pair of one exchange round) is
+// stamped at send time with a compact SpanContext — trace id, the send
+// span's id (which the matching receive joins as its parent), sending
+// rank, step, and phase — and joined at receive time. The context
+// travels OUT OF BAND next to the payload: it is never mixed into the
+// double-valued wire buffer, so message CRCs, fault-injection RNG draws,
+// and the bitwise payload contract are unchanged whether tracing is on or
+// off. The documented byte layout below is what a real wire transport
+// would ship alongside each message (and what the codec tests pin down).
 //
 // Span granularity matches the PeTraffic accounting exactly: one send
 // span and one receive span per pair-aggregated message per exchange
-// round (a BufferedExchange message that packs in both fill phases, or a
-// MessageBoard channel that accumulates several send() calls, still
-// counts — and traces — once). That makes "per-rank span counts equal the
+// round (a ghost-fill channel that packs in both fill phases, or a
+// channel that accumulates several send() calls, still counts — and
+// traces — once). That makes "per-rank span counts equal the
 // per-rank traffic counters" an exact conservation law, asserted by
 // tests/parsim/span_conservation_test.cpp.
 //

@@ -1,52 +1,13 @@
 // StepReport JSONL serialization.
 #include "obs/report.hpp"
 
-#include <cinttypes>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
+
+#include "util/json_text.hpp"
 
 namespace ab::obs {
 
 namespace {
-
-/// Shortest decimal form that parses back to the same double: try %.15g,
-/// fall back to %.17g. Deterministic for identical inputs. JSON has no
-/// representation for non-finite numbers ("%g" would print nan/inf and
-/// invalidate the whole line), so those emit null per the spec — gauges
-/// fed from conservation drift can legitimately go non-finite on blow-up.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.15g", v);
-  if (std::strtod(buf, nullptr) != v)
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 template <class V, class AppendValue>
 void append_object(std::string& out, const char* key,

@@ -18,28 +18,9 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/json_text.hpp"
 
 namespace ab::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-}  // namespace
 
 std::string chrome_trace_json(const Tracer& tracer) {
   const std::vector<TraceEvent> events = tracer.events();

@@ -57,8 +57,9 @@ struct MigrationStats {
 
 /// One bulk-synchronous migration round: every leaf whose owner differs
 /// between `from` and `to` (both indexed by node id) is packed on its old
-/// owner, shipped through `board`, and unpacked on its new owner; the old
-/// copy is released. `stores[pe]` is PE pe's private store.
+/// owner into its (old, new) channel of `board`, and unpacked on its new
+/// owner; the old copy is released. Each channel crosses the wire as one
+/// frame. `stores[pe]` is PE pe's private store.
 template <int D>
 MigrationStats migrate_blocks(const std::vector<int>& leaves,
                               const std::vector<int>& from,
@@ -69,7 +70,6 @@ MigrationStats migrate_blocks(const std::vector<int>& leaves,
   MigrationStats st;
   const BlockLayout<D>& lay = stores.front().layout();
   const std::int64_t n = block_payload_doubles(lay);
-  std::vector<double> buf(static_cast<std::size_t>(n));
   board.clear();
   for (int id : leaves) {
     const int a = from[static_cast<std::size_t>(id)];
@@ -77,8 +77,7 @@ MigrationStats migrate_blocks(const std::vector<int>& leaves,
     AB_REQUIRE(a >= 0 && b >= 0, "migrate_blocks: leaf without an owner");
     if (a == b) continue;
     pack_block_payload<D>(stores[static_cast<std::size_t>(a)], id,
-                          buf.data());
-    board.send(a, b, buf.data(), n);
+                          board.append(a, b, n));
     stores[static_cast<std::size_t>(a)].release(id);
     ++st.blocks;
   }

@@ -1,30 +1,27 @@
-// Message-buffer realization of the ghost exchange.
+// The message layer of the rank-parallel run, and the ghost exchange
+// performed through it.
 //
-// The cost model (simulate.hpp) only *prices* communication; this class
-// *performs* it the way a distributed-memory code would: each fill packs,
-// per destination processor, one message buffer per source processor
-// containing the sender-side-evaluated ghost values (restriction and
+// MessageBoard is the one code path that moves a payload across a rank
+// boundary: ghost fills, flux-register corrections, coarsen gathers, block
+// migration and topology deltas all pack into its (src, dst) channels. A
+// flush gives each channel with unsent bytes one FaultPlan draw, one wire
+// frame and one send-span window — one frame per rank pair per flush, the
+// pair aggregation the cost model (simulate.hpp) prices.
+//
+// BufferedExchange lays the ghost exchange out by rank pair. Each fill
+// packs the sender-side-evaluated ghost values (restriction and
 // prolongation are computed on the owning PE — the original production
-// code's choice, minimizing wire bytes), then unpacks on the receiver.
-// Local ops are applied directly.
-//
-// Two forms of fill are provided: the single-store form (every PE's blocks
-// in one address space, used by the accounting tests) and the multi-store
-// form used by RankSolver, where each simulated rank owns a private
-// BlockStore holding only its blocks — packing reads the source rank's
-// store, unpacking writes the destination rank's, and nothing else crosses
-// the rank boundary.
-//
-// The result is bit-identical to GhostExchanger::fill, and the message
-// counts/bytes match simulate_step's accounting exactly — tying the cost
-// model to real traffic (tests/parsim/buffered_exchange_test.cpp).
-//
-// MessageBoard below carries the non-ghost traffic of a distributed run —
-// flux-register correction payloads, coarsen gathers and prolongation
-// traffic at regrids, and block migration after re-partitioning — through
-// the same pack-all/unpack-all bulk-synchronous discipline.
+// code's choice, minimizing wire bytes) of every (source PE, destination
+// PE) pair into that pair's channel of a ghost-class board, then unpacks on
+// the receiver; local ops are applied directly. Packing reads the source
+// PE's store and unpacking writes the destination PE's, so with one private
+// store per rank (RankSolver) nothing else crosses the rank boundary. The
+// result is bit-identical to GhostExchanger::fill, and the message
+// counts/bytes match simulate_step's accounting exactly
+// (tests/parsim/buffered_exchange_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -39,23 +36,32 @@
 
 namespace ab {
 
-/// (src_pe, dst_pe)-keyed message buffers for traffic that is not a ghost
-/// fill: flux-register corrections, regrid gathers/prolongations, block
-/// migration. Senders append doubles to a channel; receivers read them back
-/// in the same order (each channel is a FIFO). One round = clear(), all
-/// sends, all receives — the bulk-synchronous exchange a distributed code
-/// performs; messages()/bytes() give the pair-aggregated traffic of the
-/// round for the cost model.
+/// (src_pe, dst_pe)-keyed channels of doubles. Senders append to a
+/// channel; receivers read it back in the same order (each channel is a
+/// FIFO). One round = clear(), all sends, all receives — the
+/// bulk-synchronous exchange a distributed code performs; messages()/
+/// bytes() give the pair-aggregated traffic of the round for the cost
+/// model. Sends wait on the board until flush(), which receive() runs first.
 class MessageBoard {
  public:
+  /// `cls` is the wire class the board's frames travel under.
+  explicit MessageBoard(wire::PayloadClass cls = wire::PayloadClass::Board)
+      : wire_cls_(cls) {}
+
+  /// Start a new round: emit the last round's spans and empty every
+  /// channel, keeping its storage.
   void clear() {
     flush_trace();
-    channels_.clear();
+    for (auto& [key, ch] : channels_) {
+      ch.data.clear();
+      ch.flushed = ch.pulled = ch.read = 0;
+    }
+    unsent_.clear();
   }
 
-  /// Route every subsequent send through `plan`'s lossy wire (nullptr
-  /// restores the perfect wire). Faults are injected and recovered at
-  /// send time — what lands in the channel is always the clean payload.
+  /// Route every flush through `plan`'s lossy wire (nullptr restores the
+  /// perfect wire). Faults are injected and recovered at flush time — what
+  /// stays in the channel is always the clean payload.
   void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
 
   /// Attach the causal message-trace hook (nullptr detaches). The span
@@ -64,73 +70,105 @@ class MessageBoard {
   void set_trace(obs::MsgTrace* mt) { trace_ = mt; }
 
   /// Route every channel payload through a real wire (nullptr detaches):
-  /// sends frame the packed doubles onto `hub`'s transport under `cls`,
-  /// and receives overwrite the channel bytes with what arrived off the
-  /// wire before the caller reads them — making the wire copy the one a
-  /// receiver consumes.
-  void set_wire(wire::WireHub* hub, wire::PayloadClass cls) {
-    wire_ = hub;
-    wire_cls_ = cls;
-  }
+  /// flushes frame the packed doubles onto `hub`'s transport, and receives
+  /// overwrite the channel bytes with what arrived off the wire before the
+  /// caller reads them — making the wire copy the one a receiver consumes.
+  void set_wire(wire::WireHub* hub) { wire_ = hub; }
 
   /// Emit one send/receive span pair per channel that saw traffic since
-  /// the last flush. The board has no intrinsic round-end signal, so the
-  /// owner calls this once per exchange round (clear() also flushes, as a
-  /// backstop) — keeping span counts equal to the pair-aggregated message
-  /// counts add_per_pe_traffic reports.
+  /// its last emission, in key order. The board has no intrinsic round-end
+  /// signal, so the owner calls this once per exchange round (clear() also
+  /// does, as a backstop) — keeping span counts equal to the
+  /// pair-aggregated message counts add_per_pe_traffic reports.
   void flush_trace() {
-    if (trace_ == nullptr || !trace_->active()) return;
-    for (auto& [key, ch] : channels_)
-      if (ch.span.sent) trace_->finish(ch.span, key.second);
+    for (auto& [key, ch] : channels_) finish_span(ch, key.second);
+  }
+  /// Emit the (src, dst) channel's span pair now, for a round that closes
+  /// its messages' spans in its own order.
+  void flush_trace(int src, int dst) {
+    auto it = channels_.find({src, dst});
+    if (it != channels_.end()) finish_span(it->second, dst);
   }
 
-  /// Append `n` doubles to the (src, dst) channel.
-  void send(int src, int dst, const double* data, std::int64_t n) {
+  /// Reserve `n` doubles at the end of the (src, dst) channel for the
+  /// caller to pack, valid until the channel's next append; they cross the
+  /// wire at the next flush(). The first append opens the send span.
+  double* append(int src, int dst, std::int64_t n) {
     AB_REQUIRE(src != dst, "MessageBoard: no self-messages");
-    obs::MsgTrace* mt =
-        (trace_ != nullptr && n > 0 && trace_->active()) ? trace_ : nullptr;
-    const std::int64_t t0 = mt != nullptr ? mt->now() : 0;
-    const std::int64_t r0 =
-        (mt != nullptr && faults_ != nullptr) ? faults_->stats().retries : 0;
     Channel& ch = channels_[{src, dst}];
     const std::size_t at = ch.data.size();
-    ch.data.insert(ch.data.end(), data, data + n);
-    WireFaults wf;
-    if (faults_ != nullptr)
-      wf = faults_->transmit(src, dst, ch.data.data() + at,
-                             static_cast<std::size_t>(n));
-    if (wire_ != nullptr && n > 0)
-      wire_->send(wire_cls_, src, dst, ch.data.data() + at,
-                  static_cast<std::size_t>(n), wf);
-    if (mt != nullptr) {
-      const std::int64_t t1 = mt->now();
-      mt->add_send(ch.span, src, t0, t1);
-      if (faults_ != nullptr) {
-        const std::int64_t dr = faults_->stats().retries - r0;
+    if (n > 0 && ch.flushed == at) unsent_.emplace_back(src, dst);
+    if (n > 0 && tracing()) {
+      const std::int64_t t = trace_->now();
+      trace_->add_send(ch.span, src, t, t);
+    }
+    ch.data.resize(at + static_cast<std::size_t>(n));
+    return ch.data.data() + at;
+  }
+
+  /// Append a copy of `n` doubles to the (src, dst) channel.
+  void send(int src, int dst, const double* data, std::int64_t n) {
+    std::copy_n(data, n, append(src, dst, n));
+  }
+
+  /// Put every channel's unsent doubles on the wire: one FaultPlan draw,
+  /// one frame and one send-span extension per channel, so a send span
+  /// runs from the channel's first append to its transmission.
+  void flush() {
+    for (const auto& [src, dst] : unsent_) {
+      Channel& ch = channels_[{src, dst}];
+      obs::MsgTrace* const mt = tracing() ? trace_ : nullptr;
+      const std::int64_t t0 = mt != nullptr ? mt->now() : 0;
+      const std::int64_t r0 = faults_ != nullptr ? faults_->stats().retries : 0;
+      double* const p = ch.data.data() + ch.flushed;
+      const std::size_t n = ch.data.size() - ch.flushed;
+      WireFaults wf;
+      if (faults_ != nullptr) wf = faults_->transmit(src, dst, p, n);
+      if (wire_ != nullptr) wire_->send(wire_cls_, src, dst, p, n, wf);
+      ch.flushed = ch.data.size();
+      if (mt != nullptr) {
+        const std::int64_t t1 = mt->now();
+        mt->add_send(ch.span, src, t0, t1);
+        const std::int64_t dr =
+            faults_ != nullptr ? faults_->stats().retries - r0 : 0;
         if (dr > 0) mt->add_retries(ch.span, dr, t0, t1);
       }
     }
+    unsent_.clear();
   }
 
-  /// Sequential read of `n` doubles from the (src, dst) channel; reads must
-  /// mirror the send order.
-  const double* receive(int src, int dst, std::int64_t n) {
-    obs::MsgTrace* mt =
-        (trace_ != nullptr && n > 0 && trace_->active()) ? trace_ : nullptr;
+  /// Sequential read of `n` doubles from the (src, dst) channel, handed to
+  /// `consume` inside the receive span; reads must mirror the send order.
+  /// Flushes pending sends first. A read past what the channel has pulled
+  /// takes every flushed byte off the wire in one call.
+  template <class Consume>
+  void receive(int src, int dst, std::int64_t n, const Consume& consume) {
+    flush();
+    obs::MsgTrace* const mt = (n > 0 && tracing()) ? trace_ : nullptr;
     const std::int64_t t0 = mt != nullptr ? mt->now() : 0;
     auto it = channels_.find({src, dst});
     AB_REQUIRE(it != channels_.end(), "MessageBoard: no such channel");
     Channel& ch = it->second;
-    AB_REQUIRE(ch.read + static_cast<std::size_t>(n) <= ch.data.size(),
+    const std::size_t end = ch.read + static_cast<std::size_t>(n);
+    AB_REQUIRE(end <= ch.data.size(),
                "MessageBoard: read past end of channel");
     // The wire bytes are authoritative: overwrite the staging bytes with
     // what physically arrived before the caller reads them.
-    if (wire_ != nullptr && n > 0)
-      wire_->recv(wire_cls_, src, dst, ch.data.data() + ch.read,
-                  static_cast<std::size_t>(n));
-    const double* p = ch.data.data() + ch.read;
-    ch.read += static_cast<std::size_t>(n);
+    if (end > ch.pulled) {
+      if (wire_ != nullptr)
+        wire_->recv(wire_cls_, src, dst, ch.data.data() + ch.pulled,
+                    ch.flushed - ch.pulled);
+      ch.pulled = ch.flushed;
+    }
+    consume(ch.data.data() + ch.read);
+    ch.read = end;
     if (mt != nullptr) mt->add_recv(ch.span, t0, mt->now());
+  }
+  /// receive() returning the doubles, valid until the channel's next
+  /// append.
+  const double* receive(int src, int dst, std::int64_t n) {
+    const double* p = nullptr;
+    receive(src, dst, n, [&p](const double* q) { p = q; });
     return p;
   }
 
@@ -168,15 +206,24 @@ class MessageBoard {
 
  private:
   struct Channel {
-    std::vector<double> data;
-    std::size_t read = 0;
+    std::vector<double> data;  ///< this round's doubles, in send order
+    std::size_t flushed = 0;   ///< prefix handed to the wire
+    std::size_t pulled = 0;    ///< prefix overwritten with the wire bytes
+    std::size_t read = 0;      ///< prefix consumed by receive()
     obs::MsgSpanState span;
   };
+
+  bool tracing() const { return trace_ != nullptr && trace_->active(); }
+  void finish_span(Channel& ch, int dst) {
+    if (tracing() && ch.span.sent) trace_->finish(ch.span, dst);
+  }
+
   std::map<std::pair<int, int>, Channel> channels_;
+  std::vector<std::pair<int, int>> unsent_;  ///< channels with bytes to flush
   FaultPlan* faults_ = nullptr;
   obs::MsgTrace* trace_ = nullptr;
   wire::WireHub* wire_ = nullptr;
-  wire::PayloadClass wire_cls_ = wire::PayloadClass::Board;
+  wire::PayloadClass wire_cls_;
 };
 
 template <int D>
@@ -199,23 +246,6 @@ class BufferedExchange {
     rebuild();
   }
 
-  /// Route every cross-PE fill payload through `plan`'s lossy wire
-  /// (nullptr restores the perfect wire).
-  void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
-
-  /// Attach the causal message-trace hook (nullptr detaches). Every
-  /// cross-PE message of a traced fill becomes one send span (packing +
-  /// wire transmission, retries attributed) and one receive span (unpack)
-  /// parent-linked to it — the same pair aggregation messages_per_fill
-  /// counts. Context bytes never enter the double payload.
-  void set_trace(obs::MsgTrace* mt) { trace_ = mt; }
-
-  /// Route every cross-PE fill payload through a real wire (nullptr
-  /// detaches): each phase's packed buffer is framed onto `hub`'s
-  /// transport and the receiver overwrites the buffer with the wire bytes
-  /// before unpacking.
-  void set_wire(wire::WireHub* hub) { wire_ = hub; }
-
   /// Recompute message layouts after the exchanger was rebuilt or the
   /// partition changed.
   void rebuild() {
@@ -233,111 +263,79 @@ class BufferedExchange {
         local_phase_[phase].push_back(i);
         continue;
       }
-      auto key = std::make_pair(ps, pd);
-      auto it = index.find(key);
-      if (it == index.end()) {
-        it = index.emplace(key, static_cast<int>(messages_.size())).first;
-        Message msg;
-        msg.src_pe = ps;
-        msg.dst_pe = pd;
-        messages_.push_back(std::move(msg));
-      }
+      const auto [it, fresh] =
+          index.try_emplace({ps, pd}, static_cast<int>(messages_.size()));
+      if (fresh) messages_.push_back(Message{ps, pd});
       Message& msg = messages_[static_cast<std::size_t>(it->second)];
       msg.phase_ops[phase].push_back(i);
       msg.phase_doubles[phase] += exchanger_->op_payload_doubles(op);
       msg.doubles += exchanger_->op_payload_doubles(op);
     }
-    for (auto& msg : messages_)
-      msg.buffer.assign(static_cast<std::size_t>(msg.doubles), 0.0);
   }
 
-  /// Perform the exchange through the message buffers. Bit-identical to
+  /// Perform the exchange through a private board. Bit-identical to
   /// exchanger.fill(store).
   void fill(BlockStore<D>& store) {
-    fill_on([&store](int) -> BlockStore<D>& { return store; });
+    MessageBoard board(wire::PayloadClass::Ghost);
+    fill_on([&store](int) -> BlockStore<D>& { return store; }, board);
   }
 
-  /// Rank-parallel form: `store_of(pe)` yields PE `pe`'s private store.
-  /// Local ops apply entirely within the owner's store; every cross-PE op
-  /// packs from the source PE's store and unpacks into the destination
-  /// PE's — the only data that crosses a rank boundary is message payload.
-  /// Phase structure matters: all phase-1 traffic (copies/restrictions,
-  /// which also fill the ghost slabs prolongation stencils may read) is
-  /// delivered before any prolongation is evaluated on its sender.
+  /// Rank-parallel form: `store_of(pe)` yields PE `pe`'s private store, and
+  /// `board` carries the messages (one round per fill). Local ops apply
+  /// entirely within the owner's store; every cross-PE op packs from the
+  /// source PE's store straight into its pair's channel and unpacks into
+  /// the destination PE's — the only data that crosses a rank boundary is
+  /// message payload. Phase structure matters: all phase-1 traffic
+  /// (copies/restrictions, which also fill the ghost slabs prolongation
+  /// stencils may read) is delivered before any prolongation is evaluated
+  /// on its sender. Each message is flushed as soon as it is packed, so
+  /// its send span covers its own packing and transmission, and its
+  /// receive span its unpacking.
   template <class StoreOf>
-  void fill_on(const StoreOf& store_of) {
-    obs::MsgTrace* mt =
-        (trace_ != nullptr && trace_->active()) ? trace_ : nullptr;
+  void fill_on(const StoreOf& store_of, MessageBoard& board) {
+    board.clear();
     for (int phase = 0; phase < 2; ++phase) {
       // Local ops (src and dst on the same PE by construction).
       for (int i : local_phase_[phase]) {
         const auto& op = exchanger_->ops()[i];
         exchanger_->apply(store_of(owner_at(op.src)), op);
       }
-      // Pack every cross-PE message for this phase...
-      for (auto& msg : messages_) {
-        const std::int64_t t0 = mt != nullptr ? mt->now() : 0;
-        const std::int64_t r0 = (mt != nullptr && faults_ != nullptr)
-                                    ? faults_->stats().retries
-                                    : 0;
-        double* cursor = msg.buffer.data();
-        BlockStore<D>& src_store = store_of(msg.src_pe);
+      // Pack and send every cross-PE message for this phase...
+      for (const Message& msg : messages_) {
+        const std::int64_t n = msg.phase_doubles[phase];
+        if (n == 0) continue;
+        double* cursor = board.append(msg.src_pe, msg.dst_pe, n);
+        const BlockStore<D>& src_store = store_of(msg.src_pe);
         for (int i : msg.phase_ops[phase]) {
           const auto& op = exchanger_->ops()[i];
           exchanger_->pack_op(src_store, op, cursor);
           cursor += exchanger_->op_payload_doubles(op);
         }
-        // ...push each packed buffer through the (possibly lossy) wire.
-        // Faults are injected, detected, and retransmitted here, so the
-        // buffer a receiver unpacks is always the clean payload; the wire
-        // realizes the drawn faults as actual frames.
-        const std::size_t nsend =
-            static_cast<std::size_t>(cursor - msg.buffer.data());
-        WireFaults wf;
-        if (faults_ != nullptr && nsend > 0)
-          wf = faults_->transmit(msg.src_pe, msg.dst_pe, msg.buffer.data(),
-                                 nsend);
-        if (wire_ != nullptr && nsend > 0)
-          wire_->send(wire::PayloadClass::Ghost, msg.src_pe, msg.dst_pe,
-                      msg.buffer.data(), nsend, wf);
-        if (mt != nullptr && cursor != msg.buffer.data()) {
-          const std::int64_t t1 = mt->now();
-          mt->add_send(msg.span, msg.src_pe, t0, t1);
-          if (faults_ != nullptr) {
-            const std::int64_t dr = faults_->stats().retries - r0;
-            if (dr > 0) mt->add_retries(msg.span, dr, t0, t1);
-          }
-        }
+        board.flush();
       }
       // ...then deliver (unpack). The strict pack-all/unpack-all order is
       // what a bulk-synchronous exchange round does.
-      for (auto& msg : messages_) {
-        const std::int64_t t0 = mt != nullptr ? mt->now() : 0;
-        // Pull the phase's payload off the wire into the staging buffer
-        // before unpacking — the wire copy is the one consumed.
-        if (wire_ != nullptr && msg.phase_doubles[phase] > 0)
-          wire_->recv(wire::PayloadClass::Ghost, msg.src_pe, msg.dst_pe,
-                      msg.buffer.data(),
-                      static_cast<std::size_t>(msg.phase_doubles[phase]));
-        const double* cursor = msg.buffer.data();
+      for (const Message& msg : messages_) {
+        const std::int64_t n = msg.phase_doubles[phase];
+        if (n == 0) continue;
         BlockStore<D>& dst_store = store_of(msg.dst_pe);
-        for (int i : msg.phase_ops[phase]) {
-          const auto& op = exchanger_->ops()[i];
-          exchanger_->unpack_op(dst_store, op, cursor);
-          cursor += exchanger_->op_payload_doubles(op);
-        }
-        if (mt != nullptr && cursor != msg.buffer.data())
-          mt->add_recv(msg.span, t0, mt->now());
+        board.receive(msg.src_pe, msg.dst_pe, n, [&](const double* cursor) {
+          for (int i : msg.phase_ops[phase]) {
+            const auto& op = exchanger_->ops()[i];
+            exchanger_->unpack_op(dst_store, op, cursor);
+            cursor += exchanger_->op_payload_doubles(op);
+          }
+        });
       }
     }
-    // A message's round spans both phases; emit once per fill — the same
-    // granularity messages_per_fill/add_per_pe_traffic count at.
-    if (mt != nullptr)
-      for (auto& msg : messages_) mt->finish(msg.span, msg.dst_pe);
+    // A message's round spans both phases; emit once per fill, in message
+    // order — the granularity messages_per_fill/add_per_pe_traffic count.
+    for (const Message& msg : messages_)
+      board.flush_trace(msg.src_pe, msg.dst_pe);
   }
 
   /// Messages per fill under pair aggregation (both phases of a pair ride
-  /// in that pair's buffer; a pair with traffic counts once).
+  /// in that pair's channel; a pair with traffic counts once).
   std::int64_t messages_per_fill() const {
     return static_cast<std::int64_t>(messages_.size());
   }
@@ -368,9 +366,7 @@ class BufferedExchange {
     int dst_pe = -1;
     std::vector<int> phase_ops[2];
     std::int64_t phase_doubles[2] = {0, 0};
-    std::vector<double> buffer;
     std::int64_t doubles = 0;
-    obs::MsgSpanState span;
   };
 
   int owner_at(int id) const {
@@ -385,9 +381,6 @@ class BufferedExchange {
   int npes_;
   std::vector<int> local_phase_[2];
   std::vector<Message> messages_;
-  FaultPlan* faults_ = nullptr;
-  obs::MsgTrace* trace_ = nullptr;
-  wire::WireHub* wire_ = nullptr;
 };
 
 }  // namespace ab

@@ -1,9 +1,9 @@
 // Per-step traffic and imbalance accounting for the rank-parallel solver,
 // priced on the MachineModel.
 //
-// RankSolver records what actually moved (ghost fills through
-// BufferedExchange, flux-correction payloads, regrid gathers, block
-// migration) and how the work spread over ranks; price_step() converts a
+// RankSolver records what actually moved (ghost fills, flux-correction
+// payloads, regrid gathers, block migration, all through MessageBoard
+// channels) and how the work spread over ranks; price_step() converts a
 // step's record into modeled times using the same per-unit costs the
 // standalone cost study (simulate.hpp) uses — so the execution path and the
 // model speak the same currency.

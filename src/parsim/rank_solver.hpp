@@ -2,10 +2,10 @@
 // by one of P simulated ranks.
 //
 // Each rank holds a private store per block set containing only its blocks
-// — nothing crosses a rank boundary except message payload: ghost fills go
-// through BufferedExchange's buffers, flux-register corrections and
-// coarsen gathers through a MessageBoard, and re-partitioned blocks
-// migrate by pack/unpack of their interior cell data. The partition is
+// — nothing crosses a rank boundary except message payload, and every
+// payload rides a MessageBoard: ghost fills (laid out by BufferedExchange),
+// flux-register corrections, coarsen gathers, and re-partitioned blocks,
+// which migrate by pack/unpack of their interior cell data. The partition is
 // recomputed after every regrid (PartitionPolicy pluggable) and per-step
 // traffic/imbalance is priced on the MachineModel.
 //
@@ -122,18 +122,10 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     num_alive_ = rcfg_.npes;
     AB_REQUIRE(rcfg_.checkpoint_every <= 0 || !rcfg_.checkpoint_path.empty(),
                "RankSolver: checkpoint_every needs a checkpoint_path");
-    buffered_.set_fault_plan(rcfg_.faults);
-    board_.set_fault_plan(rcfg_.faults);
-    topo_board_.set_fault_plan(rcfg_.faults);
-    if (cfg_.telemetry != nullptr) {
-      // Causal cross-rank tracing: every transport payload carries a span
-      // context stamped at send and joined at receive. Costs nothing while
-      // the tracer is disabled (one flag test per hook).
-      msg_trace_.bind(&cfg_.telemetry->trace);
-      buffered_.set_trace(&msg_trace_);
-      board_.set_trace(&msg_trace_);
-      topo_board_.set_trace(&msg_trace_);
-    }
+    // Causal cross-rank tracing: every transport payload carries a span
+    // context stamped at send and joined at receive. Costs nothing while
+    // the tracer is disabled (one flag test per hook).
+    if (cfg_.telemetry != nullptr) msg_trace_.bind(&cfg_.telemetry->trace);
     // Wire transport: an external hub (SPMD workers, pre-fork) wins; else
     // resolve config + AB_TRANSPORT and own a hub when one is needed.
     if (rcfg_.wire != nullptr) {
@@ -149,10 +141,10 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
         hub_ = owned_hub_.get();
       }
     }
-    if (hub_ != nullptr) {
-      buffered_.set_wire(hub_);
-      board_.set_wire(hub_, wire::PayloadClass::Board);
-      topo_board_.set_wire(hub_, wire::PayloadClass::Topo);
+    for (MessageBoard* b : {&ghost_board_, &board_, &topo_board_}) {
+      b->set_fault_plan(rcfg_.faults);
+      if (cfg_.telemetry != nullptr) b->set_trace(&msg_trace_);
+      b->set_wire(hub_);
     }
     distmeta_ = resolve_distmeta(rcfg_);
     if (distmeta_ && (!CurveMap<D>::supports(rcfg_.policy) ||
@@ -470,6 +462,8 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
               {p, q, static_cast<std::int64_t>(buf.size()), recs});
       }
     }
+    // Post the frames now: deferred receives find them on the wire.
+    topo_board_.flush();
     if (!async) {
       for (int p = 0; p < rcfg_.npes; ++p) {
         const auto& buf = packed[static_cast<std::size_t>(p)];
@@ -622,9 +616,11 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   void fill_set(StoreSet& s, double t, std::uint64_t span) {
     if (span != 0)
       msg_trace_.set_context(step_index_, obs::MsgPhase::Ghost, span);
-    buffered_.fill_on([&s](int pe) -> BlockStore<D>& {
-      return s[static_cast<std::size_t>(pe)];
-    });
+    buffered_.fill_on(
+        [&s](int pe) -> BlockStore<D>& {
+          return s[static_cast<std::size_t>(pe)];
+        },
+        ghost_board_);
     for (int pe = 0; pe < rcfg_.npes; ++pe)
       apply_boundary_conditions<D>(s[static_cast<std::size_t>(pe)], forest_,
                                    bfaces_by_pe_[static_cast<std::size_t>(pe)],
@@ -646,29 +642,28 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     board_.clear();
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::Flux, span);
-    std::vector<std::vector<double>> favg(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      const auto& c = plan[i];
+    for (const auto& c : plan) {
       const int pf = owner_at(c.fine);
-      favg[i].resize(static_cast<std::size_t>(reg.correction_doubles(c)));
-      reg.pack_fine_avg(c, reg.storage(c.fine), favg[i].data());
       const int pc = owner_at(c.coarse);
       if (pf != pc)
-        board_.send(pf, pc, favg[i].data(),
-                    static_cast<std::int64_t>(favg[i].size()));
+        reg.pack_fine_avg(c, reg.storage(c.fine),
+                          board_.append(pf, pc, reg.correction_doubles(c)));
     }
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      const auto& c = plan[i];
+    // A same-rank payload is packed just before its apply, as the serial
+    // FluxRegister::apply does (applying never writes the register).
+    std::vector<double> local;
+    for (const auto& c : plan) {
       const int pf = owner_at(c.fine);
       const int pc = owner_at(c.coarse);
-      const double* payload =
-          (pf == pc)
-              ? favg[i].data()
-              : board_.receive(pf, pc,
-                               static_cast<std::int64_t>(favg[i].size()));
+      const std::int64_t n = reg.correction_doubles(c);
+      if (pf == pc) {
+        local.resize(static_cast<std::size_t>(n));
+        reg.pack_fine_avg(c, reg.storage(c.fine), local.data());
+      }
       reg.apply_correction(
           out[static_cast<std::size_t>(pc)].view(c.coarse), c,
-          reg.storage(c.coarse), payload, dt);
+          reg.storage(c.coarse),
+          pf == pc ? local.data() : board_.receive(pf, pc, n), dt);
     }
     step_cost_.flux_messages += board_.messages();
     step_cost_.flux_bytes += board_.bytes();
@@ -728,12 +723,11 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// Gather remote siblings onto the surviving parent's rank `pe`.
   void gather(const Family& kids, int pe) {
     const std::int64_t payload = block_payload_doubles<D>(layout_);
-    std::vector<double> buf(static_cast<std::size_t>(payload));
     for (int c : kids) {
       const int cp = owner_at(c);
       if (cp == pe) continue;
-      pack_block_payload<D>(u_[static_cast<std::size_t>(cp)], c, buf.data());
-      board_.send(cp, pe, buf.data(), payload);
+      pack_block_payload<D>(u_[static_cast<std::size_t>(cp)], c,
+                            board_.append(cp, pe, payload));
       unpack_block_payload<D>(u_[static_cast<std::size_t>(pe)], c,
                               board_.receive(cp, pe, payload));
       u_[static_cast<std::size_t>(cp)].release(c);
@@ -893,11 +887,13 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   Config rcfg_;  ///< solver member: the core's cfg_ (autotuned)
   std::vector<int> owner_;  ///< node id -> rank (-1 for non-leaves)
   BufferedExchange<D> buffered_;
-  MessageBoard board_;
-  /// Topology-delta + hull-prefetch traffic (wire class Topo). Separate
-  /// from board_ so deferred async receives survive the board rounds the
-  /// next steps run.
-  MessageBoard topo_board_;
+  /// The message layer: ghost fills, the other step and regrid rounds
+  /// (flux, gathers, migration), and topology-delta + hull-prefetch
+  /// traffic, each under its own wire class. topo_board_ is separate so
+  /// deferred async receives survive the board rounds the next steps run.
+  MessageBoard ghost_board_{wire::PayloadClass::Ghost};
+  MessageBoard board_{wire::PayloadClass::Board};
+  MessageBoard topo_board_{wire::PayloadClass::Topo};
   /// Cross-rank causal message tracing (bound to the telemetry's tracer at
   /// construction; inert while the tracer is disabled).
   obs::MsgTrace msg_trace_;

@@ -1,4 +1,4 @@
-// Wire framing for the inter-process transport behind BufferedExchange.
+// Wire framing for the inter-process transport behind MessageBoard.
 //
 // Every payload the exchange layer ships (ghost fills, flux corrections,
 // coarsen gathers, migrations, topology deltas) crosses the wire as one or
@@ -42,8 +42,8 @@ namespace wire {
 /// deferred traffic (async topology deltas) can sit buffered while later
 /// classes drain past it.
 enum class PayloadClass : std::uint8_t {
-  Ghost = 0,  ///< BufferedExchange fill payloads (both phases)
-  Board = 1,  ///< MessageBoard rounds: flux, gathers, migration
+  Ghost = 0,  ///< ghost-fill rounds (a frame per pair and phase)
+  Board = 1,  ///< flux, gather and migration rounds
   Topo = 2,   ///< topology deltas + hull-prefetch descriptors
 };
 inline constexpr int kNumPayloadClasses = 3;

@@ -1,10 +1,10 @@
 // The wire hub: framing, sequencing, fault materialization, and class
 // demultiplexing over a byte Transport.
 //
-// MessageBoard and BufferedExchange call send()/recv() around their
-// existing pack/unpack logic; the hub turns each payload into CRC-framed
-// wire traffic (frame.hpp) over real sockets or shared-memory rings
-// (transport.hpp). Receives overwrite the caller's staging buffer with
+// MessageBoard calls send() once per channel it flushes and recv() when a
+// read passes the channel's pulled bytes; the hub turns each payload into
+// CRC-framed wire traffic (frame.hpp) over real sockets or shared-memory
+// rings (transport.hpp). Receives overwrite the caller's staging buffer with
 // the bytes that physically crossed the wire, so the wire copy is the
 // authoritative one a receiver consumes — in single-process mode this
 // makes every equivalence test's payload take a genuine kernel round

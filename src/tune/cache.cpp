@@ -5,8 +5,6 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,46 +12,11 @@
 #include <sstream>
 
 #include "physics/lanes.hpp"
+#include "util/json_text.hpp"
 
 namespace ab::tune {
 
 namespace {
-
-/// Shortest decimal form that parses back to the same double (the
-/// obs/report.cpp discipline): %.15g, falling back to %.17g. This is what
-/// makes save(load(file)) reproduce `file` byte for byte.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.15g", v);
-  if (std::strtod(buf, nullptr) != v)
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 /// Minimal strict parser for exactly the subset to_json emits: one object
 /// of string/number members plus one array of flat objects. Any deviation

@@ -1,5 +1,5 @@
 // Wire-transport suite (`wire` ctest label): the real inter-process
-// transports behind BufferedExchange must carry every payload class while
+// transports behind MessageBoard must carry every payload class while
 // the simulation stays BITWISE identical to the serial solver.
 //
 // Layers under test, bottom up:
@@ -10,6 +10,9 @@
 //   - WireHub: CRC framing and fault materialization (corruptions become
 //     bad frames + clean retransmits, duplicates real double-sends,
 //     reorders sequence-swapped splits),
+//   - MessageBoard over the hub: one frame per (src, dst) channel per
+//     flush, so a step's frames equal its pair-aggregated messages and a
+//     faulted frame carries every send() of its channel,
 //   - RankSolver over the wire, single-process (every payload takes a
 //     kernel round trip) and SPMD (run_process_group forks one real OS
 //     process per rank; remote payloads genuinely cross process
@@ -24,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -628,6 +632,246 @@ TEST(WireEquivalenceFaults, LossyWireStaysBitwise) {
     }
   }
 }
+
+// ------------------------------------------- one frame per channel flush
+
+class WireBoard : public ::testing::TestWithParam<wire::TransportKind> {};
+
+TEST_P(WireBoard, OneFramePerChannelFlush) {
+  // k sends on (0, 1) and two on (2, 1) cross the wire as two frames — at
+  // one frame per send() they would be k + 2 — and the receives return the
+  // bytes sent.
+  wire::WireHub hub(GetParam(), 3);
+  hub.set_recv_timeout(10.0);
+  MessageBoard board;
+  board.set_wire(&hub);
+  const int k = 5;
+  std::vector<std::vector<double>> a, b;
+  for (int i = 0; i < k; ++i) {
+    a.push_back({i + 0.5, -3.0 * i, 1e300 / (i + 1)});
+    board.send(0, 1, a.back().data(), 3);
+  }
+  for (int i = 0; i < 2; ++i) {
+    b.emplace_back(static_cast<std::size_t>(4 + i), 7.0 * i - 1.25);
+    board.send(2, 1, b.back().data(), 4 + i);
+  }
+  const wire::WireStats& ws = hub.stats();
+  EXPECT_EQ(ws.frames_sent, 0) << "sends must wait for the flush";
+  for (const auto& want : a) {
+    const double* got = board.receive(0, 1, 3);
+    EXPECT_EQ(std::vector<double>(got, got + 3), want);
+  }
+  for (const auto& want : b) {
+    const double* got =
+        board.receive(2, 1, static_cast<std::int64_t>(want.size()));
+    EXPECT_EQ(std::vector<double>(got, got + want.size()), want);
+  }
+  EXPECT_EQ(ws.frames_sent, 2);
+  EXPECT_EQ(board.messages(), 2);
+  EXPECT_EQ(ws.payload_bytes, board.bytes());
+
+  // A second flush in the same round adds one frame per channel that
+  // gained bytes, and the receive continues where the first one stopped.
+  const double more[2] = {9.0, -0.0};
+  board.send(0, 1, more, 2);
+  board.flush();
+  EXPECT_EQ(ws.frames_sent, 3);
+  const double* got = board.receive(0, 1, 2);
+  EXPECT_EQ(got[0], 9.0);
+  EXPECT_TRUE(std::signbit(got[1]));
+  EXPECT_EQ(ws.frames_sent, 3);
+  EXPECT_EQ(board.messages(), 2);
+
+  // The next round starts empty.
+  board.clear();
+  EXPECT_EQ(board.messages(), 0);
+  board.send(1, 0, more, 1);
+  EXPECT_EQ(*board.receive(1, 0, 1), 9.0);
+  EXPECT_EQ(ws.frames_sent, 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, WireBoard,
+                         ::testing::Values(wire::TransportKind::Socket,
+                                           wire::TransportKind::Shm));
+
+/// The (source rank, destination rank, fill phase) channels one ghost fill
+/// of `ranks` sends, from the exchanger's plan and the partition.
+template <class Phys>
+std::set<std::tuple<int, int, int>> ghost_channels(
+    const RankSolver<2, Phys>& ranks) {
+  std::set<std::tuple<int, int, int>> out;
+  for (const auto& op : ranks.exchanger().ops()) {
+    const int ps = ranks.owner()[static_cast<std::size_t>(op.src)];
+    const int pd = ranks.owner()[static_cast<std::size_t>(op.dst)];
+    if (ps != pd) out.insert({ps, pd, op.kind == GhostOpKind::Prolong});
+  }
+  return out;
+}
+
+class WireFrames : public ::testing::TestWithParam<wire::TransportKind> {};
+
+TEST_P(WireFrames, StepAndMigrationFramesEqualPairChannels) {
+  // A step with flux correction sends one frame per ghost (pair, phase)
+  // channel per fill plus one per flux channel; a regrid's migration
+  // round sends one per (old owner, new owner) channel.
+  AmrSolver<2, LinearAdvection<2>>::Config scfg = advection_cfg();
+  scfg.flux_correction = true;
+  const LinearAdvection<2> phys = advection_phys();
+  RankSolver<2, LinearAdvection<2>>::Config rcfg;
+  rcfg.solver = scfg;
+  rcfg.npes = 3;
+  rcfg.policy = PartitionPolicy::Morton;
+  rcfg.transport = GetParam();
+  if (wire::resolve_transport(GetParam()) == wire::TransportKind::Board)
+    GTEST_SKIP() << "AB_TRANSPORT forced the board path";
+  AmrSolver<2, LinearAdvection<2>> serial(scfg, phys);
+  RankSolver<2, LinearAdvection<2>> ranks(rcfg, phys);
+  ranks.wire_hub()->set_recv_timeout(20.0);
+  const wire::WireStats& ws = ranks.wire_hub()->stats();
+  for (int round = 0; round < 2; ++round) {
+    SeededTopologyCriterion<2> crit{splitmix64(0xABCDu + round), 2};
+    serial.adapt(crit);
+    ranks.adapt(crit);
+  }
+  serial.init(advection_ic);
+  ranks.init(advection_ic);
+
+  const auto channels = ghost_channels(ranks);
+  std::set<std::pair<int, int>> pairs;
+  for (const auto& [s, d, phase] : channels) pairs.insert({s, d});
+  ASSERT_FALSE(pairs.empty());
+  std::int64_t f0 = ws.frames_sent;
+  const double dt = serial.compute_dt();
+  ASSERT_EQ(dt, ranks.compute_dt());
+  serial.step(dt);
+  ranks.step(dt);
+  const RankStepCost& sc = ranks.last_step_cost();
+  ASSERT_GT(sc.flux_messages, 0) << "no flux channel crossed a rank";
+  const std::int64_t fills = scfg.rk_stages;
+  EXPECT_EQ(sc.ghost_messages,
+            fills * static_cast<std::int64_t>(pairs.size()));
+  EXPECT_EQ(ws.frames_sent - f0,
+            fills * static_cast<std::int64_t>(channels.size()) +
+                sc.flux_messages);
+
+  // Refining without coarsening moves blocks only by migration: no
+  // coarsen gathers share the regrid's frames.
+  const auto refine_only = [](const Forest<2>& f, const BlockStore<2>& b,
+                              int id) {
+    const AdaptFlag a =
+        SeededTopologyCriterion<2>{splitmix64(0xF7A2u), 2}(f, b, id);
+    return a == AdaptFlag::Refine ? a : AdaptFlag::Keep;
+  };
+  f0 = ws.frames_sent;
+  serial.adapt(refine_only);
+  ranks.adapt(refine_only);
+  const RegridCost& rc = ranks.last_regrid_cost();
+  ASSERT_GT(rc.migrated_blocks, rc.migration_messages)
+      << "no migration channel carried two blocks";
+  EXPECT_EQ(rc.gather_messages, 0);
+  EXPECT_EQ(ws.frames_sent - f0, rc.migration_messages);
+  for (int s = 0; s < 2; ++s) {
+    const double dts = serial.compute_dt();
+    ASSERT_EQ(dts, ranks.compute_dt());
+    serial.step(dts);
+    ranks.step(dts);
+  }
+  require_identical(serial, ranks);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, WireFrames,
+                         ::testing::Values(wire::TransportKind::Socket,
+                                           wire::TransportKind::Shm));
+
+enum class FrameFault { Corrupt, Duplicate, Reorder };
+
+class WireFaultedFrames
+    : public ::testing::TestWithParam<
+          std::tuple<wire::TransportKind, FrameFault>> {};
+
+TEST_P(WireFaultedFrames, FaultedFrameCarriesEverySendOfItsChannel) {
+  // The wire is clean until a regrid whose one migration channel carries
+  // several blocks; then the plan faults exactly the next frame — that
+  // channel's, so one corrupted, duplicated or reordered frame carries
+  // several send() calls. The run stays bitwise equal to serial.
+  const auto [kind, fault] = GetParam();
+  if (wire::resolve_transport(kind) == wire::TransportKind::Board)
+    GTEST_SKIP() << "AB_TRANSPORT forced the board path";
+  const AmrSolver<2, LinearAdvection<2>>::Config scfg = advection_cfg();
+  const LinearAdvection<2> phys = advection_phys();
+  FaultPlan plan(FaultPlan::Config{});
+  RankSolver<2, LinearAdvection<2>>::Config rcfg;
+  rcfg.solver = scfg;
+  rcfg.npes = 2;
+  rcfg.policy = PartitionPolicy::Morton;
+  rcfg.faults = &plan;
+  rcfg.transport = kind;
+  AmrSolver<2, LinearAdvection<2>> serial(scfg, phys);
+  RankSolver<2, LinearAdvection<2>> ranks(rcfg, phys);
+  ranks.wire_hub()->set_recv_timeout(20.0);
+  serial.init(advection_ic);
+  ranks.init(advection_ic);
+  serial.step(serial.compute_dt());
+  ranks.step(ranks.compute_dt());
+
+  FaultPlan::Config fcfg;
+  fcfg.corrupt_rate = fault == FrameFault::Corrupt ? 1.0 : 0.0;
+  fcfg.duplicate_rate = fault == FrameFault::Duplicate ? 1.0 : 0.0;
+  fcfg.reorder_rate = fault == FrameFault::Reorder ? 1.0 : 0.0;
+  fcfg.max_faults = 1;
+  plan = FaultPlan(fcfg);
+  const wire::WireStats w0 = ranks.wire_hub()->stats();
+  // Refine the two roots of the bottom row: both sit on rank 0, and the
+  // re-partition moves several of their children to rank 1.
+  const auto bottom_row = [](const Forest<2>& f, const BlockStore<2>&,
+                             int id) {
+    return f.level(id) == 0 && f.coords(id)[1] == 0 ? AdaptFlag::Refine
+                                                    : AdaptFlag::Keep;
+  };
+  serial.adapt(bottom_row);
+  ranks.adapt(bottom_row);
+  const RegridCost& rc = ranks.last_regrid_cost();
+  ASSERT_EQ(rc.migration_messages, 1);
+  ASSERT_GE(rc.migrated_blocks, 2);
+
+  const FaultStats& fs = plan.stats();
+  const wire::WireStats& ws = ranks.wire_hub()->stats();
+  EXPECT_EQ(fs.transmissions, 1) << "one draw per channel flush";
+  EXPECT_EQ(fs.injected(), 1);
+  EXPECT_EQ(ws.frames_sent - w0.frames_sent, 2);
+  // The receiver meets a duplicate only when it next reads the channel,
+  // so the hub's counters are checked after a few more (clean) steps.
+  for (int s = 0; s < 3; ++s) {
+    const double dt = serial.compute_dt();
+    ASSERT_EQ(dt, ranks.compute_dt());
+    serial.step(dt);
+    ranks.step(dt);
+  }
+  require_identical(serial, ranks);
+  EXPECT_EQ(fs.injected(), 1);
+  switch (fault) {
+    case FrameFault::Corrupt:
+      EXPECT_EQ(fs.corrupted, 1);
+      EXPECT_EQ(ws.crc_rejects - w0.crc_rejects, 1);
+      break;
+    case FrameFault::Duplicate:
+      EXPECT_EQ(fs.duplicated, 1);
+      EXPECT_EQ(ws.dup_discards - w0.dup_discards, 1);
+      break;
+    case FrameFault::Reorder:
+      EXPECT_EQ(fs.reordered, 1);
+      EXPECT_EQ(ws.reorder_stashes - w0.reorder_stashes, 1);
+      break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, WireFaultedFrames,
+    ::testing::Combine(::testing::Values(wire::TransportKind::Socket,
+                                         wire::TransportKind::Shm),
+                       ::testing::Values(FrameFault::Corrupt,
+                                         FrameFault::Duplicate,
+                                         FrameFault::Reorder)));
 
 // --------------------------------------------------------- env plumbing
 
