@@ -678,12 +678,10 @@ class SteppingCore {
     const BlockPool::Stats& ps = block_pool_->stats();
     m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
     m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
-    m.counter("pool.reuse_hits")
-        ->add(static_cast<std::uint64_t>(ps.reuse_hits - pool_reuse_seen_));
-    m.counter("pool.fresh_allocs")
-        ->add(static_cast<std::uint64_t>(ps.fresh_allocs - pool_fresh_seen_));
-    pool_reuse_seen_ = ps.reuse_hits;
-    pool_fresh_seen_ = ps.fresh_allocs;
+    obs::publish_total(m, "pool.reuse_hits", ps.reuse_hits,
+                       pool_published_.reuse_hits);
+    obs::publish_total(m, "pool.fresh_allocs", ps.fresh_allocs,
+                       pool_published_.fresh_allocs);
     publish_tune_gauges(m, tune_decision_);
     m.histogram("solver.step_wall_s",
                 {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0})
@@ -720,8 +718,7 @@ class SteppingCore {
     ghost_ops_step_[0] = ghost_ops_step_[1] = ghost_ops_step_[2] = 0;
   }
 
-  std::int64_t pool_reuse_seen_ = 0;  // pool counters exported so far
-  std::int64_t pool_fresh_seen_ = 0;
+  BlockPool::Stats pool_published_;  // pool totals exported so far
 };
 
 }  // namespace ab

@@ -198,4 +198,14 @@ class MetricsRegistry {
   std::deque<std::pair<std::string, Histogram>> histograms_;
 };
 
+/// Publish a running total kept elsewhere (a block pool's, a wire hub's, a
+/// fault plan's) as a counter: add what the total grew by since
+/// `published`, its value at the last call, and remember it.
+inline void publish_total(MetricsRegistry& m, const char* name,
+                          std::int64_t total, std::int64_t& published) {
+  m.counter(name)->add(
+      total > published ? static_cast<std::uint64_t>(total - published) : 0);
+  published = total;
+}
+
 }  // namespace ab::obs

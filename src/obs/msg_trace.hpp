@@ -12,7 +12,7 @@
 // off. The documented byte layout below is what a real wire transport
 // would ship alongside each message (and what the codec tests pin down).
 //
-// Span granularity matches the PeTraffic accounting exactly: one send
+// Span granularity matches the PeLoad accounting exactly: one send
 // span and one receive span per pair-aggregated message per exchange
 // round (a ghost-fill channel that packs in both fill phases, or a
 // channel that accumulates several send() calls, still counts — and

@@ -10,10 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/block_store.hpp"
 #include "parsim/buffered_exchange.hpp"
+#include "parsim/machine.hpp"
 #include "util/error.hpp"
 
 namespace ab {
@@ -47,6 +50,33 @@ void unpack_block_payload(BlockStore<D>& store, int id, const double* buf) {
     for_each_cell<D>(store.layout().interior_box(),
                      [&](IVec<D> p) { v.at(var, p) = *cursor++; });
   }
+}
+
+/// The per-PE record of the migration round migrate_blocks runs from
+/// `from` to `to`, without moving any data: one message per (old, new)
+/// owner pair, carrying block_payload_doubles per block. Price it with
+/// price_pes.
+template <int D>
+std::vector<PeLoad> migration_loads(const std::vector<int>& leaves,
+                                    const std::vector<int>& from,
+                                    const std::vector<int>& to, int npes,
+                                    const BlockLayout<D>& lay) {
+  const std::int64_t block_bytes =
+      block_payload_doubles(lay) * static_cast<std::int64_t>(sizeof(double));
+  std::map<std::pair<int, int>, std::int64_t> pair_bytes;
+  for (int id : leaves) {
+    const int a = from[static_cast<std::size_t>(id)];
+    const int b = to[static_cast<std::size_t>(id)];
+    AB_REQUIRE(a >= 0 && b >= 0 && a < npes && b < npes,
+               "migration_loads: leaf without an owner");
+    if (a != b) pair_bytes[{a, b}] += block_bytes;
+  }
+  std::vector<PeLoad> pes(static_cast<std::size_t>(npes));
+  for (const auto& [pair, bytes] : pair_bytes) {
+    pes[static_cast<std::size_t>(pair.first)].add_sent(bytes);
+    pes[static_cast<std::size_t>(pair.second)].add_recv(bytes);
+  }
+  return pes;
 }
 
 struct MigrationStats {

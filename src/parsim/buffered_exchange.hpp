@@ -16,9 +16,9 @@
 // the receiver; local ops are applied directly. Packing reads the source
 // PE's store and unpacking writes the destination PE's, so with one private
 // store per rank (RankSolver) nothing else crosses the rank boundary. The
-// result is bit-identical to GhostExchanger::fill, and the message
-// counts/bytes match simulate_step's accounting exactly
-// (tests/parsim/buffered_exchange_test.cpp).
+// result is bit-identical to GhostExchanger::fill
+// (tests/parsim/buffered_exchange_test.cpp), and its per-PE traffic is the
+// record both simulate_step and RankSolver price.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +30,7 @@
 #include "core/ghost.hpp"
 #include "obs/msg_trace.hpp"
 #include "parsim/fault.hpp"
-#include "parsim/rank_accounting.hpp"
+#include "parsim/machine.hpp"
 #include "parsim/wire/hub.hpp"
 #include "util/error.hpp"
 
@@ -176,7 +176,7 @@ class MessageBoard {
   /// dst) channel counts one sent message for src and one received for dst,
   /// with the channel's wire bytes on both sides. `t` must be sized to the
   /// PE count; out-of-range endpoints are ignored.
-  void add_per_pe_traffic(std::vector<PeTraffic>& t) const {
+  void add_per_pe_traffic(std::vector<PeLoad>& t) const {
     for (const auto& [key, ch] : channels_) {
       if (ch.data.empty()) continue;
       const std::int64_t bytes =
@@ -251,6 +251,7 @@ class BufferedExchange {
   void rebuild() {
     local_phase_[0].clear();
     local_phase_[1].clear();
+    local_bytes_.assign(static_cast<std::size_t>(npes_), 0);
     messages_.clear();
     std::map<std::pair<int, int>, int> index;  // (src_pe, dst_pe) -> msg
     const auto& ops = exchanger_->ops();
@@ -261,6 +262,9 @@ class BufferedExchange {
       const int pd = owner_at(op.dst);
       if (ps == pd) {
         local_phase_[phase].push_back(i);
+        local_bytes_[static_cast<std::size_t>(ps)] +=
+            exchanger_->op_payload_doubles(op) *
+            static_cast<std::int64_t>(sizeof(double));
         continue;
       }
       const auto [it, fresh] =
@@ -348,8 +352,11 @@ class BufferedExchange {
   }
 
   /// Credit one fill's traffic to its endpoints (same aggregation as
-  /// messages_per_fill/bytes_per_fill). `t` must be sized to the PE count.
-  void add_per_pe_traffic(std::vector<PeTraffic>& t) const {
+  /// messages_per_fill/bytes_per_fill), and each PE its on-PE ghost copy
+  /// bytes. `t` must be sized to the PE count.
+  void add_per_pe_traffic(std::vector<PeLoad>& t) const {
+    for (std::size_t p = 0; p < t.size() && p < local_bytes_.size(); ++p)
+      t[p].local_bytes += local_bytes_[p];
     for (const auto& msg : messages_) {
       const std::int64_t bytes =
           msg.doubles * static_cast<std::int64_t>(sizeof(double));
@@ -380,6 +387,7 @@ class BufferedExchange {
   std::vector<int> owner_;
   int npes_;
   std::vector<int> local_phase_[2];
+  std::vector<std::int64_t> local_bytes_;  ///< per PE, one fill's local ops
   std::vector<Message> messages_;
 };
 

@@ -6,8 +6,9 @@
 // payload rides a MessageBoard: ghost fills (laid out by BufferedExchange),
 // flux-register corrections, coarsen gathers, and re-partitioned blocks,
 // which migrate by pack/unpack of their interior cell data. The partition is
-// recomputed after every regrid (PartitionPolicy pluggable) and per-step
-// traffic/imbalance is priced on the MachineModel.
+// recomputed after every regrid (PartitionPolicy pluggable) and each step's
+// per-rank record is priced on the MachineModel by price_pes, the function
+// behind Figures 6-7.
 //
 // The step, the stage loop, compute_dt, init and adapt's family selection
 // are the stepping core's (amr/stepping_core.hpp), the same code AmrSolver
@@ -117,9 +118,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       this->store_of(u_, id).ensure(id);
       this->store_of(scratch_, id).ensure(id);
     }
-    rank_flops_.assign(static_cast<std::size_t>(rcfg_.npes), 0);
-    alive_.assign(static_cast<std::size_t>(rcfg_.npes), true);
-    num_alive_ = rcfg_.npes;
+    for (int p = 0; p < rcfg_.npes; ++p) alive_.push_back(p);
     AB_REQUIRE(rcfg_.checkpoint_every <= 0 || !rcfg_.checkpoint_path.empty(),
                "RankSolver: checkpoint_every needs a checkpoint_path");
     // Causal cross-rank tracing: every transport payload carries a span
@@ -195,18 +194,17 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
                      : 0;
     RankStepCost& sc = step_cost_;
     sc = RankStepCost{};
-    sc.imbalance = load_imbalance(owner_, rcfg_.npes);
-    sc.per_rank.assign(static_cast<std::size_t>(rcfg_.npes), PeTraffic{});
-    rank_flops_.assign(static_cast<std::size_t>(rcfg_.npes), 0);
+    sc.imbalance = alive_imbalance();
+    sc.per_rank.assign(static_cast<std::size_t>(rcfg_.npes), PeLoad{});
     // The kill point sits after the first exchange: the step is genuinely
     // in flight (ghosts delivered, stage results pending) when the rank
     // dies, and nothing it half-did survives recovery.
     this->advance(dt, [this] { maybe_kill(); });
-    for (std::uint64_t f : rank_flops_) {
-      sc.flops += f;
-      sc.max_rank_flops = std::max(sc.max_rank_flops, f);
-    }
-    price_step(sc, rcfg_.machine, rcfg_.npes);
+    // A dead rank is no idle PE of the machine: price the survivors.
+    std::vector<PeLoad> survivors;
+    for (int p : alive_)
+      survivors.push_back(sc.per_rank[static_cast<std::size_t>(p)]);
+    sc.model = price_pes(survivors, rcfg_.machine);
     totals_.add(sc);
     if (step_span_ != 0)
       tel->trace.record(obs::TraceEvent{"step", "step", mark.t0,
@@ -261,28 +259,23 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// PartitionPolicy/migration machinery), and leave the solver ready to
   /// resume from the checkpointed time.
   void recover(int dead_rank) {
-    AB_REQUIRE(dead_rank >= 0 && dead_rank < rcfg_.npes &&
-                   alive_[static_cast<std::size_t>(dead_rank)],
+    AB_REQUIRE(rank_alive(dead_rank),
                "RankSolver: recover() needs a live rank id");
     AB_REQUIRE(!last_checkpoint_path_.empty(),
                "RankSolver: rank " + std::to_string(dead_rank) +
                    " died with no checkpoint to recover from (set "
                    "checkpoint_every/checkpoint_path)");
-    alive_[static_cast<std::size_t>(dead_rank)] = false;
-    --num_alive_;
-    AB_REQUIRE(num_alive_ >= 1, "RankSolver: no surviving ranks");
+    alive_.erase(std::find(alive_.begin(), alive_.end(), dead_rank));
+    AB_REQUIRE(!alive_.empty(), "RankSolver: no surviving ranks");
     restore(last_checkpoint_path_);
-    obs::Telemetry* const tel = cfg_.telemetry;
-    if (tel != nullptr) {
-      tel->metrics.counter("fault.rank_deaths")->add(1);
-      tel->metrics.counter("fault.recoveries")->add(1);
-    }
+    count("fault.rank_deaths", 1);
+    count("fault.recoveries", 1);
   }
 
   /// Ranks still alive (npes minus recovered deaths).
-  int num_alive() const { return num_alive_; }
+  int num_alive() const { return static_cast<int>(alive_.size()); }
   bool rank_alive(int pe) const {
-    return pe >= 0 && pe < rcfg_.npes && alive_[static_cast<std::size_t>(pe)];
+    return std::binary_search(alive_.begin(), alive_.end(), pe);
   }
   const std::string& last_checkpoint_path() const {
     return last_checkpoint_path_;
@@ -307,7 +300,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     AB_REQUIRE(r >= 0 && r < rcfg_.npes,
                "FaultPlan: kill_rank out of range");
     fp->consume_kill();
-    if (!alive_[static_cast<std::size_t>(r)]) return;  // already dead
+    if (!rank_alive(r)) return;  // already dead
     throw RankFailure(r, "simulated rank " + std::to_string(r) +
                              " died during step " +
                              std::to_string(step_index_));
@@ -319,15 +312,30 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// surviving rank ids, so dead ranks own nothing.
   std::vector<int> partition_alive() const {
     std::vector<int> raw =
-        partition_blocks<D>(forest_, num_alive_, rcfg_.policy);
-    if (num_alive_ == rcfg_.npes) return raw;
-    std::vector<int> alive_ids;
-    alive_ids.reserve(static_cast<std::size_t>(num_alive_));
-    for (int p = 0; p < rcfg_.npes; ++p)
-      if (alive_[static_cast<std::size_t>(p)]) alive_ids.push_back(p);
+        partition_blocks<D>(forest_, num_alive(), rcfg_.policy);
     for (int& o : raw)
-      if (o >= 0) o = alive_ids[static_cast<std::size_t>(o)];
+      if (o >= 0) o = alive_[static_cast<std::size_t>(o)];
     return raw;
+  }
+
+  /// Block-count imbalance over the surviving ranks: a dead rank owns
+  /// nothing, and is no idle PE.
+  double alive_imbalance() const {
+    std::vector<int> slot(static_cast<std::size_t>(rcfg_.npes), -1);
+    for (std::size_t k = 0; k < alive_.size(); ++k)
+      slot[static_cast<std::size_t>(alive_[k])] = static_cast<int>(k);
+    std::vector<int> owner = owner_;
+    for (int& o : owner)
+      if (o >= 0) o = slot[static_cast<std::size_t>(o)];
+    return load_imbalance(owner, num_alive());
+  }
+
+  /// Add `n` to telemetry counter `name` where the event happens (a pointer
+  /// test without telemetry).
+  void count(const char* name, std::int64_t n) const {
+    if (cfg_.telemetry != nullptr && n > 0)
+      cfg_.telemetry->metrics.counter(name)->add(
+          static_cast<std::uint64_t>(n));
   }
 
   int owner_at(int id) const {
@@ -375,9 +383,9 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     topo_ = std::make_unique<LocalTopologySet<D>>(forest_, owner_, rcfg_.npes,
                                                   rcfg_.policy, hints);
     prefetch_hints_.clear();
-    topo_probes_acc_ += topo_->stats().probes;
-    topo_remote_acc_ += topo_->stats().remote_probes;
-    topo_prefetch_acc_ += topo_->stats().prefetch_hits;
+    count("topo.probes", topo_->stats().probes);
+    count("topo.remote_probes", topo_->stats().remote_probes);
+    count("topo.prefetch_hits", topo_->stats().prefetch_hits);
     // Directory check: every owned block's key interval must resolve to
     // its owner (this is what routes migration payloads when no rank holds
     // the global owner array).
@@ -439,8 +447,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
                              parent_span);
     std::vector<std::vector<double>> packed(
         static_cast<std::size_t>(rcfg_.npes));
-    std::int64_t msgs = 0;
-    std::int64_t bytes = 0;
     for (int p = 0; p < rcfg_.npes; ++p) {
       const auto& recs = deltas[static_cast<std::size_t>(p)];
       if (recs.empty()) continue;
@@ -455,8 +461,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       for (int q : topo_->rank(p).neighbor_ranks()) {
         topo_board_.send(p, q, buf.data(),
                          static_cast<std::int64_t>(buf.size()));
-        ++msgs;
-        bytes += static_cast<std::int64_t>(buf.size() * sizeof(double));
         if (async)
           pending_topo_.push_back(
               {p, q, static_cast<std::int64_t>(buf.size()), recs});
@@ -473,11 +477,18 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
                             deltas[static_cast<std::size_t>(p)]);
       }
     }
-    rc.topo_delta_messages += msgs;
-    rc.topo_delta_bytes += bytes;
+    account_topo_round(rc);
+  }
+
+  /// Charge the topology round on topo_board_ (its pair messages and
+  /// bytes) to the regrid's cost and the topo.* counters, and close its
+  /// spans.
+  void account_topo_round(RegridCost& rc) {
+    rc.topo_delta_messages += topo_board_.messages();
+    rc.topo_delta_bytes += topo_board_.bytes();
+    count("topo.delta_messages", topo_board_.messages());
+    count("topo.delta_bytes", topo_board_.bytes());
     topo_board_.flush_trace();
-    topo_delta_msgs_acc_ += msgs;
-    topo_delta_bytes_acc_ += bytes;
   }
 
   /// Receive one (src, dst) topology-delta payload and check it decodes to
@@ -542,17 +553,12 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       buf.push_back(static_cast<double>(pe));
       buf[0] += 1.0;
     }
-    std::int64_t msgs = 0;
-    std::int64_t bytes = 0;
     for (int p = 0; p < rcfg_.npes; ++p) {
       const auto& buf = packed[static_cast<std::size_t>(p)];
       if (buf.empty()) continue;
-      for (int q : topo_->rank(p).neighbor_ranks()) {
+      for (int q : topo_->rank(p).neighbor_ranks())
         topo_board_.send(p, q, buf.data(),
                          static_cast<std::int64_t>(buf.size()));
-        ++msgs;
-        bytes += static_cast<std::int64_t>(buf.size() * sizeof(double));
-      }
     }
     prefetch_hints_.assign(static_cast<std::size_t>(rcfg_.npes), {});
     const CurveMap<D> curve(forest_.config(), rcfg_.policy);
@@ -562,10 +568,10 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       for (int q : topo_->rank(p).neighbor_ranks()) {
         const double* payload = topo_board_.receive(
             p, q, static_cast<std::int64_t>(buf.size()));
-        const int count = static_cast<int>(payload[0]);
+        const int nblocks = static_cast<int>(payload[0]);
         const double* at = payload + 1;
         auto& hints = prefetch_hints_[static_cast<std::size_t>(q)];
-        for (int i = 0; i < count; ++i) {
+        for (int i = 0; i < nblocks; ++i) {
           BlockDesc<D> b;
           b.level = static_cast<int>(*at++);
           for (int d = 0; d < D; ++d) b.coords[d] = static_cast<int>(*at++);
@@ -581,11 +587,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
                 [](const BlockDesc<D>& a, const BlockDesc<D>& b) {
                   return a.key_begin < b.key_begin;
                 });
-    rc.topo_delta_messages += msgs;
-    rc.topo_delta_bytes += bytes;
-    topo_board_.flush_trace();
-    topo_delta_msgs_acc_ += msgs;
-    topo_delta_bytes_acc_ += bytes;
+    account_topo_round(rc);
   }
 
   /// One step of advance_to. A simulated rank death is recovered in
@@ -680,7 +682,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     const int pe = owner_at(id);
     obs::Tracer* const tr = span != 0 ? &cfg_.telemetry->trace : nullptr;
     const std::int64_t t0 = tr != nullptr ? tr->now_ns() : 0;
-    rank_flops_[static_cast<std::size_t>(pe)] += update();
+    step_cost_.per_rank[static_cast<std::size_t>(pe)].flops += update();
     if (tr != nullptr)
       tr->record(obs::TraceEvent{"stage_update", "compute", t0, tr->now_ns(),
                                  0, tr->new_span_id(), span, pe,
@@ -751,7 +753,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     // Load re-balancing, as the paper prescribes after every adaptation:
     // recompute the partition for the new leaf set and migrate every
     // block whose owner changed.
-    rc.imbalance_before = load_imbalance(owner_, rcfg_.npes);
+    rc.imbalance_before = alive_imbalance();
     std::vector<int> fresh = partition_alive();
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::Migrate,
@@ -778,13 +780,15 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     rc.migrated_blocks = ms.blocks;
     rc.migration_messages = ms.messages;
     rc.migration_bytes = ms.bytes;
-    rc.imbalance_after = load_imbalance(owner_, rcfg_.npes);
+    rc.imbalance_after = alive_imbalance();
     last_regrid_ = rc;
     totals_.add(rc);
   }
 
-  /// The step's traffic/imbalance through the metrics registry, and the
-  /// per-rank traffic table in the step's report record.
+  /// The step's traffic, imbalance and modeled time through the metrics
+  /// registry, and the per-rank traffic table in the step's report record.
+  /// Counters of regrid-time events (topology probes and deltas) are added
+  /// where they happen.
   void publish_step(obs::MetricsRegistry& m, obs::StepReport* r) {
     const RankStepCost& sc = step_cost_;
     m.counter("rank.steps")->add(1);
@@ -796,14 +800,13 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
         ->add(static_cast<std::uint64_t>(sc.flux_messages));
     m.counter("rank.flux_bytes")
         ->add(static_cast<std::uint64_t>(sc.flux_bytes));
-    m.counter("rank.flops")->add(sc.flops);
+    m.counter("rank.flops")->add(sc.model.total_flops);
     m.gauge("rank.load_imbalance")->set(sc.imbalance);
-    m.gauge("rank.t_step_model_s")->set(sc.t_step);
-    m.gauge("rank.efficiency")->set(sc.efficiency);
+    m.gauge("rank.t_step_model_s")->set(sc.model.t_step);
+    m.gauge("rank.efficiency")->set(sc.model.efficiency);
     if (distmeta_ && topo_ != nullptr) {
       // Per-rank topology footprint: the gauges must track blocks/rank +
-      // hull, not total blocks (the distributed-metadata contract). Probe
-      // and delta totals are cumulative; counters take per-step deltas.
+      // hull, not total blocks (the distributed-metadata contract).
       m.gauge("topo.max_owned")
           ->set(static_cast<double>(topo_->max_owned()));
       m.gauge("topo.max_hull")->set(static_cast<double>(topo_->max_hull()));
@@ -811,58 +814,42 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
           ->set(static_cast<double>(topo_->max_rank_bytes()));
       m.gauge("topo.directory_bytes")
           ->set(static_cast<double>(topo_->directory().bytes()));
-      auto pub = [&m](const char* name, std::int64_t cur,
-                      std::int64_t& prev) {
-        if (cur > prev)
-          m.counter(name)->add(static_cast<std::uint64_t>(cur - prev));
-        prev = cur;
-      };
-      pub("topo.probes", topo_probes_acc_, topo_probes_seen_);
-      pub("topo.remote_probes", topo_remote_acc_, topo_remote_seen_);
-      pub("topo.prefetch_hits", topo_prefetch_acc_, topo_prefetch_seen_);
-      pub("topo.delta_messages", topo_delta_msgs_acc_,
-          topo_delta_msgs_seen_);
-      pub("topo.delta_bytes", topo_delta_bytes_acc_, topo_delta_bytes_seen_);
     }
     if (hub_ != nullptr) {
       // Wire-frame totals are cumulative per hub; counters take deltas.
       const wire::WireStats& ws = hub_->stats();
-      auto pub = [&m](const char* name, std::int64_t cur,
-                      std::int64_t prev) {
-        if (cur > prev)
-          m.counter(name)->add(static_cast<std::uint64_t>(cur - prev));
-      };
-      pub("wire.frames_sent", ws.frames_sent, wire_prev_.frames_sent);
-      pub("wire.frames_recv", ws.frames_recv, wire_prev_.frames_recv);
-      pub("wire.payload_bytes", ws.payload_bytes, wire_prev_.payload_bytes);
-      pub("wire.bytes", ws.wire_bytes, wire_prev_.wire_bytes);
-      pub("wire.crc_rejects", ws.crc_rejects, wire_prev_.crc_rejects);
-      pub("wire.dup_discards", ws.dup_discards, wire_prev_.dup_discards);
-      pub("wire.reorder_stashes", ws.reorder_stashes,
-          wire_prev_.reorder_stashes);
-      wire_prev_ = ws;
+      wire::WireStats& pub = wire_published_;
+      obs::publish_total(m, "wire.frames_sent", ws.frames_sent,
+                         pub.frames_sent);
+      obs::publish_total(m, "wire.frames_recv", ws.frames_recv,
+                         pub.frames_recv);
+      obs::publish_total(m, "wire.payload_bytes", ws.payload_bytes,
+                         pub.payload_bytes);
+      obs::publish_total(m, "wire.bytes", ws.wire_bytes, pub.wire_bytes);
+      obs::publish_total(m, "wire.crc_rejects", ws.crc_rejects,
+                         pub.crc_rejects);
+      obs::publish_total(m, "wire.dup_discards", ws.dup_discards,
+                         pub.dup_discards);
+      obs::publish_total(m, "wire.reorder_stashes", ws.reorder_stashes,
+                         pub.reorder_stashes);
       m.gauge("wire.dedup_state_bytes")
           ->set(static_cast<double>(hub_->dedup_state_bytes()));
     }
     if (rcfg_.faults != nullptr) {
       // The plan's stats are run totals; counters take per-step deltas.
       const FaultStats& fs = rcfg_.faults->stats();
-      auto pub = [&m](const char* name, std::int64_t cur,
-                      std::int64_t prev) {
-        if (cur > prev)
-          m.counter(name)->add(static_cast<std::uint64_t>(cur - prev));
-      };
-      pub("fault.dropped", fs.dropped, fault_prev_.dropped);
-      pub("fault.corrupted", fs.corrupted, fault_prev_.corrupted);
-      pub("fault.duplicated", fs.duplicated, fault_prev_.duplicated);
-      pub("fault.reordered", fs.reordered, fault_prev_.reordered);
-      pub("fault.retries", fs.retries, fault_prev_.retries);
-      fault_prev_ = fs;
+      FaultStats& pub = fault_published_;
+      obs::publish_total(m, "fault.dropped", fs.dropped, pub.dropped);
+      obs::publish_total(m, "fault.corrupted", fs.corrupted, pub.corrupted);
+      obs::publish_total(m, "fault.duplicated", fs.duplicated,
+                         pub.duplicated);
+      obs::publish_total(m, "fault.reordered", fs.reordered, pub.reordered);
+      obs::publish_total(m, "fault.retries", fs.retries, pub.retries);
     }
     if (r == nullptr) return;
     r->per_rank.reserve(sc.per_rank.size());
     for (std::size_t p = 0; p < sc.per_rank.size(); ++p) {
-      const PeTraffic& t = sc.per_rank[p];
+      const PeLoad& t = sc.per_rank[p];
       obs::RankTrafficRecord rec;
       rec.rank = static_cast<int>(p);
       rec.sent_messages = t.sent_messages;
@@ -903,26 +890,15 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   FluxRegister<D> flux_register_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_pe_;
   /// Distributed metadata (Config::distributed_metadata / AB_DIST_META):
-  /// per-rank local views rebuilt with every partition change; the probe
-  /// and delta totals feed the topo.* telemetry counters.
+  /// per-rank local views rebuilt with every partition change.
   bool distmeta_ = false;
   std::unique_ptr<LocalTopologySet<D>> topo_;
-  std::int64_t topo_probes_acc_ = 0;
-  std::int64_t topo_remote_acc_ = 0;
-  std::int64_t topo_prefetch_acc_ = 0;
-  std::int64_t topo_delta_msgs_acc_ = 0;
-  std::int64_t topo_delta_bytes_acc_ = 0;
-  std::int64_t topo_probes_seen_ = 0;
-  std::int64_t topo_remote_seen_ = 0;
-  std::int64_t topo_prefetch_seen_ = 0;
-  std::int64_t topo_delta_msgs_seen_ = 0;
-  std::int64_t topo_delta_bytes_seen_ = 0;
   /// Wire transport state (Board path: hub_ stays null and none of this
   /// is touched).
   wire::TransportKind transport_kind_ = wire::TransportKind::Board;
   std::unique_ptr<wire::WireHub> owned_hub_;
   wire::WireHub* hub_ = nullptr;
-  wire::WireStats wire_prev_;  ///< hub stats published so far
+  wire::WireStats wire_published_;  ///< hub totals published so far
   /// One deferred async topology-delta receive (src -> dst, n doubles,
   /// plus the records the payload must decode to).
   struct PendingTopo {
@@ -939,11 +915,9 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// Per-rank topology changes of the regrid in flight (distributed
   /// metadata only).
   std::vector<std::vector<TopoDeltaRecord<D>>> deltas_;
-  std::vector<std::uint64_t> rank_flops_;
-  std::vector<bool> alive_;  ///< per-rank liveness (deaths are permanent)
-  int num_alive_ = 0;
+  std::vector<int> alive_;  ///< surviving rank ids, ascending
   std::string last_checkpoint_path_;
-  FaultStats fault_prev_;  ///< last stats published to the metrics registry
+  FaultStats fault_published_;  ///< plan totals published so far
   RankStepCost step_cost_{};  ///< the step in flight, then the last step
   RegridCost last_regrid_{};
   RankRunTotals totals_;

@@ -1,8 +1,6 @@
 #include "parsim/simulate.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
+#include "parsim/buffered_exchange.hpp"
 #include "util/error.hpp"
 
 namespace ab {
@@ -11,92 +9,32 @@ template <int D>
 StepCost simulate_step(const GhostExchanger<D>& exchanger,
                        const std::vector<int>& owner, int npes,
                        const MachineModel& machine,
-                       const std::function<std::uint64_t(int)>& flops_of,
-                       MessageAggregation aggregation) {
+                       const std::function<std::uint64_t(int)>& flops_of) {
   AB_REQUIRE(npes >= 1, "simulate_step: npes must be >= 1");
-  const Forest<D>& forest = exchanger.forest();
-  const int nvar = exchanger.layout().nvar;
-
-  StepCost out;
-  std::vector<double> compute(static_cast<std::size_t>(npes), 0.0);
-  std::vector<double> comm(static_cast<std::size_t>(npes), 0.0);
-
+  std::vector<PeLoad> pes(static_cast<std::size_t>(npes));
   // Compute phase: each PE updates its own blocks.
-  for (int id : forest.leaves()) {
+  for (int id : exchanger.forest().leaves()) {
     const int pe = owner[static_cast<std::size_t>(id)];
     AB_REQUIRE(pe >= 0 && pe < npes, "simulate_step: leaf without an owner");
-    const std::uint64_t f = flops_of(id);
-    compute[static_cast<std::size_t>(pe)] += f / machine.flops_per_sec;
-    out.total_flops += f;
+    pes[static_cast<std::size_t>(pe)].flops += flops_of(id);
   }
-
-  // Communication phase from the exchange plan.
-  // key = src_pe * npes + dst_pe for pair aggregation.
-  std::unordered_map<std::int64_t, std::int64_t> pair_bytes;
-  for (const auto& op : exchanger.ops()) {
-    const int ps = owner[static_cast<std::size_t>(op.src)];
-    const int pd = owner[static_cast<std::size_t>(op.dst)];
-    const std::int64_t bytes =
-        op.cells() * nvar * static_cast<std::int64_t>(sizeof(double));
-    if (ps == pd) {
-      out.local_bytes += bytes;
-      comm[static_cast<std::size_t>(pd)] +=
-          bytes / machine.local_bytes_per_sec;
-      continue;
-    }
-    out.remote_bytes += bytes;
-    if (aggregation == MessageAggregation::PerFaceOp) {
-      const double t = machine.latency_sec + bytes / machine.bytes_per_sec;
-      comm[static_cast<std::size_t>(ps)] += t;  // sender side
-      comm[static_cast<std::size_t>(pd)] += t;  // receiver side
-      ++out.messages;
-    } else {
-      pair_bytes[static_cast<std::int64_t>(ps) * npes + pd] += bytes;
-    }
-  }
-  if (aggregation == MessageAggregation::PerPePair) {
-    for (const auto& [key, bytes] : pair_bytes) {
-      const int ps = static_cast<int>(key / npes);
-      const int pd = static_cast<int>(key % npes);
-      const double t = machine.latency_sec + bytes / machine.bytes_per_sec;
-      comm[static_cast<std::size_t>(ps)] += t;
-      comm[static_cast<std::size_t>(pd)] += t;
-      ++out.messages;
-    }
-  }
-
-  // Bulk-synchronous step time and the serial reference (one PE does all
-  // compute; every ghost fill is a local copy).
-  double t_step = 0.0;
-  for (int p = 0; p < npes; ++p) {
-    out.max_compute = std::max(out.max_compute, compute[p]);
-    out.max_comm = std::max(out.max_comm, comm[p]);
-    t_step = std::max(t_step, compute[p] + comm[p]);
-  }
-  out.t_step = t_step;
-  out.t_serial = out.total_flops / machine.flops_per_sec +
-                 (out.local_bytes + out.remote_bytes) /
-                     machine.local_bytes_per_sec;
-  out.speedup = out.t_step > 0 ? out.t_serial / out.t_step : 0.0;
-  out.efficiency = out.speedup / npes;
-  out.gflops = out.t_step > 0 ? out.total_flops / out.t_step / 1e9 : 0.0;
-  return out;
+  // Communication phase: one fill of the plan, laid out by rank pair the
+  // way the rank solver's exchange sends it.
+  BufferedExchange<D>(exchanger, owner, npes).add_per_pe_traffic(pes);
+  return price_pes(pes, machine);
 }
 
 template StepCost simulate_step<1>(const GhostExchanger<1>&,
                                    const std::vector<int>&, int,
                                    const MachineModel&,
-                                   const std::function<std::uint64_t(int)>&,
-                                   MessageAggregation);
+                                   const std::function<std::uint64_t(int)>&);
 template StepCost simulate_step<2>(const GhostExchanger<2>&,
                                    const std::vector<int>&, int,
                                    const MachineModel&,
-                                   const std::function<std::uint64_t(int)>&,
-                                   MessageAggregation);
+                                   const std::function<std::uint64_t(int)>&);
 template StepCost simulate_step<3>(const GhostExchanger<3>&,
                                    const std::vector<int>&, int,
                                    const MachineModel&,
-                                   const std::function<std::uint64_t(int)>&,
-                                   MessageAggregation);
+                                   const std::function<std::uint64_t(int)>&);
 
 }  // namespace ab

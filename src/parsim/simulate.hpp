@@ -16,43 +16,25 @@
 
 namespace ab {
 
-/// Outcome of one simulated bulk-synchronous step.
-struct StepCost {
-  double t_step = 0.0;         ///< max over PEs of (compute + comm) [s]
-  double t_serial = 0.0;       ///< one PE doing everything (incl. local copies)
-  double max_compute = 0.0;    ///< slowest PE's compute time [s]
-  double max_comm = 0.0;       ///< slowest PE's communication time [s]
-  double speedup = 0.0;        ///< t_serial / t_step
-  double efficiency = 0.0;     ///< speedup / npes
-  double gflops = 0.0;         ///< total_flops / t_step / 1e9
-  std::uint64_t total_flops = 0;
-  std::int64_t remote_bytes = 0;
-  std::int64_t local_bytes = 0;
-  std::int64_t messages = 0;
-};
-
-/// Simulate one timestep. `owner` maps node id -> PE (from
+/// Simulate one timestep: build each PE's record (its blocks' flops, its
+/// pair-aggregated messages and their bytes, its on-PE ghost copies) from
+/// the plan and price it with price_pes. `owner` maps node id -> PE (from
 /// partition_blocks). `flops_of` gives the per-block update cost in flops
 /// (e.g. rk_stages * fv_update_flops(...)).
 template <int D>
 StepCost simulate_step(const GhostExchanger<D>& exchanger,
                        const std::vector<int>& owner, int npes,
                        const MachineModel& machine,
-                       const std::function<std::uint64_t(int)>& flops_of,
-                       MessageAggregation aggregation =
-                           MessageAggregation::PerPePair);
+                       const std::function<std::uint64_t(int)>& flops_of);
 
 extern template StepCost simulate_step<1>(
     const GhostExchanger<1>&, const std::vector<int>&, int,
-    const MachineModel&, const std::function<std::uint64_t(int)>&,
-    MessageAggregation);
+    const MachineModel&, const std::function<std::uint64_t(int)>&);
 extern template StepCost simulate_step<2>(
     const GhostExchanger<2>&, const std::vector<int>&, int,
-    const MachineModel&, const std::function<std::uint64_t(int)>&,
-    MessageAggregation);
+    const MachineModel&, const std::function<std::uint64_t(int)>&);
 extern template StepCost simulate_step<3>(
     const GhostExchanger<3>&, const std::vector<int>&, int,
-    const MachineModel&, const std::function<std::uint64_t(int)>&,
-    MessageAggregation);
+    const MachineModel&, const std::function<std::uint64_t(int)>&);
 
 }  // namespace ab

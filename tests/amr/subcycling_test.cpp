@@ -3,12 +3,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 
 #include "amr/solver.hpp"
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
+#include "support/interior_digest.hpp"
 
 namespace ab {
 namespace {
@@ -224,32 +224,6 @@ TEST(Subcycling, EulerPulseConservesMassClosely) {
 // prolongation the blend was first written with; every thread count must
 // reproduce them.
 
-/// FNV-1a over the leaf ids, levels, and interior bytes, in leaf order.
-template <int D, class Phys>
-std::uint64_t interior_digest(const AmrSolver<D, Phys>& solver) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const void* p, std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ull;
-    }
-  };
-  const BlockLayout<D>& lay = solver.store().layout();
-  for (int id : solver.forest().leaves()) {
-    const int level = solver.forest().level(id);
-    mix(&id, sizeof id);
-    mix(&level, sizeof level);
-    ConstBlockView<D> v = solver.store().view(id);
-    for (int var = 0; var < lay.nvar; ++var)
-      for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
-        const double x = v.at(var, p);
-        mix(&x, sizeof x);
-      });
-  }
-  return h;
-}
-
 /// A subcycled Euler run on a periodic mixed-level grid: refine twice
 /// around a pressure pulse, step, coarsen the half of the refined region
 /// away from the pulse, and step again. Polynomial initial data keeps the
@@ -303,7 +277,7 @@ std::uint64_t subcycled_digest(Prolongation prolongation, int threads) {
   EXPECT_GT(solver.adapt(coarsen).coarsened, 0);
   EXPECT_EQ(solver.forest().stats().max_level, 2);
   for (int i = 0; i < 3; ++i) solver.step(solver.compute_dt());
-  return interior_digest(solver);
+  return testing::interior_digest(solver);
 }
 
 struct SubcycledGolden {
@@ -330,13 +304,10 @@ TEST(Subcycling, MixedLevelRunsMatchGoldenDigests) {
           g.dim == 1   ? subcycled_digest<1>(g.prolongation, threads)
           : g.dim == 2 ? subcycled_digest<2>(g.prolongation, threads)
                        : subcycled_digest<3>(g.prolongation, threads);
-      char hex[32];
-      std::snprintf(hex, sizeof hex, "0x%016llx",
-                    static_cast<unsigned long long>(got));
       EXPECT_EQ(got, g.digest)
           << "D=" << g.dim << " prolongation "
           << static_cast<int>(g.prolongation) << " threads " << threads
-          << ": digest " << hex;
+          << ": digest " << testing::digest_hex(got);
     }
   }
 }

@@ -15,8 +15,10 @@
 
 #include "amr/solver.hpp"
 #include "obs/telemetry.hpp"
+#include "parsim/fault.hpp"
 #include "parsim/rank_solver.hpp"
 #include "physics/euler.hpp"
+#include "support/churn_criterion.hpp"
 #include "support/mini_json.hpp"
 #include "support/temp_path.hpp"
 
@@ -385,6 +387,94 @@ TEST(RankSolverTelemetry, PerRankTrafficRecordsAndBitwiseInvisibility) {
   ASSERT_NE(gauges, nullptr);
   EXPECT_GE(gauges->find("rank.load_imbalance")->number, 1.0);
   std::remove(path.c_str());
+}
+
+TEST(RankSolverTelemetry, PublishedCountersEqualTheRunTotals) {
+  // Every counter the rank solver publishes must add up to the totals the
+  // run itself keeps: its step and regrid accounting, the local views'
+  // discovery stats, the wire hub's frame stats and the block pool's.
+  obs::Telemetry tel;
+  FaultPlan::Config fcfg;
+  fcfg.seed = 0xC0FFEEull;
+  fcfg.drop_rate = 0.05;
+  fcfg.corrupt_rate = 0.05;
+  FaultPlan plan(fcfg);
+  RankSolver<2, Euler<2>>::Config rcfg;
+  rcfg.solver = base_cfg(1);
+  rcfg.solver.telemetry = &tel;
+  rcfg.npes = 4;
+  rcfg.policy = PartitionPolicy::Hilbert;
+  rcfg.distributed_metadata = true;
+  rcfg.transport = wire::TransportKind::Socket;
+  rcfg.faults = &plan;
+  RankSolver<2, Euler<2>> ranks(rcfg, euler);
+  ASSERT_NE(ranks.wire_hub(), nullptr);
+
+  // Each rebuild of the local views starts fresh stats: sum them.
+  LocalTopologySet<2>::BuildStats topo{};
+  auto add_topo = [&] {
+    const auto& st = ranks.local_topology()->stats();
+    topo.probes += st.probes;
+    topo.remote_probes += st.remote_probes;
+    topo.prefetch_hits += st.prefetch_hits;
+  };
+  add_topo();
+  int changing_regrids = 0;
+  auto regrid = [&](std::uint64_t seed) {
+    const auto r = ranks.adapt(testing::ChurnCriterion<2>{seed});
+    if (r.refined + r.coarsened == 0) return;
+    ++changing_regrids;
+    add_topo();
+  };
+  regrid(21);
+  ranks.init(euler_ic);
+  // The hub, fault and pool totals are published at the end of each step,
+  // so the run ends with a step.
+  for (int s = 0; s < 6; ++s) {
+    ranks.step(ranks.compute_dt());
+    if (s % 2 == 0) regrid(100 + static_cast<std::uint64_t>(s));
+  }
+  ASSERT_GE(changing_regrids, 2);
+
+  const obs::MetricsSnapshot snap = tel.metrics.snapshot();
+  auto counter = [&snap](const std::string& name) -> std::int64_t {
+    for (const auto& [n, v] : snap.counters)
+      if (n == name) return static_cast<std::int64_t>(v);
+    return 0;
+  };
+  const RankRunTotals& t = ranks.totals();
+  EXPECT_EQ(counter("rank.steps"), t.steps);
+  EXPECT_EQ(counter("rank.ghost_messages"), t.ghost_messages);
+  EXPECT_EQ(counter("rank.flux_messages"), t.flux_messages);
+  EXPECT_GT(t.flux_messages, 0);
+  EXPECT_EQ(counter("rank.flops"), static_cast<std::int64_t>(t.flops));
+  EXPECT_GT(t.topo_delta_messages, 0);
+  EXPECT_EQ(counter("topo.delta_messages"), t.topo_delta_messages);
+  EXPECT_EQ(counter("topo.delta_bytes"), t.topo_delta_bytes);
+  EXPECT_GT(topo.probes, 0);
+  EXPECT_EQ(counter("topo.probes"), topo.probes);
+  EXPECT_EQ(counter("topo.remote_probes"), topo.remote_probes);
+  EXPECT_EQ(counter("topo.prefetch_hits"), topo.prefetch_hits);
+
+  const wire::WireStats& ws = ranks.wire_hub()->stats();
+  EXPECT_GT(ws.frames_sent, 0);
+  EXPECT_EQ(counter("wire.frames_sent"), ws.frames_sent);
+  EXPECT_EQ(counter("wire.frames_recv"), ws.frames_recv);
+  EXPECT_EQ(counter("wire.payload_bytes"), ws.payload_bytes);
+  EXPECT_EQ(counter("wire.bytes"), ws.wire_bytes);
+  EXPECT_EQ(counter("wire.crc_rejects"), ws.crc_rejects);
+  EXPECT_EQ(counter("wire.dup_discards"), ws.dup_discards);
+  EXPECT_EQ(counter("wire.reorder_stashes"), ws.reorder_stashes);
+
+  const FaultStats& fs = plan.stats();
+  EXPECT_GT(fs.injected(), 0);
+  EXPECT_EQ(counter("fault.dropped"), fs.dropped);
+  EXPECT_EQ(counter("fault.corrupted"), fs.corrupted);
+  EXPECT_EQ(counter("fault.retries"), fs.retries);
+
+  const BlockPool::Stats& ps = ranks.block_pool()->stats();
+  EXPECT_EQ(counter("pool.reuse_hits"), ps.reuse_hits);
+  EXPECT_EQ(counter("pool.fresh_allocs"), ps.fresh_allocs);
 }
 
 }  // namespace

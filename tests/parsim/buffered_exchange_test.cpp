@@ -5,6 +5,7 @@
 #include <cmath>
 #include <random>
 
+#include "parsim/block_migration.hpp"
 #include "parsim/machine.hpp"
 #include "parsim/partition.hpp"
 #include "parsim/simulate.hpp"
@@ -92,10 +93,13 @@ TEST(BufferedExchange, TrafficMatchesCostModelAccounting) {
   BufferedExchange<2> bx(gx, owner, npes);
   MachineModel m;
   auto cost = simulate_step<2>(gx, owner, npes, m,
-                               [](int) { return std::uint64_t{1}; },
-                               MessageAggregation::PerPePair);
+                               [](int) { return std::uint64_t{1}; });
   EXPECT_EQ(bx.bytes_per_fill(), cost.remote_bytes);
   EXPECT_EQ(bx.messages_per_fill(), cost.messages);
+  // Every op's bytes are priced once: on a link or as an on-PE copy.
+  EXPECT_GT(cost.local_bytes, 0);
+  EXPECT_EQ(cost.local_bytes + cost.remote_bytes,
+            gx.total_cells() * lay.nvar * 8);
 }
 
 TEST(BufferedExchange, RejectsUnownedBlocks) {
@@ -131,6 +135,43 @@ TEST(BufferedExchange, RebuildFollowsTopologyChange) {
     });
   }
   EXPECT_NE(bytes_before, 0);
+}
+
+TEST(BlockMigration, PricedRecordIsWhatMigrateBlocksShips) {
+  // migration_loads (what ablation G prices) must describe the round
+  // migrate_blocks really runs: the same (old, new) pairs, messages and
+  // bytes on every PE.
+  Forest<2> f = make_forest(6);
+  BlockLayout<2> lay({4, 4}, 2, 3);
+  const int npes = 4;
+  const auto from = partition_blocks<2>(f, npes, PartitionPolicy::Morton);
+  const auto to = partition_blocks<2>(f, npes, PartitionPolicy::RoundRobin);
+  std::vector<BlockStore<2>> stores;
+  for (int p = 0; p < npes; ++p) stores.emplace_back(lay);
+  for (int id : f.leaves())
+    stores[static_cast<std::size_t>(from[static_cast<std::size_t>(id)])]
+        .ensure(id);
+  MessageBoard board;
+  const MigrationStats ms = migrate_blocks<2>(f.leaves(), from, to, stores,
+                                              board);
+  ASSERT_GT(ms.blocks, 0);
+  std::vector<PeLoad> shipped(npes);
+  board.add_per_pe_traffic(shipped);
+  const std::vector<PeLoad> priced =
+      migration_loads<2>(f.leaves(), from, to, npes, lay);
+  std::int64_t messages = 0, bytes = 0;
+  for (int p = 0; p < npes; ++p) {
+    const PeLoad& a = shipped[static_cast<std::size_t>(p)];
+    const PeLoad& b = priced[static_cast<std::size_t>(p)];
+    EXPECT_EQ(a.sent_messages, b.sent_messages) << "pe " << p;
+    EXPECT_EQ(a.recv_messages, b.recv_messages) << "pe " << p;
+    EXPECT_EQ(a.sent_bytes, b.sent_bytes) << "pe " << p;
+    EXPECT_EQ(a.recv_bytes, b.recv_bytes) << "pe " << p;
+    messages += b.sent_messages;
+    bytes += b.sent_bytes;
+  }
+  EXPECT_EQ(messages, ms.messages);
+  EXPECT_EQ(bytes, ms.bytes);
 }
 
 }  // namespace

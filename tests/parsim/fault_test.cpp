@@ -15,6 +15,7 @@
 
 #include "amr/solver.hpp"
 #include "obs/telemetry.hpp"
+#include "parsim/partition.hpp"
 #include "parsim/rank_solver.hpp"
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
@@ -361,6 +362,50 @@ TEST(Recovery, AdvanceToRecoversAndAdaptExcludesDeadRank) {
   a.step(a.compute_dt());
   EXPECT_TRUE(std::isfinite(a.total_conserved(0)));
   EXPECT_GT(mass0, 0.0);
+  std::remove(ckpt.c_str());
+}
+
+TEST(Recovery, DeadRankIsNoIdlePeInImbalanceOrEfficiency) {
+  // After a death the machine is the survivors. Rank 1 of 4 dies at step
+  // 2, and the 16 roots re-partition 5/6/5 over ranks 0, 2 and 3: the
+  // imbalance is 6 / (16 / 3) = 1.125 over three PEs, not 6 / (16 / 4)
+  // with the dead rank counted as an idle one, and the step is priced on
+  // the survivors' records alone.
+  const std::string ckpt = testing::temp_path("ckpt.bin");
+  Euler<2> phys;
+  FaultPlan::Config fcfg;
+  fcfg.kill_rank = 1;
+  fcfg.kill_at_step = 2;
+  FaultPlan plan(fcfg);
+  RankSolver<2, Euler<2>>::Config rcfg;
+  rcfg.solver = euler_cfg();
+  rcfg.solver.forest.root_blocks = {4, 4};
+  rcfg.npes = 4;
+  rcfg.faults = &plan;
+  rcfg.checkpoint_every = 2;
+  rcfg.checkpoint_path = ckpt;
+  RankSolver<2, Euler<2>> a(rcfg, phys);
+  a.init(euler_ic(phys));
+  a.advance_to(1.0, 4);
+  ASSERT_EQ(a.num_alive(), 3);
+  ASSERT_FALSE(a.rank_alive(1));
+
+  std::vector<int> survivors = a.owner();
+  const int slot[4] = {0, -1, 1, 2};
+  for (int& o : survivors)
+    if (o >= 0) o = slot[o];
+  const RankStepCost& c = a.last_step_cost();
+  EXPECT_EQ(c.imbalance, load_imbalance(survivors, 3));
+  EXPECT_DOUBLE_EQ(c.imbalance, 1.125);
+
+  ASSERT_EQ(c.per_rank.size(), 4u);
+  EXPECT_EQ(c.per_rank[1].flops, 0u);
+  EXPECT_EQ(c.per_rank[1].sent_messages + c.per_rank[1].recv_messages, 0);
+  const StepCost alive = price_pes(
+      {c.per_rank[0], c.per_rank[2], c.per_rank[3]}, rcfg.machine);
+  EXPECT_EQ(c.model.efficiency, alive.efficiency);
+  EXPECT_EQ(c.model.t_step, alive.t_step);
+  EXPECT_EQ(c.model.t_serial, alive.t_serial);
   std::remove(ckpt.c_str());
 }
 

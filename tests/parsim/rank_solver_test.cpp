@@ -23,6 +23,7 @@
 
 #include "amr/solver.hpp"
 #include "parsim/fault.hpp"
+#include "parsim/simulate.hpp"
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
 #include "physics/mhd.hpp"
@@ -499,16 +500,59 @@ TEST(RankSolver, StepCostIsPricedOnTheMachineModel) {
   ranks.init(advection_ic);
   ranks.step(0.004);
   const RankStepCost& c = ranks.last_step_cost();
-  EXPECT_GT(c.flops, 0u);
-  EXPECT_GE(c.flops, c.max_rank_flops);
+  EXPECT_GT(c.model.total_flops, 0u);
   EXPECT_GT(c.ghost_messages, 0);
   EXPECT_GT(c.ghost_bytes, 0);
-  EXPECT_GT(c.t_compute, 0.0);
-  EXPECT_GT(c.t_comm, 0.0);
-  EXPECT_NEAR(c.t_step, c.t_compute + c.t_comm, 1e-15);
-  EXPECT_GT(c.speedup, 0.0);
-  EXPECT_LE(c.efficiency, 1.0 + 1e-12);
+  EXPECT_GT(c.model.max_compute, 0.0);
+  EXPECT_GT(c.model.max_comm, 0.0);
+  EXPECT_LE(c.model.t_step, c.model.max_compute + c.model.max_comm);
+  EXPECT_GT(c.model.speedup, 0.0);
+  EXPECT_LE(c.model.efficiency, 1.0 + 1e-12);
   EXPECT_GE(c.imbalance, 1.0);
+  // The record's messages are the step's ghost and flux messages.
+  EXPECT_EQ(c.model.messages, c.ghost_messages + c.flux_messages);
+  EXPECT_EQ(c.model.remote_bytes, c.ghost_bytes + c.flux_bytes);
+}
+
+TEST(RankSolver, StepCostEqualsTheCostModelBitForBit) {
+  // One forward-Euler step (one ghost fill, no reflux round) prices
+  // exactly what simulate_step charges for the same exchange plan, owners
+  // and per-block flops: the rank gauges and Figures 6-7 are one model.
+  Euler<2> phys;
+  for (int npes : {1, 2, 3, 5, 8, 16}) {
+    SCOPED_TRACE(::testing::Message() << "npes " << npes);
+    RankSolver<2, Euler<2>>::Config rcfg;
+    rcfg.solver.forest.root_blocks = {8, 8};
+    rcfg.solver.forest.periodic = {true, true};
+    rcfg.solver.cells_per_block = {16, 16};
+    rcfg.solver.rk_stages = 1;
+    rcfg.npes = npes;
+    rcfg.policy = PartitionPolicy::Morton;
+    RankSolver<2, Euler<2>> ranks(rcfg, phys);
+    ranks.init([&](const RVec<2>& x, Euler<2>::State& s) {
+      s = phys.from_primitive(1.0 + 0.5 * x[0] * x[1], {0.3, -0.2}, 1.0);
+    });
+    ranks.step(ranks.compute_dt());
+    const std::uint64_t per_block = fv_update_flops<2, Euler<2>>(
+        ranks.exchanger().layout(), rcfg.solver.order);
+    const StepCost want =
+        simulate_step<2>(ranks.exchanger(), ranks.owner(), npes,
+                         rcfg.machine, [&](int) { return per_block; });
+    const StepCost& got = ranks.last_step_cost().model;
+    EXPECT_EQ(got.compute, want.compute);
+    EXPECT_EQ(got.comm, want.comm);
+    EXPECT_EQ(got.t_step, want.t_step);
+    EXPECT_EQ(got.t_serial, want.t_serial);
+    EXPECT_EQ(got.max_compute, want.max_compute);
+    EXPECT_EQ(got.max_comm, want.max_comm);
+    EXPECT_EQ(got.speedup, want.speedup);
+    EXPECT_EQ(got.efficiency, want.efficiency);
+    EXPECT_EQ(got.gflops, want.gflops);
+    EXPECT_EQ(got.total_flops, want.total_flops);
+    EXPECT_EQ(got.remote_bytes, want.remote_bytes);
+    EXPECT_EQ(got.local_bytes, want.local_bytes);
+    EXPECT_EQ(got.messages, want.messages);
+  }
 }
 
 TEST(RankSolver, RejectsUnsupportedModes) {

@@ -67,19 +67,69 @@ TEST(Simulate, HandComputedTwoPeCase) {
   EXPECT_GT(cost.efficiency, 0.5);
 }
 
-TEST(Simulate, PerFaceOpCountsMoreMessages) {
-  Fixture fx;
-  auto owner = partition_blocks<2>(fx.forest, 4, PartitionPolicy::Morton);
+TEST(Simulate, PricesEachPeAndTakesTheSlowest) {
+  // Two PEs, priced by hand: each PE pays latency per message it sends or
+  // receives, its bytes over the link, its local copies over the copy
+  // bandwidth, and its flops; the step waits for the slower PE.
   MachineModel m;
-  auto per_pair = simulate_step<2>(
-      fx.gx, owner, 4, m, [](int) { return std::uint64_t{1000}; },
-      MessageAggregation::PerPePair);
-  auto per_face = simulate_step<2>(
-      fx.gx, owner, 4, m, [](int) { return std::uint64_t{1000}; },
-      MessageAggregation::PerFaceOp);
+  m.flops_per_sec = 1e6;
+  m.latency_sec = 1e-3;
+  m.bytes_per_sec = 1e6;
+  m.local_bytes_per_sec = 1e7;
+  std::vector<PeLoad> pes(2);
+  pes[0].flops = 2000000;
+  pes[0].local_bytes = 1000000;
+  pes[0].add_sent(100000);
+  pes[1].add_recv(100000);
+  pes[1].flops = 1000000;
+  pes[1].add_sent(50000);
+  pes[0].add_recv(50000);
+  const StepCost c = price_pes(pes, m);
+  ASSERT_EQ(c.compute.size(), 2u);
+  EXPECT_DOUBLE_EQ(c.compute[0], 2.0);
+  EXPECT_DOUBLE_EQ(c.comm[0], 2e-3 + 0.15 + 0.1);
+  EXPECT_DOUBLE_EQ(c.compute[1], 1.0);
+  EXPECT_DOUBLE_EQ(c.comm[1], 2e-3 + 0.15);
+  EXPECT_DOUBLE_EQ(c.t_step, 2.252);
+  EXPECT_DOUBLE_EQ(c.max_compute, 2.0);
+  EXPECT_DOUBLE_EQ(c.max_comm, 0.252);
+  EXPECT_DOUBLE_EQ(c.t_serial, 3.0 + 1150000 / 1e7);
+  EXPECT_DOUBLE_EQ(c.efficiency, c.t_serial / 2.252 / 2);
+  EXPECT_EQ(c.total_flops, 3000000u);
+  EXPECT_EQ(c.messages, 2);
+  EXPECT_EQ(c.remote_bytes, 150000);
+  EXPECT_EQ(c.local_bytes, 1000000);
+}
+
+TEST(Simulate, PerFaceOpCountsMoreMessages) {
+  // The paper's per-block communication: all the face ops between two PEs
+  // travel as one message. Sent one message per face op instead, the same
+  // bytes take more messages and more time.
+  Fixture fx;
+  const int npes = 4;
+  auto owner = partition_blocks<2>(fx.forest, npes, PartitionPolicy::Morton);
+  MachineModel m;
+  auto flops = [](int) { return std::uint64_t{1000}; };
+  const StepCost per_pair = simulate_step<2>(fx.gx, owner, npes, m, flops);
+  std::vector<PeLoad> pes(npes);
+  for (int id : fx.forest.leaves()) pes[owner[id]].flops += flops(id);
+  for (const auto& op : fx.gx.ops()) {
+    const int ps = owner[op.src];
+    const int pd = owner[op.dst];
+    const std::int64_t bytes = fx.gx.op_payload_doubles(op) * 8;
+    if (ps == pd) {
+      pes[pd].local_bytes += bytes;
+    } else {
+      pes[ps].add_sent(bytes);
+      pes[pd].add_recv(bytes);
+    }
+  }
+  const StepCost per_face = price_pes(pes, m);
   EXPECT_GT(per_face.messages, per_pair.messages);
   EXPECT_EQ(per_face.remote_bytes, per_pair.remote_bytes);
-  EXPECT_GE(per_face.max_comm, per_pair.max_comm);
+  EXPECT_EQ(per_face.local_bytes, per_pair.local_bytes);
+  EXPECT_GT(per_face.max_comm, per_pair.max_comm);
+  EXPECT_LT(per_face.efficiency, per_pair.efficiency);
 }
 
 TEST(Simulate, EfficiencyDegradesWithLatencyBoundMachine) {

@@ -2,7 +2,7 @@
 // message the substrate moved appears in the causal trace as exactly one
 // send span and one receive span whose parent is that send — no orphans,
 // no duplicates, no phantom spans — and the per-phase span counts equal
-// the pair-aggregated message counts the accounting layer (PeTraffic,
+// the pair-aggregated message counts the accounting layer (PeLoad,
 // RankRunTotals, RegridCost) reports. Retransmission spans ("fault") must
 // each hang off a real send.
 //
@@ -140,13 +140,13 @@ void run_conservation(std::uint64_t seed, int npes, PartitionPolicy policy,
   traced_cfg.solver.telemetry = &tel;
   Solver ranks(traced_cfg, phys);
 
-  // Step-phase PeTraffic (ghost + flux), accumulated per rank as we go;
+  // Step-phase PeLoad (ghost + flux), accumulated per rank as we go;
   // regrid traffic lands in RankRunTotals instead.
   std::vector<std::int64_t> pe_sent(static_cast<std::size_t>(npes), 0);
   std::vector<std::int64_t> pe_recv(static_cast<std::size_t>(npes), 0);
   const int steps = 6;
   run_churn(ranks, seed, steps, [&] {
-    const std::vector<PeTraffic>& pr = ranks.last_step_cost().per_rank;
+    const std::vector<PeLoad>& pr = ranks.last_step_cost().per_rank;
     ASSERT_EQ(pr.size(), static_cast<std::size_t>(npes));
     for (int p = 0; p < npes; ++p) {
       pe_sent[static_cast<std::size_t>(p)] += pr[static_cast<std::size_t>(p)]
@@ -237,15 +237,15 @@ void run_conservation(std::uint64_t seed, int npes, PartitionPolicy policy,
     EXPECT_EQ(sends_by_name["topo_delta"], 0);
   }
 
-  // Per-rank step-phase span counts equal the PeTraffic counters: sends
+  // Per-rank step-phase span counts equal the PeLoad counters: sends
   // keyed by source rank, receives by destination rank.
   for (int p = 0; p < npes; ++p) {
     EXPECT_EQ(rank_sent[static_cast<std::size_t>(p)],
               pe_sent[static_cast<std::size_t>(p)])
-        << "send spans vs PeTraffic.sent_messages on rank " << p;
+        << "send spans vs PeLoad.sent_messages on rank " << p;
     EXPECT_EQ(rank_recv[static_cast<std::size_t>(p)],
               pe_recv[static_cast<std::size_t>(p)])
-        << "recv spans vs PeTraffic.recv_messages on rank " << p;
+        << "recv spans vs PeLoad.recv_messages on rank " << p;
   }
 
   // Retransmissions: children of real sends, present only on lossy runs
