@@ -314,10 +314,12 @@ class SteppingCore {
     pending_refined_ += res.refined;
     pending_coarsened_ += res.coarsened;
     if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->metrics.counter("solver.refined")->add(
+      obs::MetricsRegistry& m = cfg_.telemetry->metrics;
+      m.counter("solver.refined")->add(
           static_cast<std::uint64_t>(res.refined));
-      cfg_.telemetry->metrics.counter("solver.coarsened")->add(
+      m.counter("solver.coarsened")->add(
           static_cast<std::uint64_t>(res.coarsened));
+      self().publish_totals(m);
     }
     return res;
   }
@@ -464,6 +466,20 @@ class SteppingCore {
     if (obs::Telemetry* const tel = cfg_.telemetry)
       emit_step_report(*tel, mark, dt);
     ++step_index_;
+  }
+
+  /// Copy the running totals kept outside the registry into it, as
+  /// counter deltas: the pool's here, the wire hub's and fault plan's in
+  /// the rank solver's override. Called at the end of every step and of
+  /// every adapt, so a regrid after the last step is counted too.
+  void publish_totals(obs::MetricsRegistry& m) {
+    const BlockPool::Stats& ps = block_pool_->stats();
+    m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
+    m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
+    obs::publish_total(m, "pool.reuse_hits", ps.reuse_hits,
+                       pool_published_.reuse_hits);
+    obs::publish_total(m, "pool.fresh_allocs", ps.fresh_allocs,
+                       pool_published_.fresh_allocs);
   }
 
   // ------------------------------------------------------------------
@@ -673,15 +689,7 @@ class SteppingCore {
         ->add(static_cast<std::uint64_t>(ghost_ops_step_[2]));
     m.gauge("solver.dt")->set(dt);
     m.gauge("solver.blocks")->set(static_cast<double>(forest_.num_leaves()));
-    // Pool counters are cumulative inside the arena; publish deltas so the
-    // obs counters stay additive like every other counter.
-    const BlockPool::Stats& ps = block_pool_->stats();
-    m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
-    m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
-    obs::publish_total(m, "pool.reuse_hits", ps.reuse_hits,
-                       pool_published_.reuse_hits);
-    obs::publish_total(m, "pool.fresh_allocs", ps.fresh_allocs,
-                       pool_published_.fresh_allocs);
+    self().publish_totals(m);
     publish_tune_gauges(m, tune_decision_);
     m.histogram("solver.step_wall_s",
                 {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0})

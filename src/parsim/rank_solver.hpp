@@ -785,6 +785,41 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     totals_.add(rc);
   }
 
+  /// The core's totals plus the wire hub's and the fault plan's, whose
+  /// stats are run totals; counters take the deltas since the last call.
+  void publish_totals(obs::MetricsRegistry& m) {
+    Core::publish_totals(m);
+    if (hub_ != nullptr) {
+      const wire::WireStats& ws = hub_->stats();
+      wire::WireStats& pub = wire_published_;
+      obs::publish_total(m, "wire.frames_sent", ws.frames_sent,
+                         pub.frames_sent);
+      obs::publish_total(m, "wire.frames_recv", ws.frames_recv,
+                         pub.frames_recv);
+      obs::publish_total(m, "wire.payload_bytes", ws.payload_bytes,
+                         pub.payload_bytes);
+      obs::publish_total(m, "wire.bytes", ws.wire_bytes, pub.wire_bytes);
+      obs::publish_total(m, "wire.crc_rejects", ws.crc_rejects,
+                         pub.crc_rejects);
+      obs::publish_total(m, "wire.dup_discards", ws.dup_discards,
+                         pub.dup_discards);
+      obs::publish_total(m, "wire.reorder_stashes", ws.reorder_stashes,
+                         pub.reorder_stashes);
+      m.gauge("wire.dedup_state_bytes")
+          ->set(static_cast<double>(hub_->dedup_state_bytes()));
+    }
+    if (rcfg_.faults != nullptr) {
+      const FaultStats& fs = rcfg_.faults->stats();
+      FaultStats& pub = fault_published_;
+      obs::publish_total(m, "fault.dropped", fs.dropped, pub.dropped);
+      obs::publish_total(m, "fault.corrupted", fs.corrupted, pub.corrupted);
+      obs::publish_total(m, "fault.duplicated", fs.duplicated,
+                         pub.duplicated);
+      obs::publish_total(m, "fault.reordered", fs.reordered, pub.reordered);
+      obs::publish_total(m, "fault.retries", fs.retries, pub.retries);
+    }
+  }
+
   /// The step's traffic, imbalance and modeled time through the metrics
   /// registry, and the per-rank traffic table in the step's report record.
   /// Counters of regrid-time events (topology probes and deltas) are added
@@ -814,37 +849,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
           ->set(static_cast<double>(topo_->max_rank_bytes()));
       m.gauge("topo.directory_bytes")
           ->set(static_cast<double>(topo_->directory().bytes()));
-    }
-    if (hub_ != nullptr) {
-      // Wire-frame totals are cumulative per hub; counters take deltas.
-      const wire::WireStats& ws = hub_->stats();
-      wire::WireStats& pub = wire_published_;
-      obs::publish_total(m, "wire.frames_sent", ws.frames_sent,
-                         pub.frames_sent);
-      obs::publish_total(m, "wire.frames_recv", ws.frames_recv,
-                         pub.frames_recv);
-      obs::publish_total(m, "wire.payload_bytes", ws.payload_bytes,
-                         pub.payload_bytes);
-      obs::publish_total(m, "wire.bytes", ws.wire_bytes, pub.wire_bytes);
-      obs::publish_total(m, "wire.crc_rejects", ws.crc_rejects,
-                         pub.crc_rejects);
-      obs::publish_total(m, "wire.dup_discards", ws.dup_discards,
-                         pub.dup_discards);
-      obs::publish_total(m, "wire.reorder_stashes", ws.reorder_stashes,
-                         pub.reorder_stashes);
-      m.gauge("wire.dedup_state_bytes")
-          ->set(static_cast<double>(hub_->dedup_state_bytes()));
-    }
-    if (rcfg_.faults != nullptr) {
-      // The plan's stats are run totals; counters take per-step deltas.
-      const FaultStats& fs = rcfg_.faults->stats();
-      FaultStats& pub = fault_published_;
-      obs::publish_total(m, "fault.dropped", fs.dropped, pub.dropped);
-      obs::publish_total(m, "fault.corrupted", fs.corrupted, pub.corrupted);
-      obs::publish_total(m, "fault.duplicated", fs.duplicated,
-                         pub.duplicated);
-      obs::publish_total(m, "fault.reordered", fs.reordered, pub.reordered);
-      obs::publish_total(m, "fault.retries", fs.retries, pub.retries);
     }
     if (r == nullptr) return;
     r->per_rank.reserve(sc.per_rank.size());

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -36,11 +38,23 @@ struct ByteQueue {
   }
   std::size_t capacity_bytes() const { return data.capacity(); }
 };
+
+/// Allocator whose argument-less construct default-initializes, so
+/// `resize` grows a byte vector without writing zeros. A construct with
+/// arguments is allocator_traits' own.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 }  // namespace
 
 struct WireHub::Chan {
   std::uint32_t send_seq = 0;
-  std::vector<std::uint8_t> rxbuf;  ///< wire bytes; [rxhead, size) unparsed
+  /// Wire bytes; [rxhead, size) unparsed.
+  std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>> rxbuf;
   std::size_t rxhead = 0;
   FrameSequencer sequencer;
   ByteQueue ready[kNumPayloadClasses];  ///< in-order payload, per class
@@ -141,7 +155,8 @@ bool WireHub::pump(Chan& ch, int src, int dst, DirectFill* df) {
   constexpr std::size_t kChunk = 1 << 16;
   bool progress = false;
   // Read straight into the tail of the unparsed buffer — no bounce
-  // buffer between the transport and the parser.
+  // buffer between the transport and the parser. The chunk is not zeroed:
+  // the resize after the read drops whatever it did not fill.
   for (;;) {
     const std::size_t old = ch.rxbuf.size();
     ch.rxbuf.resize(old + kChunk);

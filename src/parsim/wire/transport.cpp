@@ -212,15 +212,23 @@ struct alignas(64) RingHeader {
 };
 static_assert(sizeof(RingHeader) == 128, "ring header layout");
 
+/// Per-channel ring size: 64 KB at every process count, the hub's read
+/// chunk. Cursors only advance, so a ring that carries traffic wraps
+/// through, and keeps resident, every page it owns: the ring size sets
+/// the wire's memory. 64 KB holds any frame of a rank step (≈2 KB
+/// typical, 43 KB the largest on the 8-rank churn workload); a longer
+/// message takes the spill path. A power of two for the cursor arithmetic.
+constexpr std::size_t kRingBytes = std::size_t{1} << 16;
+static_assert((kRingBytes & (kRingBytes - 1)) == 0, "ring size");
+constexpr std::size_t kSlotBytes = sizeof(RingHeader) + kRingBytes;
+
 class ShmRingTransport final : public Transport {
  public:
-  explicit ShmRingTransport(int npes)
-      : npes_(npes), capacity_(ring_capacity(npes)) {
+  explicit ShmRingTransport(int npes) : npes_(npes) {
     AB_REQUIRE(npes_ >= 1, "ShmRingTransport: npes must be >= 1");
     const std::size_t nchan =
         static_cast<std::size_t>(npes_) * static_cast<std::size_t>(npes_);
-    slot_bytes_ = sizeof(RingHeader) + capacity_;
-    map_bytes_ = nchan * slot_bytes_;
+    map_bytes_ = nchan * kSlotBytes;
     void* p = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     AB_REQUIRE(p != MAP_FAILED,
@@ -228,7 +236,7 @@ class ShmRingTransport final : public Transport {
                    std::strerror(errno));
     base_ = static_cast<std::uint8_t*>(p);
     for (std::size_t c = 0; c < nchan; ++c) {
-      auto* h = new (base_ + c * slot_bytes_) RingHeader;
+      auto* h = new (base_ + c * kSlotBytes) RingHeader;
       h->head.store(0, std::memory_order_relaxed);
       h->tail.store(0, std::memory_order_relaxed);
     }
@@ -278,23 +286,6 @@ class ShmRingTransport final : public Transport {
   const char* name() const override { return "shm"; }
 
  private:
-  /// Per-channel ring size: 2 MB at small process counts (the effective
-  /// socket-backend buffering once the kernel doubles SO_SNDBUF, so a
-  /// bulk-synchronous round rarely spills), shrinking with npes^2
-  /// channels to keep the whole mapping around ~64 MB. Bigger rings
-  /// measure *slower* on the wire bench — a wrapping 2 MB ring stays in
-  /// cache while a round-sized one streams through cold pages — so the
-  /// occasional spill is the cheaper trade. Always a power of two for the
-  /// cursor arithmetic.
-  static std::size_t ring_capacity(int npes) {
-    std::size_t cap = std::size_t{1} << 21;
-    const std::size_t nchan =
-        static_cast<std::size_t>(npes) * static_cast<std::size_t>(npes);
-    while (cap > (std::size_t{1} << 16) && cap * nchan > (std::size_t{1} << 26))
-      cap >>= 1;
-    return cap;
-  }
-
   std::size_t index(int src, int dst) const {
     AB_REQUIRE(src >= 0 && src < npes_ && dst >= 0 && dst < npes_ &&
                    src != dst,
@@ -303,10 +294,10 @@ class ShmRingTransport final : public Transport {
            static_cast<std::size_t>(dst);
   }
   RingHeader* header(std::size_t c) {
-    return reinterpret_cast<RingHeader*>(base_ + c * slot_bytes_);
+    return reinterpret_cast<RingHeader*>(base_ + c * kSlotBytes);
   }
   std::uint8_t* buf(std::size_t c) {
-    return base_ + c * slot_bytes_ + sizeof(RingHeader);
+    return base_ + c * kSlotBytes + sizeof(RingHeader);
   }
 
   /// Copy up to `n` bytes into ring `c`; returns how many fit.
@@ -315,11 +306,11 @@ class ShmRingTransport final : public Transport {
     const std::uint64_t tail = h->tail.load(std::memory_order_relaxed);
     const std::uint64_t head = h->head.load(std::memory_order_acquire);
     std::size_t space =
-        capacity_ - static_cast<std::size_t>(tail - head);
+        kRingBytes - static_cast<std::size_t>(tail - head);
     if (space == 0) return 0;
     if (space > n) space = n;
-    const std::size_t at = static_cast<std::size_t>(tail % capacity_);
-    const std::size_t first = std::min(space, capacity_ - at);
+    const std::size_t at = static_cast<std::size_t>(tail % kRingBytes);
+    const std::size_t first = std::min(space, kRingBytes - at);
     std::memcpy(buf(c) + at, data, first);
     if (first < space)
       std::memcpy(buf(c), static_cast<const std::uint8_t*>(data) + first,
@@ -330,8 +321,8 @@ class ShmRingTransport final : public Transport {
 
   void copy_out(std::size_t c, std::uint64_t head, void* out,
                 std::size_t n) {
-    const std::size_t at = static_cast<std::size_t>(head % capacity_);
-    const std::size_t first = std::min(n, capacity_ - at);
+    const std::size_t at = static_cast<std::size_t>(head % kRingBytes);
+    const std::size_t first = std::min(n, kRingBytes - at);
     std::memcpy(out, buf(c) + at, first);
     if (first < n)
       std::memcpy(static_cast<std::uint8_t*>(out) + first, buf(c),
@@ -349,8 +340,6 @@ class ShmRingTransport final : public Transport {
   }
 
   int npes_;
-  std::size_t capacity_;
-  std::size_t slot_bytes_ = 0;
   std::size_t map_bytes_ = 0;
   std::uint8_t* base_ = nullptr;
   std::vector<SpillQueue> spills_;  // process-local, per channel

@@ -428,13 +428,20 @@ TEST(RankSolverTelemetry, PublishedCountersEqualTheRunTotals) {
   };
   regrid(21);
   ranks.init(euler_ic);
-  // The hub, fault and pool totals are published at the end of each step,
-  // so the run ends with a step.
   for (int s = 0; s < 6; ++s) {
     ranks.step(ranks.compute_dt());
     if (s % 2 == 0) regrid(100 + static_cast<std::uint64_t>(s));
   }
   ASSERT_GE(changing_regrids, 2);
+  // The run ends on a regrid that changes the topology, with no step after
+  // it: its gathers, migrations and topology deltas must reach the
+  // registry all the same.
+  const int before_last = changing_regrids;
+  const std::int64_t frames_before_last =
+      ranks.wire_hub()->stats().frames_sent;
+  regrid(200);
+  ASSERT_EQ(changing_regrids, before_last + 1);
+  ASSERT_GT(ranks.wire_hub()->stats().frames_sent, frames_before_last);
 
   const obs::MetricsSnapshot snap = tel.metrics.snapshot();
   auto counter = [&snap](const std::string& name) -> std::int64_t {

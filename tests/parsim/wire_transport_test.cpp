@@ -167,8 +167,9 @@ class WireTransportBytes
     : public ::testing::TestWithParam<wire::TransportKind> {};
 
 TEST_P(WireTransportBytes, BulkBytesSpillAndArriveInOrder) {
-  // 3 MB on one channel: far beyond both the socket buffer and the 64 KB
-  // shm ring, so the spill queue and flush() path are exercised for real.
+  // 3 MB on one channel: far beyond both the socket buffer and the shm
+  // ring (64 KB at every process count), so the spill queue and flush()
+  // path are exercised for real.
   auto t = wire::make_transport(GetParam(), 3);
   const std::size_t n = 3u << 20;
   std::vector<std::uint8_t> in(n), out(n, 0);
@@ -315,9 +316,10 @@ TEST(WireHub, DedupStateStaysFlatOverLongLossyRun) {
     }
   }
   // Bounded by the window (order kSeqWindow frames of this payload) plus
-  // the hub's fixed 64 KB read-chunk slack in the unparsed buffer — not
-  // by the number of rounds: ~4000 injected faults at ~560 wire bytes
-  // each would dwarf this if any per-sequence state leaked.
+  // the unparsed buffer's capacity, which each pump grows by the 64 KB read
+  // chunk (reserved, never zeroed) — not by the number of rounds: ~4000
+  // injected faults at ~560 wire bytes each would dwarf this if any
+  // per-sequence state leaked.
   EXPECT_LE(high_water, 128u * 1024u);
   EXPECT_LT(growth_events, 100);
   // The run actually was lossy, and the window bound held.
@@ -326,6 +328,55 @@ TEST(WireHub, DedupStateStaysFlatOverLongLossyRun) {
   EXPECT_GT(hub.stats().crc_rejects, 1000);
   EXPECT_LE(hub.stats().stash_peak,
             static_cast<std::int64_t>(wire::kSeqWindow));
+}
+
+/// This process's resident shared-memory bytes (RssShmem in
+/// /proc/self/status), or -1 where the kernel does not report it.
+std::int64_t resident_shmem_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long long kb = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr)
+    if (std::sscanf(line, "RssShmem: %lld kB", &kb) == 1) break;
+  std::fclose(f);
+  return kb < 0 ? -1 : static_cast<std::int64_t>(kb) * 1024;
+}
+
+TEST(WireHub, ShmResidentRingMemoryStaysBounded) {
+  // A ring's cursors only advance, so traffic wraps it through every page
+  // it owns and each page it touches stays resident. Resident memory must
+  // therefore stop at what the rings hold once each has wrapped, not grow
+  // with the rounds a long run carries: 600 rounds of one 2 KB frame on
+  // every channel of 8 ranks, 1.2 MB per channel in all.
+  constexpr int kPes = 8;
+  wire::WireHub hub(wire::TransportKind::Shm, kPes);
+  hub.set_recv_timeout(10.0);
+  std::vector<double> buf(256), got(256);
+  auto round = [&](int r) {
+    for (int src = 0; src < kPes; ++src)
+      for (int dst = 0; dst < kPes; ++dst) {
+        if (src == dst) continue;
+        buf[0] = static_cast<double>(r * kPes * kPes + src * kPes + dst);
+        hub.send(wire::PayloadClass::Board, src, dst, buf.data(), buf.size());
+      }
+    for (int src = 0; src < kPes; ++src)
+      for (int dst = 0; dst < kPes; ++dst) {
+        if (src == dst) continue;
+        hub.recv(wire::PayloadClass::Board, src, dst, got.data(), got.size());
+        ASSERT_EQ(got[0],
+                  static_cast<double>(r * kPes * kPes + src * kPes + dst));
+      }
+  };
+  for (int r = 0; r < 100; ++r) round(r);
+  const std::int64_t at100 = resident_shmem_bytes();
+  if (at100 < 0) GTEST_SKIP() << "RssShmem is not in /proc/self/status";
+  for (int r = 100; r < 600; ++r) round(r);
+  const std::int64_t at600 = resident_shmem_bytes();
+  EXPECT_EQ(hub.stats().frames_recv, 600 * kPes * (kPes - 1));
+  EXPECT_LE(at600 - at100, 256 * 1024)
+      << "resident shared memory grew from " << at100 << " to " << at600
+      << " bytes between rounds 100 and 600";
 }
 
 // ------------------------------------------- shared equivalence plumbing
