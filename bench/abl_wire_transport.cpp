@@ -188,10 +188,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The ablation measures the Config knobs, so ambient env overrides
-  // would silently collapse the modes into one.
+  // The ablation measures the transport Config knob, so an ambient
+  // AB_TRANSPORT would silently collapse the modes into one.
   ::unsetenv("AB_TRANSPORT");
-  ::unsetenv("AB_DIST_META");
 
   std::vector<double> ms[3];
   WireLoad load;

@@ -16,7 +16,6 @@
 //                       offline.
 // --critical-path=FILE  machine-readable ab.critical_path.v1 JSON.
 // --report=FILE         per-step JSONL (tools/trace_summary.py).
-// AB_DIST_META=1        runs the same scenario on distributed metadata.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -88,13 +87,13 @@ int main(int argc, char** argv) {
                                                   : "global metadata",
               steps);
   // Thresholds sized to the blast's density gradient so the mid-run
-  // regrid really refines: migration and coarsen-gather spans (plus
-  // topo_delta under AB_DIST_META) must show up in the trace.
+  // regrid really refines: migration and coarsen-gather spans must show
+  // up in the trace.
   GradientCriterion<2> crit{0, 0.015, 0.003, 2};
   for (int i = 0; i < steps; ++i) {
     solver.step(solver.compute_dt());
-    // One regrid mid-run: refinement, gathers, migration (and topology
-    // deltas under AB_DIST_META) all land in the trace.
+    // One regrid mid-run: refinement, gathers and migration all land in
+    // the trace.
     if (i == steps / 2) {
       const auto r = solver.adapt(crit);
       std::printf("  regrid after step %d: +%d refined, -%d coarsened, "

@@ -12,8 +12,8 @@
 // packs the sender-side-evaluated ghost values (restriction and
 // prolongation are computed on the owning PE — the original production
 // code's choice, minimizing wire bytes) of every (source PE, destination
-// PE) pair into that pair's channel of a ghost-class board, then unpacks on
-// the receiver; local ops are applied directly. Packing reads the source
+// PE) pair into that pair's channel of a MessageBoard, then unpacks on the
+// receiver; local ops are applied directly. Packing reads the source
 // PE's store and unpacking writes the destination PE's, so with one private
 // store per rank (RankSolver) nothing else crosses the rank boundary. The
 // result is bit-identical to GhostExchanger::fill
@@ -44,10 +44,6 @@ namespace ab {
 /// model. Sends wait on the board until flush(), which receive() runs first.
 class MessageBoard {
  public:
-  /// `cls` is the wire class the board's frames travel under.
-  explicit MessageBoard(wire::PayloadClass cls = wire::PayloadClass::Board)
-      : wire_cls_(cls) {}
-
   /// Start a new round: emit the last round's spans and empty every
   /// channel, keeping its storage.
   void clear() {
@@ -124,7 +120,7 @@ class MessageBoard {
       const std::size_t n = ch.data.size() - ch.flushed;
       WireFaults wf;
       if (faults_ != nullptr) wf = faults_->transmit(src, dst, p, n);
-      if (wire_ != nullptr) wire_->send(wire_cls_, src, dst, p, n, wf);
+      if (wire_ != nullptr) wire_->send(src, dst, p, n, wf);
       ch.flushed = ch.data.size();
       if (mt != nullptr) {
         const std::int64_t t1 = mt->now();
@@ -156,7 +152,7 @@ class MessageBoard {
     // what physically arrived before the caller reads them.
     if (end > ch.pulled) {
       if (wire_ != nullptr)
-        wire_->recv(wire_cls_, src, dst, ch.data.data() + ch.pulled,
+        wire_->recv(src, dst, ch.data.data() + ch.pulled,
                     ch.flushed - ch.pulled);
       ch.pulled = ch.flushed;
     }
@@ -223,7 +219,6 @@ class MessageBoard {
   FaultPlan* faults_ = nullptr;
   obs::MsgTrace* trace_ = nullptr;
   wire::WireHub* wire_ = nullptr;
-  wire::PayloadClass wire_cls_;
 };
 
 template <int D>
@@ -280,7 +275,7 @@ class BufferedExchange {
   /// Perform the exchange through a private board. Bit-identical to
   /// exchanger.fill(store).
   void fill(BlockStore<D>& store) {
-    MessageBoard board(wire::PayloadClass::Ghost);
+    MessageBoard board;
     fill_on([&store](int) -> BlockStore<D>& { return store; }, board);
   }
 

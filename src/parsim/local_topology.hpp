@@ -31,7 +31,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/forest.hpp"
@@ -69,7 +71,8 @@ class CurveMap {
   }
 
   CurveMap(const typename Forest<D>::Config& cfg, PartitionPolicy policy)
-      : policy_(policy), max_level_(cfg.max_level) {
+      : policy_(policy), max_level_(cfg.max_level),
+        root_blocks_(cfg.root_blocks) {
     AB_REQUIRE(supports(policy),
                "CurveMap: distributed metadata needs an SFC policy "
                "(Morton or Hilbert)");
@@ -81,6 +84,7 @@ class CurveMap {
   }
 
   int max_level() const { return max_level_; }
+  const IVec<D>& root_blocks() const { return root_blocks_; }
 
   /// Curve key of one fine-grain (max_level) cell.
   std::uint64_t point_key(IVec<D> fine) const {
@@ -105,8 +109,69 @@ class CurveMap {
  private:
   PartitionPolicy policy_;
   int max_level_;
+  IVec<D> root_blocks_;
   int bits_;  // Hilbert grid: smallest 2^bits covering the finest extent
 };
+
+// --- Hull-prefetch hints on a double-valued channel ----------------------
+//
+// A rank's owned-block descriptors cross a MessageBoard channel, which
+// carries doubles, as [count, then per block: level, coords..., owner].
+
+/// Append one block to a rank's hint payload, opening its count first.
+template <int D>
+void pack_block_hint(std::vector<double>& payload, int level,
+                     const IVec<D>& coords, int owner) {
+  if (payload.empty()) payload.push_back(0.0);
+  payload.push_back(static_cast<double>(level));
+  for (int d = 0; d < D; ++d) payload.push_back(static_cast<double>(coords[d]));
+  payload.push_back(static_cast<double>(owner));
+  payload[0] += 1.0;
+}
+
+namespace hint_detail {
+/// A double read off the wire as an integer in [lo, hi]; NaN, infinities
+/// and fractions fail the check before any conversion.
+inline int wire_int(double v, int lo, int hi, const char* what) {
+  AB_REQUIRE(v >= lo && v <= hi && v == std::floor(v),
+             std::string("hull hint: ") + what + " " + std::to_string(v) +
+                 " outside [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + "]");
+  return static_cast<int>(v);
+}
+}  // namespace hint_detail
+
+/// Decode a hint payload of `n` doubles into descriptors keyed on `curve`.
+/// Every value comes off the wire, so each is checked before use: the
+/// payload must be exactly 1 + count * (D + 2) doubles, each level in
+/// [0, max_level], each coordinate inside root_blocks << level, and each
+/// owner in [0, npes). Throws Error otherwise.
+template <int D>
+std::vector<BlockDesc<D>> unpack_block_hints(const double* payload,
+                                             std::size_t n,
+                                             const CurveMap<D>& curve,
+                                             int npes) {
+  constexpr std::size_t kHintDoubles = D + 2;
+  AB_REQUIRE(n >= 1, "hull hint: payload without a count");
+  const std::size_t count = (n - 1) / kHintDoubles;
+  AB_REQUIRE((n - 1) % kHintDoubles == 0 &&
+                 payload[0] == static_cast<double>(count),
+             "hull hint: a payload of " + std::to_string(n) +
+                 " double(s) cannot hold the " + std::to_string(payload[0]) +
+                 " hint(s) it declares");
+  std::vector<BlockDesc<D>> hints(count);
+  const double* at = payload + 1;
+  for (BlockDesc<D>& b : hints) {
+    b.level = hint_detail::wire_int(*at++, 0, curve.max_level(), "level");
+    for (int d = 0; d < D; ++d)
+      b.coords[d] = hint_detail::wire_int(
+          *at++, 0, (curve.root_blocks()[d] << b.level) - 1, "coordinate");
+    b.owner = hint_detail::wire_int(*at++, 0, npes - 1, "owner");
+    b.key_begin = curve.interval_begin(b.level, b.coords);
+    b.key_end = b.key_begin + curve.span(b.level);
+  }
+  return hints;
+}
 
 /// The O(P) global structure every rank may hold: one key range per rank
 /// (the distributed analogue of the owner array). Ranks owning no blocks

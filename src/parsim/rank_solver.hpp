@@ -15,9 +15,10 @@
 // runs; this class is the core's ownership policy for P ranks. It answers
 // which rank's store holds a block, fills a store set's ghosts by message,
 // runs the reflux round by message, and after each block update records
-// the rank's compute span and flops and retires a deferred topology
-// delta. The solver is therefore bitwise identical to the single-address-
-// space AmrSolver (serial, no subcycling) by construction, because:
+// the rank's compute span and flops. Every message round receives all it
+// sends before the next one starts, so no payload outlives its round. The
+// solver is bitwise identical to the single-address-space AmrSolver
+// (serial, no subcycling) by construction, because:
 //   - ghost values arriving by message are sender-side evaluations packed
 //     by the row executor GhostExchanger::fill runs (verified in
 //     tests/parsim/buffered_exchange_test.cpp);
@@ -30,8 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -79,13 +78,13 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     /// Lossy-wire / rank-death fault injection (nullptr = perfect
     /// hardware). See src/parsim/fault.hpp and docs/ROBUSTNESS.md.
     FaultPlan* faults = nullptr;
-    /// Distributed block metadata (env override AB_DIST_META): every rank
-    /// holds only its owned blocks plus a neighbor hull, with neighbor
-    /// discovery by SFC curve key and topology deltas exchanged on regrid
-    /// (src/parsim/local_topology.hpp). Requires a Morton or Hilbert
-    /// partition policy. Results are bitwise identical to the global-
-    /// metadata path; the local view is load-bearing for ghost-plan,
-    /// flux-plan, and migration verification.
+    /// Distributed block metadata: every rank holds only its owned blocks
+    /// plus a neighbor hull, with neighbor discovery by SFC curve key and
+    /// topology deltas exchanged on regrid (src/parsim/local_topology.hpp).
+    /// Requires a Morton or Hilbert partition policy and the 2:1 level
+    /// constraint; a request without them throws. Results are bitwise
+    /// identical to the global-metadata path; the local view is
+    /// load-bearing for ghost-plan, flux-plan, and migration verification.
     bool distributed_metadata = false;
     /// Auto-checkpoint cadence in steps (0 = off). When positive, step()
     /// writes a v2 checkpoint to `checkpoint_path` at the top of every
@@ -140,23 +139,14 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
         hub_ = owned_hub_.get();
       }
     }
-    for (MessageBoard* b : {&ghost_board_, &board_, &topo_board_}) {
-      b->set_fault_plan(rcfg_.faults);
-      if (cfg_.telemetry != nullptr) b->set_trace(&msg_trace_);
-      b->set_wire(hub_);
-    }
-    distmeta_ = resolve_distmeta(rcfg_);
-    if (distmeta_ && (!CurveMap<D>::supports(rcfg_.policy) ||
-                      cfg_.forest.max_level_diff != 1)) {
-      // A config request for an unsupportable setup is a caller error; an
-      // env-forced AB_DIST_META=1 on such a run falls back to global
-      // metadata (the same grace AB_AUTOTUNE shows inapplicable layouts).
-      AB_REQUIRE(!rcfg_.distributed_metadata,
-                 "RankSolver: distributed_metadata requires an SFC "
-                 "partition policy (Morton or Hilbert) and the 2:1 level "
-                 "constraint");
-      distmeta_ = false;
-    }
+    board_.set_fault_plan(rcfg_.faults);
+    if (cfg_.telemetry != nullptr) board_.set_trace(&msg_trace_);
+    board_.set_wire(hub_);
+    AB_REQUIRE(!rcfg_.distributed_metadata ||
+                   (CurveMap<D>::supports(rcfg_.policy) &&
+                    cfg_.forest.max_level_diff == 1),
+               "RankSolver: distributed_metadata requires an SFC partition "
+               "policy (Morton or Hilbert) and the 2:1 level constraint");
     rebuild_rank_structures();
   }
 
@@ -169,8 +159,8 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   const RankStepCost& last_step_cost() const { return step_cost_; }
   const RegridCost& last_regrid_cost() const { return last_regrid_; }
   const RankRunTotals& totals() const { return totals_; }
-  /// Whether the distributed-metadata path is active (config or env).
-  bool distributed_metadata() const { return distmeta_; }
+  /// Whether the distributed-metadata path is active.
+  bool distributed_metadata() const { return rcfg_.distributed_metadata; }
   /// The per-rank local views (null when distributed_metadata is off).
   const LocalTopologySet<D>* local_topology() const { return topo_.get(); }
   /// The transport actually carrying exchange payloads (config + env +
@@ -228,10 +218,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// restored blocks across the currently-alive ranks. Ghosts are refilled
   /// by the next step's exchange.
   void restore(const std::string& path) {
-    // Deferred topology deltas from before the failure must be consumed
-    // (on the wire path they are already buffered frames that would
-    // otherwise corrupt the next topo round).
-    drain_topo_all();
     forest_ = Forest<D>(cfg_.forest);
     BlockStore<D> global(layout_);
     time_ = load_checkpoint<D>(path, forest_, global);
@@ -360,15 +346,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       bfaces_by_pe_[static_cast<std::size_t>(owner_at(bf.block))].push_back(
           bf);
     if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
-    if (distmeta_) rebuild_local_topology();
-  }
-
-  /// Resolve the distributed-metadata switch (config + AB_DIST_META env,
-  /// which wins when set).
-  static bool resolve_distmeta(const Config& cfg) {
-    bool use = cfg.distributed_metadata;
-    if (const char* e = std::getenv("AB_DIST_META")) use = e[0] != '0';
-    return use;
+    if (rcfg_.distributed_metadata) rebuild_local_topology();
   }
 
   /// Rebuild every rank's local view (owned + hull + directory) for the
@@ -426,168 +404,96 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     }
   }
 
-  /// Ship each rank's regrid topology changes (compact binarized-octree
-  /// delta records, src/util/topo_codec.hpp) to its neighbor ranks through
-  /// the topology board — the same lossy wire as every other payload, so
-  /// fault injection composes — and verify the decoded records match.
-  ///
-  /// Sends post here but receives defer to drain_topo_some(), called
-  /// between block updates during stage compute — the delta exchange
-  /// overlaps the next step's work instead of extending the regrid barrier.
-  /// Synchronous while message tracing is active, so span accounting (one
-  /// span pair per channel, closed within the round) is unchanged; the
-  /// solver bytes are the same either way.
-  void exchange_topology_deltas(
-      const std::vector<std::vector<TopoDeltaRecord<D>>>& deltas,
-      RegridCost& rc, std::uint64_t parent_span = 0) {
-    const bool async = !msg_trace_.active();
-    topo_board_.clear();  // prior rounds fully drained (adapt() entry)
+  /// One regrid metadata round on the board: rank p's payload `packed[p]`
+  /// goes to every neighbor rank q of the current local view, then
+  /// `consume(p, q, payload, n)` reads each delivery. The payloads come off
+  /// the wire, so an Error while consuming one is rethrown naming its
+  /// channel. The round's traffic counts as topology-delta traffic.
+  template <class Consume>
+  void topo_round(const std::vector<std::vector<double>>& packed,
+                  const char* what, RegridCost& rc, std::uint64_t parent_span,
+                  const Consume& consume) {
+    board_.clear();
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::TopoDelta,
                              parent_span);
-    std::vector<std::vector<double>> packed(
-        static_cast<std::size_t>(rcfg_.npes));
     for (int p = 0; p < rcfg_.npes; ++p) {
-      const auto& recs = deltas[static_cast<std::size_t>(p)];
-      if (recs.empty()) continue;
-      const std::vector<std::uint8_t> enc = encode_topo_delta<D>(recs);
-      // Byte payloads ride the double-valued board: one length double,
-      // then the bytes packed eight per double.
-      std::vector<double>& buf = packed[static_cast<std::size_t>(p)];
-      buf.assign(1 + (enc.size() + sizeof(double) - 1) / sizeof(double),
-                 0.0);
-      buf[0] = static_cast<double>(enc.size());
-      std::memcpy(buf.data() + 1, enc.data(), enc.size());
-      for (int q : topo_->rank(p).neighbor_ranks()) {
-        topo_board_.send(p, q, buf.data(),
-                         static_cast<std::int64_t>(buf.size()));
-        if (async)
-          pending_topo_.push_back(
-              {p, q, static_cast<std::int64_t>(buf.size()), recs});
-      }
-    }
-    // Post the frames now: deferred receives find them on the wire.
-    topo_board_.flush();
-    if (!async) {
-      for (int p = 0; p < rcfg_.npes; ++p) {
-        const auto& buf = packed[static_cast<std::size_t>(p)];
-        if (buf.empty()) continue;
-        for (int q : topo_->rank(p).neighbor_ranks())
-          verify_topo_delta(p, q, static_cast<std::int64_t>(buf.size()),
-                            deltas[static_cast<std::size_t>(p)]);
-      }
-    }
-    account_topo_round(rc);
-  }
-
-  /// Charge the topology round on topo_board_ (its pair messages and
-  /// bytes) to the regrid's cost and the topo.* counters, and close its
-  /// spans.
-  void account_topo_round(RegridCost& rc) {
-    rc.topo_delta_messages += topo_board_.messages();
-    rc.topo_delta_bytes += topo_board_.bytes();
-    count("topo.delta_messages", topo_board_.messages());
-    count("topo.delta_bytes", topo_board_.bytes());
-    topo_board_.flush_trace();
-  }
-
-  /// Receive one (src, dst) topology-delta payload and check it decodes to
-  /// exactly the records the sender applied.
-  void verify_topo_delta(int src, int dst, std::int64_t n,
-                         const std::vector<TopoDeltaRecord<D>>& expect) {
-    const double* payload = topo_board_.receive(src, dst, n);
-    const std::size_t nbytes = static_cast<std::size_t>(payload[0]);
-    std::vector<std::uint8_t> rx(nbytes);
-    std::memcpy(rx.data(), payload + 1, nbytes);
-    AB_REQUIRE(decode_topo_delta<D>(rx) == expect,
-               "distributed metadata: topology delta did not survive "
-               "the wire");
-  }
-
-  /// Deferred topology-delta receives still outstanding?
-  bool topo_pending() const {
-    return topo_drain_pos_ < pending_topo_.size();
-  }
-
-  /// Consume up to `k` deferred topology-delta receives — the overlap
-  /// hook, called between block updates during stage compute. Resets the
-  /// board once the round fully drains (on the wire path the frames have
-  /// left their per-class queue by then).
-  void drain_topo_some(std::size_t k) {
-    while (k-- > 0 && topo_drain_pos_ < pending_topo_.size()) {
-      const PendingTopo& pt = pending_topo_[topo_drain_pos_++];
-      verify_topo_delta(pt.src, pt.dst, pt.n, pt.expect);
-    }
-    if (!pending_topo_.empty() &&
-        topo_drain_pos_ == pending_topo_.size()) {
-      pending_topo_.clear();
-      topo_drain_pos_ = 0;
-      topo_board_.clear();
-    }
-  }
-
-  void drain_topo_all() { drain_topo_some(pending_topo_.size()); }
-
-  /// Ship each rank's post-regrid owned-block descriptors to the neighbor
-  /// ranks of its STALE pre-regrid view (the only adjacency anyone knows
-  /// mid-migration), riding the topology wire class and counted as
-  /// topo-delta traffic. Receivers keep them as hull-prefetch hints: the
-  /// rebuild validates each hint against the directory and skips the
-  /// remote probe it replaces (stats().prefetch_hits). Metadata only —
-  /// the hull built is identical with or without hints.
-  void exchange_hull_prefetch(RegridCost& rc, std::uint64_t parent_span = 0) {
-    topo_board_.clear();
-    if (msg_trace_.active())
-      msg_trace_.set_context(step_index_, obs::MsgPhase::TopoDelta,
-                             parent_span);
-    // Pack per rank: [count, then per block: level, coords..., owner].
-    std::vector<std::vector<double>> packed(
-        static_cast<std::size_t>(rcfg_.npes));
-    for (int id : forest_.leaves()) {
-      const int pe = owner_at(id);
-      std::vector<double>& buf = packed[static_cast<std::size_t>(pe)];
-      if (buf.empty()) buf.push_back(0.0);
-      buf.push_back(static_cast<double>(forest_.level(id)));
-      const IVec<D> c = forest_.coords(id);
-      for (int d = 0; d < D; ++d) buf.push_back(static_cast<double>(c[d]));
-      buf.push_back(static_cast<double>(pe));
-      buf[0] += 1.0;
+      const auto& buf = packed[static_cast<std::size_t>(p)];
+      if (buf.empty()) continue;
+      for (int q : topo_->rank(p).neighbor_ranks())
+        board_.send(p, q, buf.data(), static_cast<std::int64_t>(buf.size()));
     }
     for (int p = 0; p < rcfg_.npes; ++p) {
       const auto& buf = packed[static_cast<std::size_t>(p)];
       if (buf.empty()) continue;
       for (int q : topo_->rank(p).neighbor_ranks())
-        topo_board_.send(p, q, buf.data(),
-                         static_cast<std::int64_t>(buf.size()));
+        board_.receive(p, q, static_cast<std::int64_t>(buf.size()),
+                       [&](const double* payload) {
+                         try {
+                           consume(p, q, payload, buf.size());
+                         } catch (const Error& e) {
+                           throw Error(std::string("distributed metadata: ") +
+                                       what + " on channel " +
+                                       std::to_string(p) + "->" +
+                                       std::to_string(q) + ": " + e.what());
+                         }
+                       });
+    }
+    rc.topo_delta_messages += board_.messages();
+    rc.topo_delta_bytes += board_.bytes();
+    count("topo.delta_messages", board_.messages());
+    count("topo.delta_bytes", board_.bytes());
+    board_.flush_trace();
+  }
+
+  /// Ship each rank's regrid topology changes (compact binarized-octree
+  /// delta records, src/util/topo_codec.hpp) to its neighbor ranks — the
+  /// same lossy wire as every other payload, so fault injection composes —
+  /// and verify that each receiver decodes exactly the records the sender
+  /// applied.
+  void exchange_topology_deltas(
+      const std::vector<std::vector<TopoDeltaRecord<D>>>& deltas,
+      RegridCost& rc, std::uint64_t parent_span) {
+    std::vector<std::vector<double>> packed(deltas.size());
+    for (std::size_t p = 0; p < deltas.size(); ++p)
+      if (!deltas[p].empty()) packed[p] = pack_topo_delta<D>(deltas[p]);
+    topo_round(packed, "topology delta", rc, parent_span,
+               [&](int p, int, const double* payload, std::size_t n) {
+                 AB_REQUIRE(unpack_topo_delta<D>(payload, n) ==
+                                deltas[static_cast<std::size_t>(p)],
+                            "decoded records differ from the records sent");
+               });
+  }
+
+  /// Ship each rank's post-regrid owned-block descriptors to the neighbor
+  /// ranks of its STALE pre-regrid view (the only adjacency anyone knows
+  /// mid-migration), counted as topo-delta traffic. Receivers keep them as
+  /// hull-prefetch hints: the rebuild validates each hint against the
+  /// directory and skips the remote probe it replaces
+  /// (stats().prefetch_hits). Metadata only — the hull built is identical
+  /// with or without hints.
+  void exchange_hull_prefetch(RegridCost& rc, std::uint64_t parent_span) {
+    std::vector<std::vector<double>> packed(
+        static_cast<std::size_t>(rcfg_.npes));
+    for (int id : forest_.leaves()) {
+      const int pe = owner_at(id);
+      pack_block_hint<D>(packed[static_cast<std::size_t>(pe)],
+                         forest_.level(id), forest_.coords(id), pe);
     }
     prefetch_hints_.assign(static_cast<std::size_t>(rcfg_.npes), {});
     const CurveMap<D> curve(forest_.config(), rcfg_.policy);
-    for (int p = 0; p < rcfg_.npes; ++p) {
-      const auto& buf = packed[static_cast<std::size_t>(p)];
-      if (buf.empty()) continue;
-      for (int q : topo_->rank(p).neighbor_ranks()) {
-        const double* payload = topo_board_.receive(
-            p, q, static_cast<std::int64_t>(buf.size()));
-        const int nblocks = static_cast<int>(payload[0]);
-        const double* at = payload + 1;
-        auto& hints = prefetch_hints_[static_cast<std::size_t>(q)];
-        for (int i = 0; i < nblocks; ++i) {
-          BlockDesc<D> b;
-          b.level = static_cast<int>(*at++);
-          for (int d = 0; d < D; ++d) b.coords[d] = static_cast<int>(*at++);
-          b.owner = static_cast<int>(*at++);
-          b.key_begin = curve.interval_begin(b.level, b.coords);
-          b.key_end = b.key_begin + curve.span(b.level);
-          hints.push_back(b);
-        }
-      }
-    }
+    topo_round(packed, "hull-prefetch hints", rc, parent_span,
+               [&](int, int q, const double* payload, std::size_t n) {
+                 const std::vector<BlockDesc<D>> got =
+                     unpack_block_hints<D>(payload, n, curve, rcfg_.npes);
+                 auto& hints = prefetch_hints_[static_cast<std::size_t>(q)];
+                 hints.insert(hints.end(), got.begin(), got.end());
+               });
     for (auto& hints : prefetch_hints_)
       std::sort(hints.begin(), hints.end(),
                 [](const BlockDesc<D>& a, const BlockDesc<D>& b) {
                   return a.key_begin < b.key_begin;
                 });
-    account_topo_round(rc);
   }
 
   /// One step of advance_to. A simulated rank death is recovered in
@@ -622,7 +528,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
         [&s](int pe) -> BlockStore<D>& {
           return s[static_cast<std::size_t>(pe)];
         },
-        ghost_board_);
+        board_);
     for (int pe = 0; pe < rcfg_.npes; ++pe)
       apply_boundary_conditions<D>(s[static_cast<std::size_t>(pe)], forest_,
                                    bfaces_by_pe_[static_cast<std::size_t>(pe)],
@@ -687,9 +593,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       tr->record(obs::TraceEvent{"stage_update", "compute", t0, tr->now_ns(),
                                  0, tr->new_span_id(), span, pe,
                                  step_index_});
-    // Async topology deltas: retire one deferred receive per block
-    // update, hiding the exchange behind compute.
-    if (topo_pending()) drain_topo_some(1);
   }
 
   // Regrid: refined children are born on the parent's rank; a coarsening
@@ -700,13 +603,12 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
 
   void regrid_begin(obs::PhaseScope& ps) {
     if (ps.span_id() != 0) ps.set_context(0, -1, step_index_);
-    // The previous regrid's deferred topology deltas must land before a
-    // new round starts (normally they drained during stage compute).
-    drain_topo_all();
     // Distributed metadata: each rank records the topology changes it
     // performs, to broadcast (binarized-octree encoded) to its neighbor
     // ranks after the regrid settles.
-    deltas_.assign(distmeta_ ? static_cast<std::size_t>(rcfg_.npes) : 0, {});
+    deltas_.assign(
+        rcfg_.distributed_metadata ? static_cast<std::size_t>(rcfg_.npes) : 0,
+        {});
     board_.clear();
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::Gather,
@@ -714,7 +616,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   }
 
   void refined(const typename Forest<D>::RefineEvent& ev, int pe) {
-    if (distmeta_)
+    if (rcfg_.distributed_metadata)
       deltas_[static_cast<std::size_t>(pe)].push_back(
           {TopoDeltaOp::Refine, forest_.level(ev.parent),
            forest_.coords(ev.parent)});
@@ -739,7 +641,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   void coarsened(int p, const Family& kids, int pe) {
     for (int c : kids) owner_[static_cast<std::size_t>(c)] = -1;
     set_owner_entry(p, pe);
-    if (distmeta_)
+    if (rcfg_.distributed_metadata)
       deltas_[static_cast<std::size_t>(pe)].push_back(
           {TopoDeltaOp::Coarsen, forest_.level(p), forest_.coords(p)});
   }
@@ -773,10 +675,11 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     // Hull prefetch rides with the migration: post-regrid descriptors go
     // to the stale view's neighbor ranks now, so the rebuild below can
     // validate hints instead of probing.
-    if (distmeta_ && topo_ != nullptr)
+    if (rcfg_.distributed_metadata && topo_ != nullptr)
       exchange_hull_prefetch(rc, ps.span_id());
     rebuild_rank_structures();
-    if (distmeta_) exchange_topology_deltas(deltas_, rc, ps.span_id());
+    if (rcfg_.distributed_metadata)
+      exchange_topology_deltas(deltas_, rc, ps.span_id());
     rc.migrated_blocks = ms.blocks;
     rc.migration_messages = ms.messages;
     rc.migration_bytes = ms.bytes;
@@ -839,7 +742,7 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     m.gauge("rank.load_imbalance")->set(sc.imbalance);
     m.gauge("rank.t_step_model_s")->set(sc.model.t_step);
     m.gauge("rank.efficiency")->set(sc.model.efficiency);
-    if (distmeta_ && topo_ != nullptr) {
+    if (rcfg_.distributed_metadata && topo_ != nullptr) {
       // Per-rank topology footprint: the gauges must track blocks/rank +
       // hull, not total blocks (the distributed-metadata contract).
       m.gauge("topo.max_owned")
@@ -878,13 +781,11 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   Config rcfg_;  ///< solver member: the core's cfg_ (autotuned)
   std::vector<int> owner_;  ///< node id -> rank (-1 for non-leaves)
   BufferedExchange<D> buffered_;
-  /// The message layer: ghost fills, the other step and regrid rounds
-  /// (flux, gathers, migration), and topology-delta + hull-prefetch
-  /// traffic, each under its own wire class. topo_board_ is separate so
-  /// deferred async receives survive the board rounds the next steps run.
-  MessageBoard ghost_board_{wire::PayloadClass::Ghost};
-  MessageBoard board_{wire::PayloadClass::Board};
-  MessageBoard topo_board_{wire::PayloadClass::Topo};
+  /// The message layer. Every round — ghost fills, flux, gathers,
+  /// migration, hull prefetch and topology deltas — clears it, receives
+  /// all it sends and reads its traffic before the next round starts, so
+  /// one in-order channel per rank pair carries them all.
+  MessageBoard board_;
   /// Cross-rank causal message tracing (bound to the telemetry's tracer at
   /// construction; inert while the tracer is disabled).
   obs::MsgTrace msg_trace_;
@@ -893,9 +794,8 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   /// (pack_fine_avg on the fine side, apply_correction on the coarse side).
   FluxRegister<D> flux_register_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_pe_;
-  /// Distributed metadata (Config::distributed_metadata / AB_DIST_META):
-  /// per-rank local views rebuilt with every partition change.
-  bool distmeta_ = false;
+  /// Distributed metadata (Config::distributed_metadata): per-rank local
+  /// views rebuilt with every partition change.
   std::unique_ptr<LocalTopologySet<D>> topo_;
   /// Wire transport state (Board path: hub_ stays null and none of this
   /// is touched).
@@ -903,16 +803,6 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   std::unique_ptr<wire::WireHub> owned_hub_;
   wire::WireHub* hub_ = nullptr;
   wire::WireStats wire_published_;  ///< hub totals published so far
-  /// One deferred async topology-delta receive (src -> dst, n doubles,
-  /// plus the records the payload must decode to).
-  struct PendingTopo {
-    int src;
-    int dst;
-    std::int64_t n;
-    std::vector<TopoDeltaRecord<D>> expect;
-  };
-  std::vector<PendingTopo> pending_topo_;
-  std::size_t topo_drain_pos_ = 0;
   /// Hull-prefetch hints collected by exchange_hull_prefetch, consumed
   /// (and cleared) by the next rebuild_local_topology.
   std::vector<std::vector<BlockDesc<D>>> prefetch_hints_;

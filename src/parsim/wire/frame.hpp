@@ -4,16 +4,18 @@
 // coarsen gathers, migrations, topology deltas) crosses the wire as one or
 // more frames:
 //
-//   [ magic u32 | src u16 | dst u16 | class u8 | flags u8 | rsvd u16 |
+//   [ magic u32 | src u16 | dst u16 | rsvd u8 | flags u8 | rsvd u16 |
 //     seq u32 | payload_bytes u32 | crc u32 ]  +  payload bytes
 //
-// all little-endian, 24 header bytes. `crc` is the CRC-32 of the payload
-// (the same polynomial FaultPlan's simulated receiver checks), so a
-// corrupted frame is rejected before it reaches the sequencer and the
-// clean retransmission that follows — with the same sequence number — is
-// the copy delivered. `seq` increments per (src, dst) byte stream across
-// all classes; the receiver demultiplexes by class only after frames are
-// back in sequence order.
+// all little-endian, 24 header bytes; the reserved bytes are written as
+// zero, and a nonzero byte 8 is rejected as a desync. `crc` is the CRC-32
+// of the payload (the same polynomial FaultPlan's simulated receiver
+// checks), so a corrupted frame is rejected before it reaches the
+// sequencer and the clean retransmission that follows — with the same
+// sequence number — is the copy delivered. `seq` increments per (src, dst)
+// byte stream. Every exchange round receives all it sends before the next
+// round starts, so one in-order stream per channel carries every round's
+// payloads without demultiplexing.
 //
 // FrameSequencer is the receive window: it delivers frames in sequence
 // order, discards duplicates, and stashes out-of-order arrivals until the
@@ -29,7 +31,6 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/crc32.hpp"
@@ -37,16 +38,6 @@
 
 namespace ab {
 namespace wire {
-
-/// What kind of payload a frame carries; the receiver demuxes by class so
-/// deferred traffic (async topology deltas) can sit buffered while later
-/// classes drain past it.
-enum class PayloadClass : std::uint8_t {
-  Ghost = 0,  ///< ghost-fill rounds (a frame per pair and phase)
-  Board = 1,  ///< flux, gather and migration rounds
-  Topo = 2,   ///< topology deltas + hull-prefetch descriptors
-};
-inline constexpr int kNumPayloadClasses = 3;
 
 inline constexpr std::uint32_t kFrameMagic = 0x41425746u;  // "ABWF"
 inline constexpr std::size_t kFrameHeaderBytes = 24;
@@ -61,7 +52,6 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 struct FrameHeader {
   std::uint16_t src = 0;
   std::uint16_t dst = 0;
-  PayloadClass cls = PayloadClass::Ghost;
   std::uint32_t seq = 0;
   std::uint32_t payload_bytes = 0;
   std::uint32_t crc = 0;
@@ -94,7 +84,7 @@ inline void encode_frame_header(const FrameHeader& h, std::uint8_t* out) {
   detail::put_u32(out + 0, kFrameMagic);
   detail::put_u16(out + 4, h.src);
   detail::put_u16(out + 6, h.dst);
-  out[8] = static_cast<std::uint8_t>(h.cls);
+  out[8] = 0;                      // reserved
   out[9] = 0;                      // flags (reserved)
   detail::put_u16(out + 10, 0);    // reserved
   detail::put_u32(out + 12, h.seq);
@@ -102,16 +92,16 @@ inline void encode_frame_header(const FrameHeader& h, std::uint8_t* out) {
   detail::put_u32(out + 20, h.crc);
 }
 
-/// Parse kFrameHeaderBytes at `in`; throws on a bad magic or an insane
-/// payload size (framing desync is unrecoverable — fail loudly).
+/// Parse kFrameHeaderBytes at `in`; throws on a bad magic, a nonzero
+/// reserved byte 8 or an insane payload size (framing desync is
+/// unrecoverable — fail loudly).
 inline FrameHeader decode_frame_header(const std::uint8_t* in) {
   AB_REQUIRE(detail::get_u32(in + 0) == kFrameMagic,
              "wire: bad frame magic (stream desync)");
   FrameHeader h;
   h.src = detail::get_u16(in + 4);
   h.dst = detail::get_u16(in + 6);
-  AB_REQUIRE(in[8] < kNumPayloadClasses, "wire: unknown payload class");
-  h.cls = static_cast<PayloadClass>(in[8]);
+  AB_REQUIRE(in[8] == 0, "wire: nonzero reserved header byte");
   h.seq = detail::get_u32(in + 12);
   h.payload_bytes = detail::get_u32(in + 16);
   AB_REQUIRE(h.payload_bytes <= kMaxFramePayload,
@@ -143,7 +133,7 @@ struct WireStats {
 /// same constant.
 class FrameSequencer {
  public:
-  /// Offer one CRC-verified frame. Invokes `sink(cls, payload, nbytes)`
+  /// Offer one CRC-verified frame. Invokes `sink(payload, nbytes)`
   /// for zero or more in-order deliveries (zero when the frame was a
   /// duplicate or is stashed awaiting a gap). The sink writes straight
   /// into the receiver's staging queue, so the in-order common case costs
@@ -168,21 +158,19 @@ class FrameSequencer {
         ++stats.dup_discards;  // duplicate of a stashed frame
         return;
       }
-      stash_.emplace(h.seq,
-                     Stashed{h.cls, std::vector<std::uint8_t>(
-                                        payload, payload + h.payload_bytes)});
+      stash_.emplace(h.seq, std::vector<std::uint8_t>(
+                                payload, payload + h.payload_bytes));
       ++stats.reorder_stashes;
       stats.stash_peak = std::max(
           stats.stash_peak, static_cast<std::int64_t>(stash_.size()));
       return;
     }
-    deliver(h.cls, payload, h.payload_bytes, stats, sink);
+    deliver(payload, h.payload_bytes, stats, sink);
     ++next_;
     // Drain everything the new arrival unblocked.
     for (auto it = stash_.find(next_); it != stash_.end();
          it = stash_.find(next_)) {
-      deliver(it->second.cls, it->second.bytes.data(),
-              it->second.bytes.size(), stats, sink);
+      deliver(it->second.data(), it->second.size(), stats, sink);
       stash_.erase(it);
       ++next_;
     }
@@ -190,13 +178,10 @@ class FrameSequencer {
 
   /// Vector-collecting overload (tests and diagnostic callers).
   void accept(const FrameHeader& h, const std::uint8_t* payload,
-              WireStats& stats,
-              std::vector<std::pair<PayloadClass, std::vector<std::uint8_t>>>*
-                  out) {
-    accept(h, payload, stats,
-           [out](PayloadClass cls, const std::uint8_t* p, std::size_t n) {
-             out->emplace_back(cls, std::vector<std::uint8_t>(p, p + n));
-           });
+              WireStats& stats, std::vector<std::vector<std::uint8_t>>* out) {
+    accept(h, payload, stats, [out](const std::uint8_t* p, std::size_t n) {
+      out->emplace_back(p, p + n);
+    });
   }
 
   std::uint32_t next_seq() const { return next_; }
@@ -206,26 +191,21 @@ class FrameSequencer {
   /// over a long lossy run (bounded by kSeqWindow frames).
   std::size_t state_bytes() const {
     std::size_t n = sizeof(*this);
-    for (const auto& [seq, s] : stash_) n += sizeof(seq) + s.bytes.capacity();
+    for (const auto& [seq, s] : stash_) n += sizeof(seq) + s.capacity();
     return n;
   }
 
  private:
-  struct Stashed {
-    PayloadClass cls;
-    std::vector<std::uint8_t> bytes;
-  };
-
   template <class Sink>
-  static void deliver(PayloadClass cls, const std::uint8_t* payload,
-                      std::size_t n, WireStats& stats, Sink&& sink) {
+  static void deliver(const std::uint8_t* payload, std::size_t n,
+                      WireStats& stats, Sink&& sink) {
     ++stats.frames_recv;
     stats.payload_bytes += static_cast<std::int64_t>(n);
-    sink(cls, payload, n);
+    sink(payload, n);
   }
 
   std::uint32_t next_ = 0;
-  std::map<std::uint32_t, Stashed> stash_;
+  std::map<std::uint32_t, std::vector<std::uint8_t>> stash_;
 };
 
 }  // namespace wire

@@ -57,8 +57,8 @@ struct WireHub::Chan {
   std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>> rxbuf;
   std::size_t rxhead = 0;
   FrameSequencer sequencer;
-  ByteQueue ready[kNumPayloadClasses];  ///< in-order payload, per class
-  std::vector<std::uint8_t> scratch;    ///< frame assembly (send side)
+  ByteQueue ready;  ///< in-order payload past the open receive
+  std::vector<std::uint8_t> scratch;  ///< frame assembly (send side)
 };
 
 WireHub::WireHub(TransportKind kind, int npes)
@@ -87,14 +87,12 @@ WireHub::Chan& WireHub::chan(int src, int dst) {
   return *slot;
 }
 
-void WireHub::emit_frame(Chan& ch, PayloadClass cls, int src, int dst,
-                         std::uint32_t seq, const std::uint8_t* payload,
-                         std::size_t nbytes, std::uint32_t crc_of,
-                         bool corrupt) {
+void WireHub::emit_frame(Chan& ch, int src, int dst, std::uint32_t seq,
+                         const std::uint8_t* payload, std::size_t nbytes,
+                         std::uint32_t crc_of, bool corrupt) {
   FrameHeader h;
   h.src = static_cast<std::uint16_t>(src);
   h.dst = static_cast<std::uint16_t>(dst);
-  h.cls = cls;
   h.seq = seq;
   h.payload_bytes = static_cast<std::uint32_t>(nbytes);
   h.crc = crc_of;
@@ -117,8 +115,8 @@ void WireHub::emit_frame(Chan& ch, PayloadClass cls, int src, int dst,
   stats_.wire_bytes += static_cast<std::int64_t>(kFrameHeaderBytes + nbytes);
 }
 
-void WireHub::send(PayloadClass cls, int src, int dst, const double* data,
-                   std::size_t n, const WireFaults& wf) {
+void WireHub::send(int src, int dst, const double* data, std::size_t n,
+                   const WireFaults& wf) {
   if (n == 0 || !sends(src)) return;
   Chan& ch = chan(src, dst);
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
@@ -127,8 +125,8 @@ void WireHub::send(PayloadClass cls, int src, int dst, const double* data,
   // sequence number the eventual clean frame will use (a retransmission
   // reuses its seq; the receiver never sequences a CRC-rejected frame).
   for (int i = 0; i < wf.corrupted; ++i)
-    emit_frame(ch, cls, src, dst, ch.send_seq, bytes, nbytes,
-               crc32(bytes, nbytes), /*corrupt=*/true);
+    emit_frame(ch, src, dst, ch.send_seq, bytes, nbytes, crc32(bytes, nbytes),
+               /*corrupt=*/true);
   if (wf.reordered && n >= 2) {
     // Materialize the reorder: the payload splits into two frames sent
     // sequence-swapped; the receiver's window stashes the early half and
@@ -136,22 +134,20 @@ void WireHub::send(PayloadClass cls, int src, int dst, const double* data,
     const std::size_t half = (n / 2) * sizeof(double);
     const std::uint32_t s0 = ch.send_seq++;
     const std::uint32_t s1 = ch.send_seq++;
-    emit_frame(ch, cls, src, dst, s1, bytes + half, nbytes - half,
+    emit_frame(ch, src, dst, s1, bytes + half, nbytes - half,
                crc32(bytes + half, nbytes - half), false);
-    emit_frame(ch, cls, src, dst, s0, bytes, half, crc32(bytes, half),
-               false);
+    emit_frame(ch, src, dst, s0, bytes, half, crc32(bytes, half), false);
     return;
   }
   const std::uint32_t s = ch.send_seq++;
   const std::uint32_t crc = crc32(bytes, nbytes);
-  emit_frame(ch, cls, src, dst, s, bytes, nbytes, crc, false);
+  emit_frame(ch, src, dst, s, bytes, nbytes, crc, false);
   // A duplicate is the same frame twice; the receiver's window discards
   // the second copy by sequence number.
-  if (wf.duplicated) emit_frame(ch, cls, src, dst, s, bytes, nbytes, crc,
-                                false);
+  if (wf.duplicated) emit_frame(ch, src, dst, s, bytes, nbytes, crc, false);
 }
 
-bool WireHub::pump(Chan& ch, int src, int dst, DirectFill* df) {
+bool WireHub::pump(Chan& ch, int src, int dst, DirectFill& df) {
   constexpr std::size_t kChunk = 1 << 16;
   bool progress = false;
   // Read straight into the tail of the unparsed buffer — no bounce
@@ -169,10 +165,10 @@ bool WireHub::pump(Chan& ch, int src, int dst, DirectFill* df) {
   }
   // Parse complete frames from the head cursor; partial tails wait for
   // more bytes. In-order payloads flow out of rxbuf in one copy — into
-  // the caller's buffer while a direct fill is open, into the per-class
-  // ready queue otherwise; only out-of-order frames are stashed aside.
+  // the caller's buffer up to what it wants, into the ready queue past
+  // that; only out-of-order frames are stashed aside.
   while (ch.rxbuf.size() - ch.rxhead >= kFrameHeaderBytes) {
-    if (df != nullptr && df->filled >= df->want)
+    if (df.filled >= df.want)
       break;  // satisfied — later frames wait for the recv that wants them
     const FrameHeader h = decode_frame_header(ch.rxbuf.data() + ch.rxhead);
     AB_REQUIRE(h.src == src && h.dst == dst,
@@ -190,17 +186,11 @@ bool WireHub::pump(Chan& ch, int src, int dst, DirectFill* df) {
       continue;
     }
     ch.sequencer.accept(
-        h, payload, stats_,
-        [&ch, df](PayloadClass cls, const std::uint8_t* p, std::size_t n) {
-          if (df != nullptr && cls == df->cls && df->filled < df->want) {
-            const std::size_t take = std::min(n, df->want - df->filled);
-            std::memcpy(df->out + df->filled, p, take);
-            df->filled += take;
-            p += take;
-            n -= take;
-            if (n == 0) return;
-          }
-          ch.ready[static_cast<int>(cls)].push(p, n);
+        h, payload, stats_, [&ch, &df](const std::uint8_t* p, std::size_t n) {
+          const std::size_t take = std::min(n, df.want - df.filled);
+          std::memcpy(df.out + df.filled, p, take);
+          df.filled += take;
+          if (take < n) ch.ready.push(p + take, n - take);
         });
   }
   if (ch.rxhead == ch.rxbuf.size()) {
@@ -210,26 +200,24 @@ bool WireHub::pump(Chan& ch, int src, int dst, DirectFill* df) {
   return progress;
 }
 
-void WireHub::recv(PayloadClass cls, int src, int dst, double* out,
-                   std::size_t n) {
+void WireHub::recv(int src, int dst, double* out, std::size_t n) {
   if (n == 0 || !receives(dst)) return;
   Chan& ch = chan(src, dst);
-  ByteQueue& rq = ch.ready[static_cast<int>(cls)];
   const std::size_t want = n * sizeof(double);
-  // Whatever this class already has staged comes first (stream order);
+  // Whatever the channel already has staged comes first (stream order);
   // the rest lands in `out` directly as frames parse.
-  const std::size_t staged = std::min(rq.size(), want);
-  rq.pop_into(out, staged);
+  const std::size_t staged = std::min(ch.ready.size(), want);
+  ch.ready.pop_into(out, staged);
   if (staged == want) return;
-  DirectFill df{cls, reinterpret_cast<std::uint8_t*>(out), want, staged};
+  DirectFill df{reinterpret_cast<std::uint8_t*>(out), want, staged};
   const auto t0 = std::chrono::steady_clock::now();
   while (df.filled < df.want) {
-    if (pump(ch, src, dst, &df)) continue;
+    if (pump(ch, src, dst, df)) continue;
     // Nothing readable: push our own spilled sends along (the progress
     // guarantee that keeps bulk-synchronous rounds deadlock-free), then
     // poll again.
     transport_->flush();
-    if (pump(ch, src, dst, &df)) continue;
+    if (pump(ch, src, dst, df)) continue;
     const double waited =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -237,8 +225,7 @@ void WireHub::recv(PayloadClass cls, int src, int dst, double* out,
                "wire: receive timed out after " +
                    std::to_string(timeout_sec_) + "s on channel " +
                    std::to_string(src) + "->" + std::to_string(dst) +
-                   " (class " + std::to_string(static_cast<int>(cls)) +
-                   ", want " + std::to_string(want) + " bytes, have " +
+                   " (want " + std::to_string(want) + " bytes, have " +
                    std::to_string(df.filled) + ") over " +
                    transport_->name());
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -249,8 +236,8 @@ std::size_t WireHub::dedup_state_bytes() const {
   std::size_t total = 0;
   for (const auto& ch : chans_) {
     if (ch == nullptr) continue;
-    total += ch->sequencer.state_bytes() + ch->rxbuf.capacity();
-    for (const ByteQueue& q : ch->ready) total += q.capacity_bytes();
+    total += ch->sequencer.state_bytes() + ch->rxbuf.capacity() +
+             ch->ready.capacity_bytes();
   }
   return total;
 }

@@ -1,5 +1,5 @@
-// The wire hub: framing, sequencing, fault materialization, and class
-// demultiplexing over a byte Transport.
+// The wire hub: framing, sequencing and fault materialization over a byte
+// Transport.
 //
 // MessageBoard calls send() once per channel it flushes and recv() when a
 // read passes the channel's pulled bytes; the hub turns each payload into
@@ -9,7 +9,9 @@
 // authoritative one a receiver consumes — in single-process mode this
 // makes every equivalence test's payload take a genuine kernel round
 // trip; in multi-process (SPMD) mode it is how worker processes obtain
-// remote data at all.
+// remote data at all. Each (src, dst) channel is one in-order stream:
+// every exchange round receives all it sends before the next round
+// starts, so the receiver reads payloads in the order they were sent.
 //
 // Fault materialization: FaultPlan::transmit() reports which faults it
 // drew (WireFaults), and the hub realizes them as frames — a corruption
@@ -69,13 +71,13 @@ class WireHub {
   /// Frame and transmit `n` doubles on the (src, dst) stream, realizing
   /// the faults `wf` reports as actual wire frames. No-op unless this
   /// process sends for `src`.
-  void send(PayloadClass cls, int src, int dst, const double* data,
-            std::size_t n, const WireFaults& wf = WireFaults{});
+  void send(int src, int dst, const double* data, std::size_t n,
+            const WireFaults& wf = WireFaults{});
 
-  /// Receive exactly `n` doubles of class `cls` from the (src, dst)
-  /// stream into `out`, blocking (poll + flush) until they arrive.
-  /// No-op unless this process receives for `dst`.
-  void recv(PayloadClass cls, int src, int dst, double* out, std::size_t n);
+  /// Receive exactly the next `n` doubles of the (src, dst) stream into
+  /// `out`, blocking (poll + flush) until they arrive. No-op unless this
+  /// process receives for `dst`.
+  void recv(int src, int dst, double* out, std::size_t n);
 
   const WireStats& stats() const { return stats_; }
 
@@ -90,25 +92,23 @@ class WireHub {
 
  private:
   struct Chan;
-  /// An in-flight recv(): in-order payload bytes of `cls` land straight in
-  /// the caller's buffer (up to `want`) instead of bouncing through the
-  /// per-class staging queue.
+  /// An in-flight recv(): in-order payload bytes land straight in the
+  /// caller's buffer (up to `want`) instead of bouncing through the
+  /// channel's staging queue.
   struct DirectFill {
-    PayloadClass cls;
     std::uint8_t* out;
     std::size_t want;
     std::size_t filled;
   };
 
   Chan& chan(int src, int dst);
-  void emit_frame(Chan& ch, PayloadClass cls, int src, int dst,
-                  std::uint32_t seq, const std::uint8_t* payload,
-                  std::size_t nbytes, std::uint32_t crc_of, bool corrupt);
+  void emit_frame(Chan& ch, int src, int dst, std::uint32_t seq,
+                  const std::uint8_t* payload, std::size_t nbytes,
+                  std::uint32_t crc_of, bool corrupt);
   /// Read and parse whatever the transport has; returns true on progress
-  /// (bytes read or frames parsed). With `df`, parsing pauses once the
-  /// fill is satisfied — later frames stay unparsed for the recv() that
-  /// wants them.
-  bool pump(Chan& ch, int src, int dst, DirectFill* df = nullptr);
+  /// (bytes read or frames parsed). Parsing pauses once `df` is satisfied
+  /// — later frames stay unparsed for the recv() that wants them.
+  bool pump(Chan& ch, int src, int dst, DirectFill& df);
 
   TransportKind kind_;
   int npes_;

@@ -46,7 +46,7 @@ const char* transport_name(TransportKind k);
 TransportKind parse_transport(const std::string& name);
 
 /// Apply the AB_TRANSPORT env override (env wins over config, the same
-/// precedence AB_DIST_META and AB_AUTOTUNE use).
+/// precedence AB_AUTOTUNE uses).
 TransportKind resolve_transport(TransportKind cfg);
 
 class Transport {

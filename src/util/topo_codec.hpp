@@ -31,6 +31,7 @@
 // loader's contract (tests/util/topo_codec_test.cpp holds the matrix).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -411,6 +412,47 @@ std::vector<TopoDeltaRecord<D>> decode_topo_delta(
     records.push_back(rec);
   }
   return records;
+}
+
+// --- Deltas on a double-valued channel ----------------------------------
+//
+// A rank's delta crosses a MessageBoard channel, which carries doubles: one
+// length double, then the encoded bytes packed eight per double (the last
+// one zero-padded).
+
+/// Encode `records` as a channel payload [byte length, bytes...].
+template <int D>
+std::vector<double> pack_topo_delta(
+    const std::vector<TopoDeltaRecord<D>>& records) {
+  const std::vector<std::uint8_t> enc = encode_topo_delta<D>(records);
+  std::vector<double> payload(
+      1 + (enc.size() + sizeof(double) - 1) / sizeof(double), 0.0);
+  payload[0] = static_cast<double>(enc.size());
+  std::memcpy(payload.data() + 1, enc.data(), enc.size());
+  return payload;
+}
+
+/// Decode a channel payload of `n` doubles. The length double comes off
+/// the wire, so before any byte is read it must be a finite integer whose
+/// bytes fill exactly the n - 1 doubles after it; throws Error otherwise,
+/// or on any corruption decode_topo_delta rejects.
+template <int D>
+std::vector<TopoDeltaRecord<D>> unpack_topo_delta(const double* payload,
+                                                  std::size_t n) {
+  AB_REQUIRE(n >= 1, "topo codec: delta payload without a length");
+  const double len = payload[0];
+  const std::size_t room = (n - 1) * sizeof(double);
+  AB_REQUIRE(len >= 0.0 && len <= static_cast<double>(room) &&
+                 len == std::floor(len) &&
+                 (static_cast<std::size_t>(len) + sizeof(double) - 1) /
+                         sizeof(double) ==
+                     n - 1,
+             "topo codec: delta length " + std::to_string(len) +
+                 " does not fill the " + std::to_string(n - 1) +
+                 " double(s) after it");
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(len));
+  if (!bytes.empty()) std::memcpy(bytes.data(), payload + 1, bytes.size());
+  return decode_topo_delta<D>(bytes);
 }
 
 }  // namespace ab

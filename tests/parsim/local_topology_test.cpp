@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -299,6 +300,71 @@ TEST(LocalTopologyPrefetch, ShippedHintsSaveProbesAndLeaveHullsUnchanged) {
       expect_same_hulls(plain, moved);
     }
   }
+}
+
+// A rank's hints cross a channel as [count, then per block: level,
+// coords..., owner]. Every value comes off the wire, so each is checked
+// before it indexes anything.
+
+Forest<2>::Config hint_grid() {
+  Forest<2>::Config cfg;
+  cfg.root_blocks = {3, 2};
+  cfg.max_level = 2;
+  return cfg;
+}
+
+TEST(LocalTopologyHints, PayloadRoundTrips) {
+  const CurveMap<2> curve(hint_grid(), PartitionPolicy::Hilbert);
+  std::vector<double> payload;
+  pack_block_hint<2>(payload, 0, IVec<2>{2, 1}, 0);
+  pack_block_hint<2>(payload, 2, IVec<2>{11, 7}, 4);
+  ASSERT_EQ(payload.size(), 1u + 2u * 4u);
+  const std::vector<BlockDesc<2>> got =
+      unpack_block_hints<2>(payload.data(), payload.size(), curve, 5);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].level, 0);
+  EXPECT_EQ(got[0].coords, (IVec<2>{2, 1}));
+  EXPECT_EQ(got[0].owner, 0);
+  EXPECT_EQ(got[1].level, 2);
+  EXPECT_EQ(got[1].coords, (IVec<2>{11, 7}));
+  EXPECT_EQ(got[1].owner, 4);
+  EXPECT_EQ(got[1].key_begin, curve.interval_begin(2, IVec<2>{11, 7}));
+  EXPECT_EQ(got[1].key_end, got[1].key_begin + curve.span(2));
+}
+
+TEST(LocalTopologyHints, CraftedPayloadsAreRejected) {
+  const CurveMap<2> curve(hint_grid(), PartitionPolicy::Morton);
+  std::vector<double> good;
+  pack_block_hint<2>(good, 1, IVec<2>{5, 3}, 1);  // [1, 1, 5, 3, 1]
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto rejected = [&](std::size_t at, double value, std::size_t n) {
+    std::vector<double> bad = good;
+    bad[at] = value;
+    try {
+      (void)unpack_block_hints<2>(bad.data(), n, curve, 5);
+      return false;
+    } catch (const Error&) {
+      return true;
+    }
+  };
+  const std::size_t n = good.size();
+  EXPECT_FALSE(rejected(0, 1.0, n));
+  EXPECT_TRUE(rejected(0, -1.0, n));    // negative count
+  EXPECT_TRUE(rejected(0, 2.0, n));     // count past the payload
+  EXPECT_TRUE(rejected(0, 0.0, n));     // count short of the payload
+  EXPECT_TRUE(rejected(0, nan, n));
+  EXPECT_TRUE(rejected(0, 1.0, n - 1));  // a truncated hint
+  EXPECT_TRUE(rejected(0, 1.0, 0));      // no count at all
+  EXPECT_TRUE(rejected(1, 3.0, n));     // level above max_level
+  EXPECT_TRUE(rejected(1, -1.0, n));
+  EXPECT_TRUE(rejected(1, 0.5, n));
+  EXPECT_TRUE(rejected(1, nan, n));
+  EXPECT_TRUE(rejected(2, 6.0, n));     // x outside 3 << 1 roots
+  EXPECT_TRUE(rejected(3, 4.0, n));     // y outside 2 << 1 roots
+  EXPECT_TRUE(rejected(3, -1.0, n));
+  EXPECT_TRUE(rejected(2, 1e300, n));
+  EXPECT_TRUE(rejected(4, 5.0, n));     // owner outside npes
+  EXPECT_TRUE(rejected(4, -1.0, n));
 }
 
 TEST(LocalTopology, CurveIntervalsAreDisjointAndContainTheirCells) {

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <tuple>
 
@@ -102,15 +101,7 @@ void run_equivalence(const typename AmrSolver<2, Phys>::Config& scfg,
   rcfg.distributed_metadata = distmeta;
   rcfg.faults = faults;
   RankSolver<2, Phys> ranks(rcfg, phys);
-  // Mirror the solver's resolution so the whole matrix can be replayed
-  // with AB_DIST_META=1 in the environment: the env overrides the combo's
-  // axis, but falls back to global metadata where unsupported.
-  bool expect_dm = distmeta;
-  if (const char* e = std::getenv("AB_DIST_META")) expect_dm = e[0] != '0';
-  if (!CurveMap<2>::supports(policy) || scfg.forest.max_level_diff != 1)
-    expect_dm = false;
-  ASSERT_EQ(ranks.distributed_metadata(), expect_dm);
-  const bool dm = ranks.distributed_metadata();
+  ASSERT_EQ(ranks.distributed_metadata(), distmeta);
 
   const int max_level = scfg.forest.max_level;
   int topology_changes = 0;
@@ -149,7 +140,7 @@ void run_equivalence(const typename AmrSolver<2, Phys>::Config& scfg,
   EXPECT_EQ(t.flops, ranks.total_flops());
   if (npes > 1 && ranks.forest().num_leaves() > 1)
     EXPECT_GT(t.ghost_messages, 0);
-  if (dm) {
+  if (distmeta) {
     // The local views exist, and any regrid that changed topology shipped
     // delta records to neighbor ranks (every populated rank on this
     // periodic grid has neighbors once npes > 1).
@@ -363,12 +354,7 @@ TEST(RankSolver, DistMetaComposesWithFaultyWire) {
   EXPECT_GT(plan.stats().retries, 0);
 }
 
-TEST(RankSolver, DistMetaEnvOverrideAndFallback) {
-  // This test owns AB_DIST_META; stash any externally forced value (the
-  // whole suite is replayable under AB_DIST_META=1) and restore it last.
-  const char* outer_env = std::getenv("AB_DIST_META");
-  const std::string outer = outer_env ? outer_env : "";
-  unsetenv("AB_DIST_META");
+TEST(RankSolver, DistMetaDefaultsOffAndRejectsNonSfcPolicy) {
   LinearAdvection<2> phys = advection_phys();
   RankSolver<2, LinearAdvection<2>>::Config rcfg;
   rcfg.solver = advection_cfg();
@@ -379,38 +365,14 @@ TEST(RankSolver, DistMetaEnvOverrideAndFallback) {
     EXPECT_FALSE(r.distributed_metadata());  // default off
     EXPECT_EQ(r.local_topology(), nullptr);
   }
-  ASSERT_EQ(setenv("AB_DIST_META", "1", 1), 0);
   {
-    RankSolver<2, LinearAdvection<2>> r(rcfg, phys);
-    EXPECT_TRUE(r.distributed_metadata());
-    EXPECT_NE(r.local_topology(), nullptr);
-  }
-  {
-    // Env-forced on a non-SFC policy falls back to global metadata
-    // instead of failing the run.
-    auto rr = rcfg;
-    rr.policy = PartitionPolicy::RoundRobin;
-    RankSolver<2, LinearAdvection<2>> r(rr, phys);
-    EXPECT_FALSE(r.distributed_metadata());
-  }
-  ASSERT_EQ(setenv("AB_DIST_META", "0", 1), 0);
-  {
-    // AB_DIST_META=0 wins over the config switch.
-    auto rr = rcfg;
-    rr.distributed_metadata = true;
-    RankSolver<2, LinearAdvection<2>> r(rr, phys);
-    EXPECT_FALSE(r.distributed_metadata());
-  }
-  unsetenv("AB_DIST_META");
-  {
-    // Config-requested on a non-SFC policy is a hard error (the caller
-    // asked for a guarantee the partition cannot provide).
+    // Requested on a non-SFC policy is a hard error (the caller asked for
+    // a guarantee the partition cannot provide).
     auto rr = rcfg;
     rr.policy = PartitionPolicy::GreedyLpt;
     rr.distributed_metadata = true;
     EXPECT_THROW((RankSolver<2, LinearAdvection<2>>(rr, phys)), Error);
   }
-  if (outer_env) ASSERT_EQ(setenv("AB_DIST_META", outer.c_str(), 1), 0);
 }
 
 // -------------------------------------------------- migration-specific

@@ -10,12 +10,11 @@
 // policy x distributed metadata x lossy wire, each with seeded topology
 // churn (two pre-init adapt rounds, regrids after steps 2 and 4) so ghost
 // fills, flux corrections, coarsen gathers, migrations, and topology
-// deltas all cross the wire. Replayable under AB_DIST_META=1 like the
-// equivalence suite.
+// deltas all cross the wire.
 //
-// Tracing makes the topology-delta exchange synchronous (so each delta's
-// span pair closes within its round); untraced runs drain it during the
-// next step. Each traced run's final bytes must equal an untraced twin's.
+// Every round, the topology-delta round included, receives all it sends
+// before it returns, traced or not, so each span pair closes within its
+// round. Each traced run's final bytes must equal an untraced twin's.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -156,8 +155,8 @@ void run_conservation(std::uint64_t seed, int npes, PartitionPolicy policy,
     }
   });
 
-  // The untraced twin (its own fault plan from the same config) exchanges
-  // its topology deltas asynchronously; the solution bytes must not notice.
+  // The untraced twin (its own fault plan from the same config) runs the
+  // same rounds without spans; the solution bytes must not notice.
   {
     FaultPlan twin_plan(fcfg);
     Solver::Config twin_cfg = rcfg;

@@ -1,6 +1,7 @@
 // Wire-transport suite (`wire` ctest label): the real inter-process
-// transports behind MessageBoard must carry every payload class while
-// the simulation stays BITWISE identical to the serial solver.
+// transports behind MessageBoard must carry every exchange round's
+// payloads while the simulation stays BITWISE identical to the serial
+// solver.
 //
 // Layers under test, bottom up:
 //   - frame codec + FrameSequencer: bounded-window dedup/reassembly whose
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "amr/solver.hpp"
+#include "obs/telemetry.hpp"
 #include "parsim/fault.hpp"
 #include "parsim/rank_solver.hpp"
 #include "parsim/wire/frame.hpp"
@@ -40,6 +42,7 @@
 #include "parsim/wire/transport.hpp"
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
+#include "support/churn_criterion.hpp"
 #include "support/rng.hpp"
 #include "util/crc32.hpp"
 #include "support/temp_path.hpp"
@@ -55,7 +58,6 @@ TEST(WireFrame, HeaderRoundTrip) {
   wire::FrameHeader h;
   h.src = 3;
   h.dst = 7;
-  h.cls = wire::PayloadClass::Topo;
   h.seq = 0xDEADBEEFu;
   h.payload_bytes = 4096;
   h.crc = 0x12345678u;
@@ -64,7 +66,6 @@ TEST(WireFrame, HeaderRoundTrip) {
   const wire::FrameHeader g = wire::decode_frame_header(buf);
   EXPECT_EQ(g.src, h.src);
   EXPECT_EQ(g.dst, h.dst);
-  EXPECT_EQ(g.cls, h.cls);
   EXPECT_EQ(g.seq, h.seq);
   EXPECT_EQ(g.payload_bytes, h.payload_bytes);
   EXPECT_EQ(g.crc, h.crc);
@@ -80,7 +81,7 @@ TEST(WireFrame, DecodeRejectsDesync) {
   std::memcpy(bad, buf, sizeof buf);
   bad[0] ^= 0xFFu;
   EXPECT_THROW(wire::decode_frame_header(bad), Error);
-  // Unknown payload class.
+  // A nonzero reserved byte 8.
   std::memcpy(bad, buf, sizeof buf);
   bad[8] = 17;
   EXPECT_THROW(wire::decode_frame_header(bad), Error);
@@ -95,7 +96,6 @@ wire::FrameHeader frame_at(std::uint32_t seq, std::uint8_t fill,
   wire::FrameHeader h;
   h.src = 0;
   h.dst = 1;
-  h.cls = wire::PayloadClass::Ghost;
   h.seq = seq;
   h.payload_bytes = nbytes;
   (void)fill;
@@ -105,7 +105,7 @@ wire::FrameHeader frame_at(std::uint32_t seq, std::uint8_t fill,
 TEST(WireFrame, SequencerDedupsAndReassembles) {
   wire::FrameSequencer seq;
   wire::WireStats stats;
-  std::vector<std::pair<wire::PayloadClass, std::vector<std::uint8_t>>> out;
+  std::vector<std::vector<std::uint8_t>> out;
   std::uint8_t p0[8] = {0}, p1[8] = {1}, p2[8] = {2};
 
   seq.accept(frame_at(0, 0), p0, stats, &out);
@@ -123,8 +123,8 @@ TEST(WireFrame, SequencerDedupsAndReassembles) {
 
   seq.accept(frame_at(1, 1), p1, stats, &out);
   ASSERT_EQ(out.size(), 3u);  // the gap filled: 1 then the stashed 2
-  EXPECT_EQ(out[1].second[0], 1);
-  EXPECT_EQ(out[2].second[0], 2);
+  EXPECT_EQ(out[1][0], 1);
+  EXPECT_EQ(out[2][0], 2);
   EXPECT_EQ(seq.stash_depth(), 0u);
   EXPECT_EQ(seq.next_seq(), 3u);
   EXPECT_EQ(stats.frames_recv, 3);
@@ -133,7 +133,7 @@ TEST(WireFrame, SequencerDedupsAndReassembles) {
 TEST(WireFrame, SequencerWindowIsBoundedAndViolationsThrow) {
   wire::FrameSequencer seq;
   wire::WireStats stats;
-  std::vector<std::pair<wire::PayloadClass, std::vector<std::uint8_t>>> out;
+  std::vector<std::vector<std::uint8_t>> out;
   std::uint8_t p[8] = {0};
 
   const std::size_t empty_bytes = seq.state_bytes();
@@ -233,8 +233,8 @@ TEST(WireHub, FaultsMaterializeAsRealFrames) {
     for (std::size_t i = 0; i < buf.size(); ++i)
       buf[i] = static_cast<double>(splitmix64(round * 100 + i));
     const WireFaults wf = plan.transmit(0, 1, buf.data(), buf.size());
-    hub.send(wire::PayloadClass::Ghost, 0, 1, buf.data(), buf.size(), wf);
-    hub.recv(wire::PayloadClass::Ghost, 0, 1, got.data(), got.size());
+    hub.send(0, 1, buf.data(), buf.size(), wf);
+    hub.recv(0, 1, got.data(), got.size());
     ASSERT_EQ(std::memcmp(buf.data(), got.data(), buf.size() * 8), 0)
         << "faulty wire corrupted round " << round;
   }
@@ -250,34 +250,11 @@ TEST(WireHub, FaultsMaterializeAsRealFrames) {
   EXPECT_EQ(ws.payload_bytes, 200 * 32 * 8);
 }
 
-TEST(WireHub, ClassesDemuxAfterSequencing) {
-  // Interleave classes on one (src, dst) stream; each class's receiver
-  // must see its own payloads in order even when consumed class-by-class.
-  wire::WireHub hub(wire::TransportKind::Shm, 2);
-  hub.set_recv_timeout(10.0);
-  double g0[2] = {1.0, 2.0}, b0[3] = {3.0, 4.0, 5.0}, t0[1] = {6.0};
-  double g1[2] = {7.0, 8.0};
-  hub.send(wire::PayloadClass::Ghost, 0, 1, g0, 2);
-  hub.send(wire::PayloadClass::Board, 0, 1, b0, 3);
-  hub.send(wire::PayloadClass::Topo, 0, 1, t0, 1);
-  hub.send(wire::PayloadClass::Ghost, 0, 1, g1, 2);
-  double out3[3];
-  // Drain the deferred class LAST: earlier classes must pass it by.
-  hub.recv(wire::PayloadClass::Ghost, 0, 1, out3, 2);
-  EXPECT_EQ(out3[0], 1.0);
-  hub.recv(wire::PayloadClass::Board, 0, 1, out3, 3);
-  EXPECT_EQ(out3[2], 5.0);
-  hub.recv(wire::PayloadClass::Ghost, 0, 1, out3, 2);
-  EXPECT_EQ(out3[1], 8.0);
-  hub.recv(wire::PayloadClass::Topo, 0, 1, out3, 1);
-  EXPECT_EQ(out3[0], 6.0);
-}
-
 TEST(WireHub, RecvTimesOutLoudly) {
   wire::WireHub hub(wire::TransportKind::Socket, 2);
   hub.set_recv_timeout(0.05);
   double out[4];
-  EXPECT_THROW(hub.recv(wire::PayloadClass::Ghost, 0, 1, out, 4), Error);
+  EXPECT_THROW(hub.recv(0, 1, out, 4), Error);
 }
 
 TEST(WireHub, DedupStateStaysFlatOverLongLossyRun) {
@@ -301,8 +278,8 @@ TEST(WireHub, DedupStateStaysFlatOverLongLossyRun) {
     for (std::size_t i = 0; i < buf.size(); ++i)
       buf[i] = static_cast<double>(splitmix64(r * 1000 + i));
     const WireFaults wf = plan.transmit(0, 1, buf.data(), buf.size());
-    hub.send(wire::PayloadClass::Board, 0, 1, buf.data(), buf.size(), wf);
-    hub.recv(wire::PayloadClass::Board, 0, 1, got.data(), got.size());
+    hub.send(0, 1, buf.data(), buf.size(), wf);
+    hub.recv(0, 1, got.data(), got.size());
     ASSERT_EQ(std::memcmp(buf.data(), got.data(), buf.size() * 8), 0);
   };
   std::size_t high_water = 0;
@@ -358,12 +335,12 @@ TEST(WireHub, ShmResidentRingMemoryStaysBounded) {
       for (int dst = 0; dst < kPes; ++dst) {
         if (src == dst) continue;
         buf[0] = static_cast<double>(r * kPes * kPes + src * kPes + dst);
-        hub.send(wire::PayloadClass::Board, src, dst, buf.data(), buf.size());
+        hub.send(src, dst, buf.data(), buf.size());
       }
     for (int src = 0; src < kPes; ++src)
       for (int dst = 0; dst < kPes; ++dst) {
         if (src == dst) continue;
-        hub.recv(wire::PayloadClass::Board, src, dst, got.data(), got.size());
+        hub.recv(src, dst, got.data(), got.size());
         ASSERT_EQ(got[0],
                   static_cast<double>(r * kPes * kPes + src * kPes + dst));
       }
@@ -504,7 +481,7 @@ std::function<void(const RVec<2>&, Euler<2>::State&)> euler_ic(
 /// The canonical equivalence script over a given wire (the same one
 /// rank_solver_test runs on the Board path): two seeded adapt rounds,
 /// init, 6 steps with regrids (re-partition + migration) after steps 2
-/// and 4 — every payload class crosses the transport. `hub` null means
+/// and 4 — every exchange round crosses the transport. `hub` null means
 /// the solver owns a private single-process hub for `kind`.
 template <class Phys>
 void run_wire_equivalence(
@@ -602,7 +579,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(false)));
 
 // Distributed metadata over the wire: topology deltas and hull-prefetch
-// descriptors ride the Topo class, async by default.
+// descriptors share each rank pair's one stream with every other round,
+// each received before adapt() returns.
 INSTANTIATE_TEST_SUITE_P(
     DistMeta, WireEquivalence,
     ::testing::Combine(::testing::Values(wire::TransportKind::Socket,
@@ -613,8 +591,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(true)));
 
 TEST(WireEquivalenceEuler, RefluxingOverBothBackends) {
-  // Flux correction exercises the Board class heavily (correction rounds
-  // every step) on top of ghost fills and migration.
+  // Flux correction adds a correction round to every step on top of ghost
+  // fills and migration.
   Euler<2> phys;
   run_wire_equivalence<Euler<2>>(euler_cfg(true), phys, euler_ic(phys),
                                  splitmix64(7501), wire::TransportKind::Socket,
@@ -923,6 +901,55 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(FrameFault::Corrupt,
                                          FrameFault::Duplicate,
                                          FrameFault::Reorder)));
+
+// ------------------------------------------ every round ends in its call
+
+/// Wire totals of the golden churn shape on shm: 8 ranks, Hilbert
+/// partition, distributed metadata, 4^2 roots of 8^2 cells. One adapt,
+/// init and one step, then a regrid that changes the topology, with no
+/// step after it.
+wire::WireStats churn_until_regrid(obs::Telemetry* tel) {
+  Euler<2> phys;
+  RankSolver<2, Euler<2>>::Config rcfg;
+  rcfg.solver.forest.root_blocks = {4, 4};
+  rcfg.solver.forest.periodic = {true, true};
+  rcfg.solver.forest.max_level = 2;
+  rcfg.solver.cells_per_block = {8, 8};
+  rcfg.solver.flux_correction = true;
+  rcfg.solver.apply_positivity_fix = true;
+  rcfg.solver.telemetry = tel;
+  rcfg.npes = 8;
+  rcfg.policy = PartitionPolicy::Hilbert;
+  rcfg.distributed_metadata = true;
+  rcfg.transport = wire::TransportKind::Shm;
+  RankSolver<2, Euler<2>> ranks(rcfg, phys);
+  ranks.wire_hub()->set_recv_timeout(20.0);
+  ranks.adapt(testing::ChurnCriterion<2>{splitmix64(11)});
+  ranks.init(euler_ic(phys));
+  ranks.step(ranks.compute_dt());
+  const auto r = ranks.adapt(testing::ChurnCriterion<2>{splitmix64(101)});
+  require(r.refined + r.coarsened > 0, "the last regrid changed nothing");
+  require(ranks.last_regrid_cost().topo_delta_messages > 0,
+          "the last regrid sent no topology delta");
+  return ranks.wire_hub()->stats();
+}
+
+TEST(WireRounds, AdaptReceivesEveryFrameTracedOrNot) {
+  // Every round receives all it sends before adapt() returns, so no frame
+  // is left on the wire, and tracing changes neither the frames nor the
+  // bytes that cross it.
+  if (wire::resolve_transport(wire::TransportKind::Shm) ==
+      wire::TransportKind::Board)
+    GTEST_SKIP() << "AB_TRANSPORT forced the board path";
+  obs::Telemetry tel;
+  tel.trace.set_enabled(true);
+  const wire::WireStats untraced = churn_until_regrid(nullptr);
+  const wire::WireStats traced = churn_until_regrid(&tel);
+  EXPECT_EQ(untraced.frames_recv, untraced.frames_sent);
+  EXPECT_EQ(traced.frames_recv, traced.frames_sent);
+  EXPECT_EQ(untraced.frames_sent, traced.frames_sent);
+  EXPECT_EQ(untraced.payload_bytes, traced.payload_bytes);
+}
 
 // --------------------------------------------------------- env plumbing
 

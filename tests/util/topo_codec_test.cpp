@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -308,6 +309,47 @@ TEST(TopoDeltaCorruption, TruncationAndBitFlipsAreRejected) {
   std::vector<std::uint8_t> bad = good;
   bad.push_back(7);
   EXPECT_TRUE(rejected(bad));
+}
+
+// A delta crosses a rank channel as [byte length, bytes eight per double].
+// The length comes off the wire, so it is checked before any byte is read.
+
+TEST(TopoDeltaPayload, RoundTripsThroughDoubles) {
+  const std::vector<TopoDeltaRecord<2>> recs = {
+      {TopoDeltaOp::Refine, 2, {5, 9}},
+      {TopoDeltaOp::Coarsen, 1, {3, 0}},
+  };
+  const std::vector<double> payload = pack_topo_delta<2>(recs);
+  EXPECT_EQ(payload[0],
+            static_cast<double>(encode_topo_delta<2>(recs).size()));
+  EXPECT_EQ(unpack_topo_delta<2>(payload.data(), payload.size()), recs);
+  const std::vector<double> empty = pack_topo_delta<2>({});
+  EXPECT_TRUE(unpack_topo_delta<2>(empty.data(), empty.size()).empty());
+}
+
+TEST(TopoDeltaPayload, CraftedLengthsAreRejected) {
+  const std::vector<double> good =
+      pack_topo_delta<2>({{TopoDeltaOp::Refine, 1, {1, 2}}});
+  const double room = static_cast<double>((good.size() - 1) * sizeof(double));
+  auto rejected = [&good](double length, std::size_t n) {
+    std::vector<double> bad = good;
+    bad[0] = length;
+    try {
+      (void)unpack_topo_delta<2>(bad.data(), n);
+      return false;
+    } catch (const Error&) {
+      return true;
+    }
+  };
+  EXPECT_TRUE(rejected(room + 1.0, good.size()));  // past the end
+  EXPECT_TRUE(rejected(1e300, good.size()));
+  EXPECT_TRUE(rejected(std::numeric_limits<double>::quiet_NaN(), good.size()));
+  EXPECT_TRUE(rejected(std::numeric_limits<double>::infinity(), good.size()));
+  EXPECT_TRUE(rejected(-8.0, good.size()));
+  EXPECT_TRUE(rejected(good[0] - 0.5, good.size()));  // not an integer
+  EXPECT_TRUE(rejected(good[0], good.size() + 1));  // a stray double after
+  EXPECT_TRUE(rejected(good[0], 0));                 // no length at all
+  EXPECT_FALSE(rejected(good[0], good.size()));
 }
 
 }  // namespace
