@@ -82,10 +82,9 @@ int main(int argc, char** argv) {
         1.0 + 0.4 * std::exp(-40.0 * (dx * dx + dy * dy)), {0.3, 0.1}, 1.0);
   });
 
-  std::printf("rank_trace: %d ranks (%s), %d steps, lossy wire, traced\n",
-              npes, solver.distributed_metadata() ? "distributed metadata"
-                                                  : "global metadata",
-              steps);
+  std::printf(
+      "rank_trace: %d ranks (global metadata), %d steps, lossy wire, traced\n",
+      npes, steps);
   // Thresholds sized to the blast's density gradient so the mid-run
   // regrid really refines: migration and coarsen-gather spans must show
   // up in the trace.

@@ -91,16 +91,6 @@ class AmrSolver : public SteppingCore<D, Phys, AmrSolver<D, Phys>> {
     return flux_register_.num_corrections();
   }
 
-  /// Restore a restart file. Only valid on a freshly constructed solver
-  /// (no refinement or stepping yet) whose configuration matches the file.
-  void restore(const std::string& path) {
-    time_ = load_checkpoint<D>(path, forest_, u_[0]);
-    for (int id : forest_.leaves()) scratch_[0].ensure(id);
-    forest_.rebuild_neighbor_table();
-    exchanger_.rebuild();
-    rebuild_plans();
-  }
-
  private:
   // ------------------------------------------------------------------
   // Ownership policy (see stepping_core.hpp): one store per block set.
@@ -126,6 +116,8 @@ class AmrSolver : public SteppingCore<D, Phys, AmrSolver<D, Phys>> {
   void regrid_end(bool changed, obs::PhaseScope&) {
     if (changed) rebuild_plans();
   }
+
+  void restored(const std::string&) { rebuild_plans(); }
 
   /// Rebuild what derives from the ghost plan.
   void rebuild_plans() {

@@ -2,8 +2,8 @@
 // reflux, epilogue) for forward Euler and Heun, with everything around it
 // that a serial and a rank-parallel run share — compute_dt, advance_to,
 // init, cell geometry, total_conserved, adapt's flag snapshot / refine loop
-// / coarsen-family selection, and the step-report and checkpoint
-// accounting.
+// / coarsen-family selection, the step-report accounting, and checkpoint
+// save and restore.
 //
 // AmrSolver (one address space) and RankSolver (P simulated ranks with
 // private stores) derive from it. They differ only through a compile-time
@@ -17,8 +17,9 @@
 //   around_block(id, span, body) what surrounds each block update.
 // Serial is P = 1: one store per set, GhostExchanger::fill, FluxRegister::
 // apply, and nothing around a block. Regrid bookkeeping (ownership, sibling
-// gathers, migration) hooks in the same way. Both solvers run these loops,
-// so the serial-vs-rank bitwise contract holds by construction.
+// gathers, migration) and the placement of restored leaves hook in the same
+// way. Both solvers run these loops, so the serial-vs-rank bitwise contract
+// holds by construction.
 //
 // Heun keeps two block sets, the state u_ and the stage-1 result scratch_.
 // Stage 2 updates each block into its thread's block buffer and combines at
@@ -360,6 +361,14 @@ class SteppingCore {
     return bytes;
   }
 
+  /// Restore a restart file written by save() from a solver built with the
+  /// same configuration, whatever it has done since. The whole file is read
+  /// and checked first, so a bad one throws and leaves the solver as it
+  /// was. Ghosts are refilled by the next step.
+  void restore(const std::string& path) {
+    install_checkpoint(read_checkpoint(path), path);
+  }
+
  protected:
   /// One store per rank; block id lives in store rank_of(id).
   using StoreSet = std::vector<BlockStore<D>>;
@@ -406,6 +415,32 @@ class SteppingCore {
   }
   BlockStore<D> make_store() const {
     return BlockStore<D>(layout_, block_pool_);
+  }
+
+  /// Read and check the checkpoint at `path`; changes nothing.
+  Checkpoint<D> read_checkpoint(const std::string& path) const {
+    return load_checkpoint<D>(path, cfg_.forest, layout_);
+  }
+
+  /// Replace the solver's state with a checked checkpoint: swap its forest
+  /// in, let the policy place the leaves (restored, told the checkpoint's
+  /// `path`), then write each leaf's interior once, into the store that
+  /// owns it.
+  void install_checkpoint(Checkpoint<D> ckpt, const std::string& path) {
+    forest_ = std::move(ckpt.forest);
+    forest_.rebuild_neighbor_table();
+    exchanger_.rebuild();
+    time_ = ckpt.time;
+    for (std::size_t r = 0; r < u_.size(); ++r) {
+      u_[r] = make_store();
+      scratch_[r] = make_store();
+    }
+    self().restored(path);
+    for (int id : forest_.leaves()) {
+      store_of(u_, id).ensure(id);
+      store_of(scratch_, id).ensure(id);
+    }
+    ckpt.write_leaves([this](int id) { return store_of(u_, id).view(id); });
   }
 
   /// Advance one non-subcycled step of size `dt`. `after_first_fill` runs

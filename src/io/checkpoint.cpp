@@ -2,23 +2,23 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/topo_codec.hpp"
 
 namespace ab {
 
 namespace {
 
-constexpr std::uint64_t kMagicV1 = 0x41424b5054303100ull;  // "ABKPT01\0"
 constexpr std::uint64_t kMagicV2 = 0x41424b5054303200ull;  // "ABKPT02\0"
 constexpr std::uint32_t kFormatVersion = 2;
 const char* const kSectionNames[3] = {"config", "topology", "data"};
@@ -31,8 +31,7 @@ std::string hex32(std::uint32_t v) {
 
 // ---------------------------------------------------------------------
 // Byte-buffer primitives. All parsing happens on an in-memory image of
-// the file, bounds-checked with byte-offset diagnostics, and the forest/
-// store are only mutated after the entire image has been validated.
+// the file, bounds-checked with byte-offset diagnostics.
 
 class ByteWriter {
  public:
@@ -112,48 +111,40 @@ std::vector<char> read_file(const std::string& path) {
 /// Write `bytes` to `path` atomically: assemble at a uniquely-named
 /// sibling tmp file, flush, close, then rename over the destination. A
 /// crash at any point leaves either the old checkpoint or a stray tmp —
-/// never a half-written file under the real name. The tmp name embeds the
-/// pid and a process-wide counter: concurrent savers (SPMD worker
-/// processes auto-checkpointing the same path, or two threads) each write
-/// their own tmp instead of interleaving into a shared path+".tmp", so
-/// the rename always publishes one writer's complete bytes.
+/// never a half-written file under the real name — and a write or rename
+/// that fails removes its tmp before throwing. The tmp name embeds the pid
+/// and a process-wide counter: concurrent savers (SPMD worker processes
+/// auto-checkpointing the same path, or two threads) each write their own
+/// tmp instead of interleaving into a shared one, so the rename always
+/// publishes one writer's complete bytes.
 void write_file_atomic(const std::string& path,
                        const std::vector<char>& bytes) {
   static std::atomic<std::uint64_t> seq{0};
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
       std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
+  bool written = false;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     AB_REQUIRE(os.good(), "save_checkpoint: cannot open " + tmp);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     os.flush();
-    AB_REQUIRE(os.good(), "save_checkpoint: write failed on " + tmp);
+    written = os.good();
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!written || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    AB_REQUIRE(false, "save_checkpoint: cannot rename " + tmp + " over " +
-                          path);
+    AB_REQUIRE(false, written ? "save_checkpoint: cannot rename " + tmp +
+                                    " over " + path
+                              : "save_checkpoint: write failed on " + tmp);
   }
 }
 
-// ---------------------------------------------------------------------
-// Shared record representation: the fully parsed, not-yet-applied image.
-
+/// Validate a parsed config section against the reader's forest
+/// configuration and block layout.
 template <int D>
-struct LeafRec {
-  std::int32_t level = 0;
-  IVec<D> coords{};
-  std::vector<double> data;
-};
-
-/// Validate a parsed config section against the destination forest/store.
-/// Same acceptance rules (and messages) for both format versions.
-template <int D>
-void check_config(ByteReader& r, const Forest<D>& forest,
+void check_config(ByteReader& r, const typename Forest<D>::Config& cfg,
                   const BlockLayout<D>& lay, double* time,
                   std::int64_t* nleaves) {
-  const auto& cfg = forest.config();
   AB_REQUIRE(r.get<std::int32_t>() == D, "load_checkpoint: dimension mismatch");
   for (int d = 0; d < D; ++d)
     AB_REQUIRE(r.get<std::int32_t>() == cfg.root_blocks[d],
@@ -181,46 +172,6 @@ void check_config(ByteReader& r, const Forest<D>& forest,
   *time = r.get<double>();
   *nleaves = r.get<std::int64_t>();
   AB_REQUIRE(*nleaves > 0, "load_checkpoint: empty checkpoint");
-  AB_REQUIRE(forest.num_leaves() ==
-                 static_cast<int>(cfg.root_blocks.product()),
-             "load_checkpoint: forest must be pristine (roots only)");
-}
-
-/// Apply fully validated records: rebuild the topology on the pristine
-/// forest, then write leaf data keyed by (level, coords). This is the only
-/// place the loader mutates its outputs.
-template <int D>
-void apply_records(Forest<D>& forest, BlockStore<D>& store,
-                   std::vector<LeafRec<D>>& recs) {
-  const BlockLayout<D>& lay = store.layout();
-  // Refining in level order guarantees every parent exists when its
-  // children are created, with no cascades (the saved forest satisfied the
-  // constraint).
-  std::stable_sort(
-      recs.begin(), recs.end(),
-      [](const LeafRec<D>& a, const LeafRec<D>& b) { return a.level < b.level; });
-  for (const auto& r : recs) {
-    for (int l = 0; l < r.level; ++l) {
-      const int anc = forest.find(l, r.coords.shifted_right(r.level - l));
-      AB_REQUIRE(anc >= 0, "load_checkpoint: inconsistent topology");
-      if (forest.is_leaf(anc)) forest.refine(anc);
-    }
-  }
-  AB_REQUIRE(forest.num_leaves() == static_cast<int>(recs.size()),
-             "load_checkpoint: topology mismatch after rebuild");
-
-  for (const auto& r : recs) {
-    const int id = forest.find(r.level, r.coords);
-    AB_REQUIRE(id >= 0 && forest.is_leaf(id),
-               "load_checkpoint: saved block is not a leaf after rebuild");
-    store.ensure(id);
-    BlockView<D> v = store.view(id);
-    std::size_t k = 0;
-    for (int var = 0; var < lay.nvar; ++var) {
-      for_each_cell<D>(lay.interior_box(),
-                       [&](IVec<D> p) { v.at(var, p) = r.data[k++]; });
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -300,9 +251,9 @@ inline std::array<SectionSpan, 3> split_v2_sections(
 }
 
 template <int D>
-double load_v2(const std::vector<char>& bytes, Forest<D>& forest,
-               BlockStore<D>& store) {
-  const BlockLayout<D>& lay = store.layout();
+Checkpoint<D> load_v2(std::vector<char> bytes,
+                      const typename Forest<D>::Config& cfg,
+                      const BlockLayout<D>& lay) {
   ByteReader head(bytes.data(), bytes.size(), 0, "header");
   head.get<std::uint64_t>();  // magic, already matched
   const auto version = head.get<std::uint32_t>();
@@ -316,76 +267,62 @@ double load_v2(const std::vector<char>& bytes, Forest<D>& forest,
                    "config section");
   double time = 0.0;
   std::int64_t n = 0;
-  check_config<D>(cfg_r, forest, lay, &time, &n);
+  check_config<D>(cfg_r, cfg, lay, &time, &n);
   AB_REQUIRE(cfg_r.remaining() == 0,
              "checkpoint: config section has " +
                  std::to_string(cfg_r.remaining()) + " trailing byte(s)");
 
+  // The leaf count sizes everything below: check it against the topology
+  // section before allocating for it.
+  const std::size_t record_bytes = (1 + D) * sizeof(std::int32_t);
+  AB_REQUIRE(sections[1].size % record_bytes == 0 &&
+                 sections[1].size / record_bytes ==
+                     static_cast<std::uint64_t>(n),
+             "checkpoint: topology section holds " +
+                 std::to_string(sections[1].size) + " byte(s), expected " +
+                 std::to_string(n) + " leaf record(s) of " +
+                 std::to_string(record_bytes) + " bytes");
   ByteReader topo_r(sections[1].data, sections[1].size, sections[1].offset,
                     "topology section");
-  std::vector<LeafRec<D>> recs(static_cast<std::size_t>(n));
-  for (auto& r : recs) {
+  TopoSnapshot<D> snap{cfg.root_blocks, cfg.max_level, {}};
+  snap.leaves.resize(static_cast<std::size_t>(n));
+  for (TopoRecord<D>& r : snap.leaves) {
     r.level = topo_r.get<std::int32_t>();
-    AB_REQUIRE(r.level >= 0 && r.level <= forest.config().max_level,
+    AB_REQUIRE(r.level >= 0 && r.level <= cfg.max_level,
                "checkpoint: leaf level " + std::to_string(r.level) +
-                   " out of range [0, " +
-                   std::to_string(forest.config().max_level) + "]");
+                   " out of range [0, " + std::to_string(cfg.max_level) +
+                   "]");
     for (int d = 0; d < D; ++d) r.coords[d] = topo_r.get<std::int32_t>();
   }
-  AB_REQUIRE(topo_r.remaining() == 0,
-             "checkpoint: topology section has " +
-                 std::to_string(topo_r.remaining()) + " trailing byte(s)");
 
-  const std::size_t doubles_per_block =
-      static_cast<std::size_t>(lay.interior_cells() * lay.nvar);
-  const std::size_t want =
-      static_cast<std::size_t>(n) * doubles_per_block * sizeof(double);
+  const std::size_t block_bytes =
+      static_cast<std::size_t>(lay.interior_cells() * lay.nvar) *
+      sizeof(double);
+  const std::size_t want = static_cast<std::size_t>(n) * block_bytes;
   AB_REQUIRE(sections[2].size == want,
              "checkpoint: data section holds " +
                  std::to_string(sections[2].size) + " byte(s), expected " +
                  std::to_string(want) + " for " + std::to_string(n) +
                  " block(s)");
-  ByteReader data_r(sections[2].data, sections[2].size, sections[2].offset,
-                    "data section");
-  for (auto& r : recs) {
-    r.data.resize(doubles_per_block);
-    data_r.get_raw(r.data.data(), doubles_per_block * sizeof(double));
+
+  // The saved leaves are a legal forest's, in leaf order, so refining each
+  // one's ancestors rebuilds exactly that forest; the checks below catch a
+  // topology section that names anything else.
+  Forest<D> forest = forest_from_snapshot<D>(cfg, snap);
+  AB_REQUIRE(forest.num_leaves() == static_cast<int>(n),
+             "load_checkpoint: topology mismatch after rebuild");
+  std::vector<std::pair<int, std::size_t>> leaves;
+  leaves.reserve(static_cast<std::size_t>(n));
+  std::size_t at = sections[2].offset;
+  for (const TopoRecord<D>& r : snap.leaves) {
+    const int id = forest.find(r.level, r.coords);
+    AB_REQUIRE(id >= 0 && forest.is_leaf(id),
+               "load_checkpoint: saved block is not a leaf after rebuild");
+    leaves.emplace_back(id, at);
+    at += block_bytes;
   }
-
-  apply_records<D>(forest, store, recs);
-  return time;
-}
-
-// ---------------------------------------------------------------------
-// V1: legacy unsectioned layout (no checksums). Still readable; parsing
-// happens on the in-memory image with position-bearing truncation errors,
-// and records are applied only after the whole file has been consumed.
-
-template <int D>
-double load_v1(const std::vector<char>& bytes, Forest<D>& forest,
-               BlockStore<D>& store) {
-  const BlockLayout<D>& lay = store.layout();
-  ByteReader r(bytes.data(), bytes.size(), 0, "v1 file");
-  r.get<std::uint64_t>();  // magic, already matched
-  double time = 0.0;
-  std::int64_t n = 0;
-  check_config<D>(r, forest, lay, &time, &n);
-
-  const std::size_t doubles_per_block =
-      static_cast<std::size_t>(lay.interior_cells() * lay.nvar);
-  std::vector<LeafRec<D>> recs(static_cast<std::size_t>(n));
-  for (auto& rec : recs) {
-    rec.level = r.get<std::int32_t>();
-    for (int d = 0; d < D; ++d) rec.coords[d] = r.get<std::int32_t>();
-    rec.data.resize(doubles_per_block);
-    r.get_raw(rec.data.data(), doubles_per_block * sizeof(double));
-  }
-  AB_REQUIRE(r.remaining() == 0,
-             "checkpoint: " + std::to_string(r.remaining()) +
-                 " unexpected trailing byte(s) at file offset " +
-                 std::to_string(r.offset()));
-  apply_records<D>(forest, store, recs);
-  return time;
+  return Checkpoint<D>{std::move(forest), time, std::move(bytes),
+                       std::move(leaves)};
 }
 
 }  // namespace
@@ -439,31 +376,44 @@ std::uint64_t save_checkpoint(const std::string& path, const Forest<D>& forest,
 }
 
 template <int D>
-double load_checkpoint(const std::string& path, Forest<D>& forest,
-                       BlockStore<D>& store) {
-  const std::vector<char> bytes = read_file(path);
+void Checkpoint<D>::write_leaves(
+    const std::function<BlockView<D>(int)>& view_of) const {
+  for (const auto& [id, at] : leaves) {
+    const BlockView<D> v = view_of(id);
+    const char* src = bytes.data() + at;
+    for (int var = 0; var < v.layout->nvar; ++var)
+      for_each_row<D>(v.layout->interior_box(), [&](IVec<D> p, int n) {
+        const std::size_t len = static_cast<std::size_t>(n) * sizeof(double);
+        std::memcpy(&v.at(var, p), src, len);
+        src += len;
+      });
+  }
+}
+
+template <int D>
+Checkpoint<D> load_checkpoint(const std::string& path,
+                              const typename Forest<D>::Config& cfg,
+                              const BlockLayout<D>& layout) {
+  std::vector<char> bytes = read_file(path);
   AB_REQUIRE(bytes.size() >= sizeof(std::uint64_t),
              "load_checkpoint: file is only " + std::to_string(bytes.size()) +
                  " byte(s) — too small to be a checkpoint");
   std::uint64_t magic = 0;
   std::memcpy(&magic, bytes.data(), sizeof magic);
-  if (magic == kMagicV2) return load_v2<D>(bytes, forest, store);
-  if (magic == kMagicV1) return load_v1<D>(bytes, forest, store);
-  // Newer (or older-unknown) members of the "ABKPT" family are version
-  // skew, not garbage — report them as such. The family tag occupies the
-  // high five bytes of the (little-endian) magic word; the two below it
-  // spell the revision.
-  if ((magic >> 24) == (kMagicV2 >> 24)) {
-    const char rev[3] = {static_cast<char>((magic >> 16) & 0xFF),
-                         static_cast<char>((magic >> 8) & 0xFF), '\0'};
-    AB_REQUIRE(false,
-               "load_checkpoint: unsupported checkpoint format revision "
-               "(magic ABKPT" +
-                   std::string(rev) +
-                   "); this reader understands versions 1 and 2");
+  // Other members of the "ABKPT" family are version skew, not garbage —
+  // report them as such. The family tag occupies the high five bytes of
+  // the (little-endian) magic word; the two below it spell the revision.
+  if (magic != kMagicV2 && (magic >> 24) == (kMagicV2 >> 24)) {
+    const std::string rev = {static_cast<char>((magic >> 16) & 0xFF),
+                             static_cast<char>((magic >> 8) & 0xFF)};
+    AB_REQUIRE(false, "load_checkpoint: unsupported checkpoint format "
+                      "revision (magic ABKPT" +
+                          rev + ", " +
+                          (magic < kMagicV2 ? "an older" : "a newer") +
+                          " revision); this reader understands revision 02");
   }
-  AB_REQUIRE(false, "load_checkpoint: not a checkpoint file");
-  return 0.0;  // unreachable
+  AB_REQUIRE(magic == kMagicV2, "load_checkpoint: not a checkpoint file");
+  return load_v2<D>(std::move(bytes), cfg, layout);
 }
 
 template std::uint64_t save_checkpoint<1>(const std::string&, const Forest<1>&,
@@ -481,11 +431,17 @@ template std::uint64_t save_checkpoint_view<2>(
 template std::uint64_t save_checkpoint_view<3>(
     const std::string&, const Forest<3>&, const BlockLayout<3>&,
     const std::function<ConstBlockView<3>(int)>&, double);
-template double load_checkpoint<1>(const std::string&, Forest<1>&,
-                                   BlockStore<1>&);
-template double load_checkpoint<2>(const std::string&, Forest<2>&,
-                                   BlockStore<2>&);
-template double load_checkpoint<3>(const std::string&, Forest<3>&,
-                                   BlockStore<3>&);
+template struct Checkpoint<1>;
+template struct Checkpoint<2>;
+template struct Checkpoint<3>;
+template Checkpoint<1> load_checkpoint<1>(const std::string&,
+                                          const Forest<1>::Config&,
+                                          const BlockLayout<1>&);
+template Checkpoint<2> load_checkpoint<2>(const std::string&,
+                                          const Forest<2>::Config&,
+                                          const BlockLayout<2>&);
+template Checkpoint<3> load_checkpoint<3>(const std::string&,
+                                          const Forest<3>::Config&,
+                                          const BlockLayout<3>&);
 
 }  // namespace ab

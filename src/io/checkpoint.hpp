@@ -12,22 +12,26 @@
 //     section 1 "topology" — per leaf: level + logical coordinates
 //     section 2 "data"     — per leaf: interior cells, variable-major
 //
-// Writes are atomic: the file is assembled at `path + ".tmp"` and renamed
-// over `path` only after every byte is on disk, so a crash mid-save never
-// clobbers the previous checkpoint. Loads verify magic, version, section
-// sizes, and per-section CRCs against the in-memory image before touching
-// the forest or store — a corrupt file is rejected with a precise
-// diagnostic and zero partial mutation. Version-1 files (no checksums)
-// are still read, with position-bearing truncation errors.
+// Writes are atomic: the file is assembled at `<path>.tmp.<pid>.<n>` and
+// renamed over `path` only after every byte has been flushed to the OS, so
+// a crash mid-save never clobbers the previous checkpoint, and a failed
+// write removes its tmp file before it throws. Loads verify magic, version,
+// section sizes, per-section CRCs and the configuration, and rebuild the
+// saved topology into a forest of their own: nothing the caller holds is
+// touched, so a restoring solver changes nothing until the whole file has
+// been checked. An `ABKPT01` file (the unchecksummed v1 layout) is rejected
+// as an older revision.
 //
-// Restoration rebuilds the topology by re-refining a pristine forest —
-// node ids may differ between save and load, so data is keyed by logical
+// Node ids may differ between save and load, so data is keyed by logical
 // coordinates, never by id.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/block_store.hpp"
 #include "core/forest.hpp"
@@ -50,16 +54,33 @@ std::uint64_t save_checkpoint_view(
     const BlockLayout<D>& layout,
     const std::function<ConstBlockView<D>(int)>& view_of, double time);
 
-/// Restore a checkpoint into `forest` (which must be freshly constructed —
-/// no refinement yet — with a configuration matching the file) and `store`
-/// (matching layout). Accepts both V1 and V2 files; every structural or
-/// integrity violation (bad magic, version skew, truncation, CRC mismatch,
-/// configuration mismatch) throws ab::Error *before* any mutation of
-/// `forest` or `store`. Returns the saved solution time. Ghost cells are
-/// NOT restored; refill them before stepping.
+/// A checkpoint file read and checked in full, not yet applied to anything:
+/// the saved topology rebuilt into a forest of its own, the solution time,
+/// and the file image the leaf interiors are copied out of.
 template <int D>
-double load_checkpoint(const std::string& path, Forest<D>& forest,
-                       BlockStore<D>& store);
+struct Checkpoint {
+  Forest<D> forest;
+  double time = 0.0;
+
+  /// Copy every saved leaf's interior into `view_of(id)`, once each; `id`
+  /// is the leaf's node id in `forest`, and the view has the block layout
+  /// the file was loaded with. Ghost cells are not written.
+  void write_leaves(const std::function<BlockView<D>(int)>& view_of) const;
+
+  std::vector<char> bytes;  ///< the file image
+  /// Per saved leaf: its node id in `forest`, and the file offset of its
+  /// interior cells.
+  std::vector<std::pair<int, std::size_t>> leaves;
+};
+
+/// Read the checkpoint at `path`, written with forest configuration `cfg`
+/// and block layout `layout`. Every structural or integrity violation (bad
+/// magic, version skew, truncation, CRC mismatch, configuration mismatch,
+/// a topology that does not rebuild) throws ab::Error.
+template <int D>
+Checkpoint<D> load_checkpoint(const std::string& path,
+                              const typename Forest<D>::Config& cfg,
+                              const BlockLayout<D>& layout);
 
 extern template std::uint64_t save_checkpoint<1>(const std::string&,
                                                  const Forest<1>&,
@@ -82,11 +103,17 @@ extern template std::uint64_t save_checkpoint_view<2>(
 extern template std::uint64_t save_checkpoint_view<3>(
     const std::string&, const Forest<3>&, const BlockLayout<3>&,
     const std::function<ConstBlockView<3>(int)>&, double);
-extern template double load_checkpoint<1>(const std::string&, Forest<1>&,
-                                          BlockStore<1>&);
-extern template double load_checkpoint<2>(const std::string&, Forest<2>&,
-                                          BlockStore<2>&);
-extern template double load_checkpoint<3>(const std::string&, Forest<3>&,
-                                          BlockStore<3>&);
+extern template struct Checkpoint<1>;
+extern template struct Checkpoint<2>;
+extern template struct Checkpoint<3>;
+extern template Checkpoint<1> load_checkpoint<1>(const std::string&,
+                                                 const Forest<1>::Config&,
+                                                 const BlockLayout<1>&);
+extern template Checkpoint<2> load_checkpoint<2>(const std::string&,
+                                                 const Forest<2>::Config&,
+                                                 const BlockLayout<2>&);
+extern template Checkpoint<3> load_checkpoint<3>(const std::string&,
+                                                 const Forest<3>::Config&,
+                                                 const BlockLayout<3>&);
 
 }  // namespace ab

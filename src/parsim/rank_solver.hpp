@@ -214,36 +214,11 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     return bytes;
   }
 
-  /// Discard all in-memory state and reload from `path`, partitioning the
-  /// restored blocks across the currently-alive ranks. Ghosts are refilled
-  /// by the next step's exchange.
-  void restore(const std::string& path) {
-    forest_ = Forest<D>(cfg_.forest);
-    BlockStore<D> global(layout_);
-    time_ = load_checkpoint<D>(path, forest_, global);
-    forest_.rebuild_neighbor_table();
-    exchanger_.rebuild();
-    for (int p = 0; p < rcfg_.npes; ++p) {
-      u_[static_cast<std::size_t>(p)] = this->make_store();
-      scratch_[static_cast<std::size_t>(p)] = this->make_store();
-    }
-    owner_ = partition_alive();
-    const std::int64_t payload = block_payload_doubles<D>(layout_);
-    std::vector<double> buf(static_cast<std::size_t>(payload));
-    for (int id : forest_.leaves()) {
-      this->store_of(scratch_, id).ensure(id);
-      pack_block_payload<D>(global, id, buf.data());
-      unpack_block_payload<D>(this->store_of(u_, id), id, buf.data());
-    }
-    buffered_.set_owner(owner_, rcfg_.npes);
-    rebuild_rank_structures();
-    last_checkpoint_path_ = path;
-  }
-
-  /// Handle the death of `dead_rank`: retire it, reload the last
-  /// checkpoint, re-partition its blocks across the survivors (existing
-  /// PartitionPolicy/migration machinery), and leave the solver ready to
-  /// resume from the checkpointed time.
+  /// Handle the death of `dead_rank`: read and check the last checkpoint,
+  /// retire the rank, then restore the checkpoint with its blocks
+  /// re-partitioned across the survivors, ready to resume from the
+  /// checkpointed time. A bad checkpoint throws before the rank is retired
+  /// and leaves the solver as it was.
   void recover(int dead_rank) {
     AB_REQUIRE(rank_alive(dead_rank),
                "RankSolver: recover() needs a live rank id");
@@ -251,9 +226,10 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
                "RankSolver: rank " + std::to_string(dead_rank) +
                    " died with no checkpoint to recover from (set "
                    "checkpoint_every/checkpoint_path)");
+    AB_REQUIRE(num_alive() > 1, "RankSolver: no surviving ranks");
+    Checkpoint<D> ckpt = this->read_checkpoint(last_checkpoint_path_);
     alive_.erase(std::find(alive_.begin(), alive_.end(), dead_rank));
-    AB_REQUIRE(!alive_.empty(), "RankSolver: no surviving ranks");
-    restore(last_checkpoint_path_);
+    this->install_checkpoint(std::move(ckpt), last_checkpoint_path_);
     count("fault.rank_deaths", 1);
     count("fault.recoveries", 1);
   }
@@ -593,6 +569,15 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       tr->record(obs::TraceEvent{"stage_update", "compute", t0, tr->now_ns(),
                                  0, tr->new_span_id(), span, pe,
                                  step_index_});
+  }
+
+  /// A restored checkpoint's leaves are partitioned across the ranks still
+  /// alive, and its path becomes the recovery point.
+  void restored(const std::string& path) {
+    owner_ = partition_alive();
+    buffered_.set_owner(owner_, rcfg_.npes);
+    rebuild_rank_structures();
+    last_checkpoint_path_ = path;
   }
 
   // Regrid: refined children are born on the parent's rank; a coarsening

@@ -14,31 +14,6 @@ namespace ab {
 namespace wire {
 
 namespace {
-/// FIFO byte queue with an amortized-flat footprint: the head index walks
-/// forward and the storage resets whenever the queue drains (which it
-/// does at the end of every exchange round).
-struct ByteQueue {
-  std::vector<std::uint8_t> data;
-  std::size_t head = 0;
-
-  std::size_t size() const { return data.size() - head; }
-  void push(const std::uint8_t* p, std::size_t n) {
-    data.insert(data.end(), p, p + n);
-  }
-  void pop_into(void* out, std::size_t n) {
-    // An empty queue's data() may be null, and memcpy from null is
-    // undefined even for n == 0.
-    if (n == 0) return;
-    std::memcpy(out, data.data() + head, n);
-    head += n;
-    if (head == data.size()) {
-      data.clear();
-      head = 0;
-    }
-  }
-  std::size_t capacity_bytes() const { return data.capacity(); }
-};
-
 /// Allocator whose argument-less construct default-initializes, so
 /// `resize` grows a byte vector without writing zeros. A construct with
 /// arguments is allocator_traits' own.

@@ -42,28 +42,6 @@ TransportKind resolve_transport(TransportKind cfg) {
 
 namespace {
 
-/// FIFO spill queue for bytes a backend could not take immediately.
-/// Process-local: after a fork each worker owns its own copy, which is
-/// correct — only the channel's sending process ever writes to it.
-struct SpillQueue {
-  std::vector<std::uint8_t> data;
-  std::size_t head = 0;
-
-  bool empty() const { return head == data.size(); }
-  std::size_t size() const { return data.size() - head; }
-  void push(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    data.insert(data.end(), b, b + n);
-  }
-  void drop(std::size_t n) {
-    head += n;
-    if (empty()) {
-      data.clear();
-      head = 0;
-    }
-  }
-};
-
 // ---------------------------------------------------------------------------
 // SocketTransport: one AF_UNIX stream socketpair per (src, dst) channel.
 // ---------------------------------------------------------------------------
@@ -159,7 +137,7 @@ class SocketTransport final : public Transport {
   struct Chan {
     int wfd = -1;
     int rfd = -1;
-    SpillQueue spill;
+    ByteQueue spill;
   };
 
   static void set_nonblocking(int fd) {
@@ -179,8 +157,7 @@ class SocketTransport final : public Transport {
 
   void flush_chan(Chan& ch) {
     while (!ch.spill.empty()) {
-      const ssize_t w = ::write(ch.wfd, ch.spill.data.data() + ch.spill.head,
-                                ch.spill.size());
+      const ssize_t w = ::write(ch.wfd, ch.spill.front(), ch.spill.size());
       if (w > 0) {
         ch.spill.drop(static_cast<std::size_t>(w));
         continue;
@@ -247,7 +224,7 @@ class ShmRingTransport final : public Transport {
 
   void send(int src, int dst, const void* data, std::size_t n) override {
     const std::size_t c = index(src, dst);
-    SpillQueue& spill = spills_[c];
+    ByteQueue& spill = spills_[c];
     if (!spill.empty()) {
       spill.push(data, n);
       flush_chan(c);
@@ -279,7 +256,7 @@ class ShmRingTransport final : public Transport {
 
   std::size_t pending_bytes() const override {
     std::size_t n = 0;
-    for (const SpillQueue& s : spills_) n += s.size();
+    for (const ByteQueue& s : spills_) n += s.size();
     return n;
   }
 
@@ -330,10 +307,9 @@ class ShmRingTransport final : public Transport {
   }
 
   void flush_chan(std::size_t c) {
-    SpillQueue& spill = spills_[c];
+    ByteQueue& spill = spills_[c];
     while (!spill.empty()) {
-      const std::size_t took =
-          push_ring(c, spill.data.data() + spill.head, spill.size());
+      const std::size_t took = push_ring(c, spill.front(), spill.size());
       if (took == 0) return;  // ring full; consumer must drain first
       spill.drop(took);
     }
@@ -342,7 +318,7 @@ class ShmRingTransport final : public Transport {
   int npes_;
   std::size_t map_bytes_ = 0;
   std::uint8_t* base_ = nullptr;
-  std::vector<SpillQueue> spills_;  // process-local, per channel
+  std::vector<ByteQueue> spills_;  // process-local, per channel
 };
 
 }  // namespace

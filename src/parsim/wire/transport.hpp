@@ -22,13 +22,55 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace ab {
 namespace wire {
+
+/// FIFO byte queue with an amortized-flat footprint: the head cursor walks
+/// forward and the storage resets whenever the queue drains (which it does
+/// at the end of every exchange round). The transports spill the bytes a
+/// backend could not take into one; the hub queues in-order payload past
+/// an open receive in another. Process-local: after a fork each worker
+/// owns its own copy.
+class ByteQueue {
+ public:
+  bool empty() const { return head_ == data_.size(); }
+  std::size_t size() const { return data_.size() - head_; }
+  /// The queued bytes, oldest first.
+  const std::uint8_t* front() const { return data_.data() + head_; }
+  std::size_t capacity_bytes() const { return data_.capacity(); }
+  void push(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    data_.insert(data_.end(), b, b + n);
+  }
+  /// Discard the oldest `n` bytes.
+  void drop(std::size_t n) {
+    head_ += n;
+    if (empty()) {
+      data_.clear();
+      head_ = 0;
+    }
+  }
+  /// Move the oldest `n` bytes into `out`.
+  void pop_into(void* out, std::size_t n) {
+    // An empty queue's data() may be null, and memcpy from null is
+    // undefined even for n == 0.
+    if (n == 0) return;
+    std::memcpy(out, front(), n);
+    drop(n);
+  }
+
+ private:
+  std::vector<std::uint8_t> data_;
+  std::size_t head_ = 0;
+};
 
 /// Which transport carries the exchange traffic (Config::transport, env
 /// override AB_TRANSPORT=board|socket|shm).

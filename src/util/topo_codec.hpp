@@ -306,7 +306,8 @@ TopoSnapshot<D> decode_topology(const std::vector<std::uint8_t>& bytes) {
 
 /// Re-instantiate a forest with the snapshot's topology. `cfg` supplies
 /// everything the codec does not carry (domain bounds, periodicity, root
-/// mask); its grid shape must match the snapshot's.
+/// mask); its grid shape must match the snapshot's. This is the one
+/// forest-from-leaves rebuild: the checkpoint loader calls it too.
 template <int D>
 Forest<D> forest_from_snapshot(typename Forest<D>::Config cfg,
                                const TopoSnapshot<D>& snap) {
@@ -314,9 +315,9 @@ Forest<D> forest_from_snapshot(typename Forest<D>::Config cfg,
                  cfg.max_level >= snap.max_level,
              "forest_from_snapshot: config grid shape mismatch");
   Forest<D> f(cfg);
-  // Snapshot leaves arrive in DFS order, so ancestors of a deep leaf are
-  // refined parent-before-child; refining a legal forest's nodes in that
-  // order never cascades.
+  // Each leaf's ancestors are refined parent-before-child, whatever the
+  // leaf order (DFS here, leaf order in a checkpoint). Refining a legal
+  // forest's nodes cascades only into nodes that forest refines too.
   for (const TopoRecord<D>& rec : snap.leaves) {
     for (int l = 0; l < rec.level; ++l) {
       const int id = f.find(l, rec.coords.shifted_right(rec.level - l));

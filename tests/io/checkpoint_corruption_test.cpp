@@ -1,26 +1,31 @@
 // Corruption matrix for the v2 checkpoint format: every damaged file must
-// be rejected with a precise diagnostic, and a rejected load must leave
-// the destination forest/store completely untouched (parse fully, then
-// apply). Also covers the atomic-rename write path and the v1 loader's
-// position-bearing truncation errors.
+// be rejected with a precise diagnostic, and a solver restoring it must be
+// left exactly as it was (the whole file is checked before the solver
+// changes). Also covers the atomic-rename write path, including a write
+// that fails part-way, and the rejection of v1 files.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "amr/solver.hpp"
 #include "core/block_store.hpp"
 #include "core/forest.hpp"
 #include "io/checkpoint.hpp"
+#include "physics/euler.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "support/interior_digest.hpp"
 #include "support/temp_path.hpp"
 
 namespace ab {
@@ -37,7 +42,17 @@ Forest<2>::Config forest_cfg() {
   return c;
 }
 
-BlockLayout<2> layout() { return BlockLayout<2>({4, 4}, 2, 3); }
+/// The layout of the solver below: 4x4 cells, 2 ghost layers, Euler's 4
+/// variables.
+BlockLayout<2> layout() { return BlockLayout<2>({4, 4}, 2, 4); }
+
+/// A solver whose configuration matches the saved images.
+AmrSolver<2, Euler<2>>::Config solver_cfg() {
+  AmrSolver<2, Euler<2>>::Config cfg;
+  cfg.forest = forest_cfg();
+  cfg.cells_per_block = {4, 4};
+  return cfg;
+}
 
 /// Save a non-trivial v2 checkpoint and return its byte image.
 std::vector<char> saved_image() {
@@ -50,7 +65,7 @@ std::vector<char> saved_image() {
     store.ensure(id);
     BlockView<2> v = store.view(id);
     for_each_cell<2>(lay.interior_box(), [&](IVec<2> p) {
-      for (int var = 0; var < 3; ++var)
+      for (int var = 0; var < 4; ++var)
         v.at(var, p) = id * 1000.0 + var * 100.0 + p[0] * 10.0 + p[1];
     });
   }
@@ -92,22 +107,37 @@ std::vector<Section> section_layout(const std::vector<char>& bytes) {
   return secs;
 }
 
-/// Load `bytes` into a fresh forest/store, expect rejection, and verify
-/// the outputs were not touched (forest still pristine, store empty).
-/// Returns the error message for content checks.
+/// Restore `bytes` into a solver that has adapted and stepped, expect
+/// rejection, and verify that the solver was not touched: same time, same
+/// leaves and node ids, same interior bytes. Returns the error message for
+/// content checks.
 std::string expect_rejected(const std::vector<char>& bytes) {
   write_bytes(ckpt_path(), bytes);
-  Forest<2> g(forest_cfg());
-  BlockStore<2> s(layout());
+  Euler<2> phys;
+  AmrSolver<2, Euler<2>> solver(solver_cfg(), phys);
+  solver.init([&phys](const RVec<2>& x, Euler<2>::State& u) {
+    u = phys.from_primitive(1.0 + 0.5 * x[0] * x[1], {0.2, -0.1}, 1.0);
+  });
+  solver.adapt(
+      [](const Forest<2>& f, const BlockStore<2>&, int id) {
+        return f.coords(id)[0] == 0 ? AdaptFlag::Refine : AdaptFlag::Keep;
+      });
+  solver.step(0.01);
+  const double t0 = solver.time();
+  const int leaves0 = solver.forest().num_leaves();
+  const std::uint64_t digest0 = testing::interior_digest(solver);
   std::string msg;
   try {
-    load_checkpoint<2>(ckpt_path(), g, s);
+    solver.restore(ckpt_path());
     ADD_FAILURE() << "corrupt checkpoint was accepted";
   } catch (const Error& e) {
     msg = e.what();
   }
-  EXPECT_EQ(g.num_leaves(), 4) << "rejected load mutated the forest";
-  EXPECT_EQ(s.num_allocated(), 0) << "rejected load mutated the store";
+  EXPECT_EQ(solver.time(), t0) << "rejected restore changed the time";
+  EXPECT_EQ(solver.forest().num_leaves(), leaves0)
+      << "rejected restore changed the forest";
+  EXPECT_EQ(testing::interior_digest(solver), digest0)
+      << "rejected restore changed the solution";
   std::remove(ckpt_path().c_str());
   return msg;
 }
@@ -235,6 +265,23 @@ TEST(CheckpointCorruption, SemanticDamageWithValidCrcStillRejectedCleanly) {
   EXPECT_NE(msg.find("leaf level 99 out of range"), std::string::npos) << msg;
 }
 
+TEST(CheckpointCorruption, AbsurdLeafCountIsRejectedBeforeAllocating) {
+  // A config section claiming 2^50 leaves, with its CRC fixed: the count
+  // must be checked against the topology section before anything is sized
+  // by it, so the load fails with a diagnostic instead of std::bad_alloc.
+  const std::vector<char> good = saved_image();
+  const auto secs = section_layout(good);
+  std::vector<char> bad = good;
+  const std::int64_t bogus = std::int64_t{1} << 50;
+  const std::size_t count_off = secs[0].crc_off - sizeof bogus;
+  std::memcpy(bad.data() + count_off, &bogus, sizeof bogus);
+  const std::uint32_t crc =
+      crc32(bad.data() + secs[0].payload_off, secs[0].payload_len);
+  std::memcpy(bad.data() + secs[0].crc_off, &crc, sizeof crc);
+  const std::string msg = expect_rejected(bad);
+  EXPECT_NE(msg.find("topology section holds"), std::string::npos) << msg;
+}
+
 TEST(CheckpointCorruption, TruncationErrorsCarryByteOffsets) {
   const std::vector<char> good = saved_image();
   const auto secs = section_layout(good);
@@ -246,38 +293,14 @@ TEST(CheckpointCorruption, TruncationErrorsCarryByteOffsets) {
   EXPECT_NE(msg.find("file offset"), std::string::npos) << msg;
 }
 
-TEST(CheckpointCorruption, V1TruncationErrorsCarryByteOffsets) {
-  // A v1 file written by the v1 writer before it was removed, for the
-  // forest_cfg()/layout() configuration.
-  std::ifstream is(AB_TEST_DATA_DIR "/checkpoint_v1.bin", std::ios::binary);
-  ASSERT_TRUE(is.is_open());
-  std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-  is.close();
-  // Cut inside the last block's cell data.
-  std::vector<char> bad(bytes.begin(),
-                        bytes.begin() + static_cast<std::ptrdiff_t>(
-                                            bytes.size() - 13));
+TEST(CheckpointCorruption, V1FileIsRejectedAsAnOlderRevision) {
+  // The unchecksummed v1 layout ("ABKPT01") is no longer read: it is
+  // version skew, reported as an older revision of the format.
+  std::vector<char> bad = saved_image();
+  bad[1] = '1';
   const std::string msg = expect_rejected(bad);
-  EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("file offset"), std::string::npos) << msg;
-}
-
-TEST(CheckpointCorruption, SaveIsAtomicAndLeavesNoTempFile) {
-  Forest<2> f(forest_cfg());
-  BlockStore<2> store(layout());
-  for (int id : f.leaves()) store.ensure(id);
-  save_checkpoint<2>(ckpt_path(), f, store, 1.0);
-  // Overwrite in place: the second save must replace the first atomically.
-  save_checkpoint<2>(ckpt_path(), f, store, 2.0);
-  struct stat st{};
-  EXPECT_NE(stat(ckpt_path().c_str(), &st), -1);
-  EXPECT_EQ(stat((ckpt_path() + ".tmp").c_str(), &st), -1)
-      << "temporary file left behind after save";
-  Forest<2> g(forest_cfg());
-  BlockStore<2> s(layout());
-  EXPECT_DOUBLE_EQ(load_checkpoint<2>(ckpt_path(), g, s), 2.0);
-  std::remove(ckpt_path().c_str());
+  EXPECT_NE(msg.find("ABKPT01"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("an older revision"), std::string::npos) << msg;
 }
 
 /// Tmp siblings of `path` (anything named <base>.tmp*) left in its
@@ -294,6 +317,55 @@ std::vector<std::string> stray_tmps(const std::string& path) {
       out.push_back(dir + "/" + e->d_name);
   ::closedir(d);
   return out;
+}
+
+TEST(CheckpointCorruption, SaveIsAtomicAndLeavesNoTempFile) {
+  Forest<2> f(forest_cfg());
+  BlockStore<2> store(layout());
+  for (int id : f.leaves()) store.ensure(id);
+  save_checkpoint<2>(ckpt_path(), f, store, 1.0);
+  // Overwrite in place: the second save must replace the first atomically.
+  save_checkpoint<2>(ckpt_path(), f, store, 2.0);
+  struct stat st{};
+  EXPECT_NE(stat(ckpt_path().c_str(), &st), -1);
+  EXPECT_TRUE(stray_tmps(ckpt_path()).empty())
+      << "temporary file left behind after save";
+  EXPECT_DOUBLE_EQ(load_checkpoint<2>(ckpt_path(), forest_cfg(), layout()).time,
+                   2.0);
+  std::remove(ckpt_path().c_str());
+}
+
+TEST(CheckpointCorruption, FailedWriteLeavesNoTempFile) {
+  // A full disk, modelled by a 1 KB file-size limit in a forked child (with
+  // SIGXFSZ ignored, so the write fails with EFBIG instead of killing the
+  // process): the save must throw and remove its partial tmp file.
+  const std::string path = testing::temp_path("full.bin");
+  Forest<2> f(forest_cfg());
+  f.refine(f.find(0, {0, 0}));
+  BlockStore<2> store(layout());
+  for (int id : f.leaves()) store.ensure(id);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit lim{1024, 1024};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(3);
+    int code = 1;  // the save did not throw
+    try {
+      save_checkpoint<2>(path, f, store, 1.0);
+    } catch (const Error&) {
+      code = stray_tmps(path).empty() ? 0 : 2;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died (status " << status << ")";
+  EXPECT_NE(WEXITSTATUS(status), 1) << "the save over the limit did not throw";
+  EXPECT_NE(WEXITSTATUS(status), 2) << "the failed save left its tmp file";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  for (const std::string& t : stray_tmps(path)) std::remove(t.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointCorruption, ConcurrentSaversNeverTearTheFile) {
@@ -314,7 +386,7 @@ TEST(CheckpointCorruption, ConcurrentSaversNeverTearTheFile) {
       store.ensure(id);
       BlockView<2> v = store.view(id);
       for_each_cell<2>(lay.interior_box(), [&](IVec<2> p) {
-        for (int var = 0; var < 3; ++var)
+        for (int var = 0; var < 4; ++var)
           v.at(var, p) = writer * 1e6 + id * 1000.0 + var * 100.0 + p[0];
       });
     }
@@ -343,14 +415,15 @@ TEST(CheckpointCorruption, ConcurrentSaversNeverTearTheFile) {
   // check second).
   int reads = 0, torn = 0;
   for (int i = 0; i < 200; ++i) {
-    Forest<2> g(forest_cfg());
-    BlockStore<2> s(lay);
     try {
-      const double t = load_checkpoint<2>(path, g, s);
-      const int w = static_cast<int>(t) - 1;
+      const Checkpoint<2> c = load_checkpoint<2>(path, forest_cfg(), lay);
+      BlockStore<2> s(lay);
+      for (int id : c.forest.leaves()) s.ensure(id);
+      c.write_leaves([&s](int id) { return s.view(id); });
+      const int w = static_cast<int>(c.time) - 1;
       if (w < 0 || w >= kWriters) ++torn;
-      for (int id : g.leaves()) {
-        ConstBlockView<2> v = s.view(id);
+      for (int id : c.forest.leaves()) {
+        ConstBlockView<2> v = std::as_const(s).view(id);
         if (v.at(0, lay.interior_box().lo) != w * 1e6 + id * 1000.0)
           ++torn;
       }
@@ -369,9 +442,7 @@ TEST(CheckpointCorruption, ConcurrentSaversNeverTearTheFile) {
   EXPECT_EQ(reads, 200);
   // After the dust settles: the final file is one writer's complete save
   // and no uniquely-suffixed tmp survived.
-  Forest<2> g(forest_cfg());
-  BlockStore<2> s(lay);
-  const double t = load_checkpoint<2>(path, g, s);
+  const double t = load_checkpoint<2>(path, forest_cfg(), lay).time;
   EXPECT_GE(t, 1.0);
   EXPECT_LE(t, static_cast<double>(kWriters));
   EXPECT_TRUE(stray_tmps(path).empty());
@@ -390,14 +461,11 @@ TEST(CheckpointCorruption, StrayTmpFromACrashedWriterIsNeverRead) {
   // Simulate the crash: half-written garbage under a dead writer's name.
   write_bytes(path + ".tmp.99999.0",
               std::vector<char>(37, static_cast<char>(0xAB)));
-  Forest<2> g(forest_cfg());
-  BlockStore<2> s(layout());
-  EXPECT_DOUBLE_EQ(load_checkpoint<2>(path, g, s), 3.5);
+  EXPECT_DOUBLE_EQ(load_checkpoint<2>(path, forest_cfg(), layout()).time,
+                   3.5);
   // With the real file gone, the stray tmp must NOT be resurrected.
   std::remove(path.c_str());
-  Forest<2> h(forest_cfg());
-  BlockStore<2> s2(layout());
-  EXPECT_THROW(load_checkpoint<2>(path, h, s2), Error);
+  EXPECT_THROW(load_checkpoint<2>(path, forest_cfg(), layout()), Error);
   std::remove((path + ".tmp.99999.0").c_str());
 }
 

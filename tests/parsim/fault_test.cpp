@@ -409,6 +409,79 @@ TEST(Recovery, DeadRankIsNoIdlePeInImbalanceOrEfficiency) {
   std::remove(ckpt.c_str());
 }
 
+/// A corrupt checkpoint throws from restore() and from recover(), and the
+/// rank solver stays as it was: the same live ranks, forest and owners, and
+/// the next steps bitwise equal to an untouched twin. The whole file is
+/// checked before anything changes, and recover() checks it before it
+/// retires the dead rank.
+TEST(CorruptRestart, RestoreAndRecoverLeaveTheRankSolverAsItWas) {
+  Euler<2> phys;
+  const double dt = 0.002;
+  for (const bool via_recover : {false, true}) {
+    SCOPED_TRACE(via_recover ? "recover" : "restore");
+    const std::string ckpt = testing::temp_path("ckpt.bin");
+    const std::string twin_ckpt = testing::temp_path("twin.bin");
+    auto config = [](const std::string& path) {
+      RankSolver<2, Euler<2>>::Config rcfg;
+      rcfg.solver = euler_cfg();
+      rcfg.npes = 3;
+      rcfg.policy = PartitionPolicy::Morton;
+      rcfg.checkpoint_every = 2;
+      rcfg.checkpoint_path = path;
+      return rcfg;
+    };
+    RankSolver<2, Euler<2>> a(config(ckpt), phys);
+    RankSolver<2, Euler<2>> twin(config(twin_ckpt), phys);
+    for (auto* s : {&a, &twin}) {
+      s->adapt(SeededTopologyCriterion{splitmix64(77), 2});
+      s->init(euler_ic(phys));
+      for (int i = 0; i < 3; ++i) s->step(dt);
+    }
+    ASSERT_NE(a.forest().num_leaves(), 4) << "the run never adapted";
+
+    // One flipped bit in the data section of the last auto-checkpoint.
+    std::vector<char> bytes;
+    {
+      std::ifstream is(ckpt, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(is),
+                   std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 64u);
+    bytes[bytes.size() - 5] = static_cast<char>(bytes[bytes.size() - 5] ^ 4);
+    {
+      std::ofstream os(ckpt, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    const int leaves0 = a.forest().num_leaves();
+    const std::vector<int> owner0 = a.owner();
+    try {
+      if (via_recover)
+        a.recover(1);
+      else
+        a.restore(ckpt);
+      ADD_FAILURE() << "a corrupt checkpoint was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CRC mismatch in section 'data'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(a.num_alive(), 3);
+    EXPECT_TRUE(a.rank_alive(1));
+    EXPECT_EQ(a.forest().num_leaves(), leaves0);
+    EXPECT_EQ(a.owner(), owner0);
+    EXPECT_EQ(a.time(), twin.time());
+    for (int i = 0; i < 3; ++i) {
+      a.step(dt);
+      twin.step(dt);
+    }
+    EXPECT_EQ(a.time(), twin.time());
+    expect_ranks_identical(a, twin);
+    std::remove(ckpt.c_str());
+    std::remove(twin_ckpt.c_str());
+  }
+}
+
 TEST(Recovery, DeathWithoutCheckpointIsAHardError) {
   Euler<2> phys;
   FaultPlan::Config fcfg;
