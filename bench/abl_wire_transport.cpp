@@ -1,31 +1,27 @@
 // Wire-transport overhead ablation: what does carrying every exchange
-// payload over a real kernel transport cost against the in-process
+// payload over the shared-memory wire cost against the in-process
 // MessageBoard baseline?
 //
-// Three configurations of the same seeded
+// Two configurations of the same seeded
 // rank-parallel run (distributed metadata on, regrids mid-run, so ghost
 // fills, flux corrections, coarsen gathers, migrations, and topology
 // deltas all cross the wire):
 //
 //   board    in-process MessageBoard only — the default path, no wire;
-//   socket   AF_UNIX socketpairs — every payload framed, CRC'd, and
-//            round-tripped through the kernel;
-//   shm      shared-memory rings — framed and CRC'd, but the round trip
-//            is two memcpys through a MAP_SHARED ring, no syscall.
+//   shm      shared-memory rings — every payload framed and CRC'd, and
+//            the round trip is two memcpys through a MAP_SHARED ring, no
+//            syscall.
 //
-// All three run single-process (hub process -1), so the wire paths pay
-// the full send+receive cost in one process — the honest in-process
-// overhead number. The gated number is the shm delta: framing + CRC +
-// ring copies must stay within the 2% gate vs board
-// (tools/check_bench_regression.py --wire-overhead asserts it from the
-// wire_transport section bench/run_benchmarks.sh writes into
-// BENCH_solver.json). Socket is reported for scale but not gated — a
-// syscall per payload costs what it costs; you choose sockets for
-// fork-topology freedom, not speed.
+// Both run single-process (hub process -1), so the wire path pays the
+// full send+receive cost in one process — the honest in-process overhead
+// number. The gated number is the shm delta: framing + CRC + ring copies
+// must stay within the 2% gate vs board (tools/check_bench_regression.py
+// --wire-overhead asserts it from the wire_transport section
+// bench/run_benchmarks.sh writes into BENCH_solver.json).
 //
-// The three solvers advance in lockstep — the modes are bitwise
-// identical, so step s is the same work in all three — and each timed
-// step is compared against the board step taken ~0.5 s away, with the
+// The two solvers advance in lockstep — the modes are bitwise identical,
+// so step s is the same work in both — and each timed shm step is
+// compared against the board step taken just before it, with the
 // reported overhead the median of the per-step ratios. Host-level drift
 // (frequency scaling, background load on a shared box) moves adjacent
 // steps together and cancels in the ratio; a min-across-runs scheme at
@@ -44,7 +40,6 @@
 
 #include "parsim/rank_solver.hpp"
 #include "parsim/wire/hub.hpp"
-#include "parsim/wire/transport.hpp"
 #include "physics/advection.hpp"
 
 using namespace ab;
@@ -99,22 +94,23 @@ struct WireLoad {
   double frames_per_step = 0.0;
 };
 
-/// One lockstep repetition: three solvers over the same seeded script,
-/// stepped alternately, each step timed. Appends one per-step wall-ms
-/// sample per mode to `ms[mode]`; `load` accumulates the shm solver's
-/// wire traffic over the timed steps.
-void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[3],
+constexpr wire::TransportKind kModes[] = {wire::TransportKind::Board,
+                                          wire::TransportKind::Shm};
+constexpr int kNumModes = 2;
+
+/// One lockstep repetition: one solver per mode over the same seeded
+/// script, stepped alternately, each step timed. Appends one per-step
+/// wall-ms sample per mode to `ms[mode]`; `load` accumulates the shm
+/// solver's wire traffic over the timed steps.
+void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[kNumModes],
                   WireLoad* load) {
-  const wire::TransportKind kinds[] = {wire::TransportKind::Board,
-                                       wire::TransportKind::Socket,
-                                       wire::TransportKind::Shm};
   LinearAdvection<3> phys;
   phys.velocity = {0.7, -0.4, 0.3};
   std::vector<std::unique_ptr<RankSolver<3, LinearAdvection<3>>>> solvers;
   const std::uint64_t seed = 0x0B5ull;
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < kNumModes; ++m) {
     auto rcfg = base_config(npes, 48);
-    rcfg.transport = kinds[m];
+    rcfg.transport = kModes[m];
     solvers.push_back(std::make_unique<RankSolver<3, LinearAdvection<3>>>(
         rcfg, phys));
     for (int round = 0; round < 2; ++round)
@@ -126,13 +122,13 @@ void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[3],
   }
 
   std::uint64_t bytes0 = 0, frames0 = 0;
-  if (const wire::WireHub* hub = solvers[2]->wire_hub()) {
+  if (const wire::WireHub* hub = solvers[1]->wire_hub()) {
     bytes0 = hub->stats().payload_bytes;
     frames0 = hub->stats().frames_sent;
   }
 
   for (int s = 0; s < steps; ++s) {
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < kNumModes; ++m) {
       auto& ranks = *solvers[static_cast<std::size_t>(m)];
       const double dt = ranks.compute_dt();
       const auto t0 = std::chrono::steady_clock::now();
@@ -150,7 +146,7 @@ void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[3],
   }
 
   if (load != nullptr) {
-    if (const wire::WireHub* hub = solvers[2]->wire_hub()) {
+    if (const wire::WireHub* hub = solvers[1]->wire_hub()) {
       load->payload_mb_per_step +=
           static_cast<double>(hub->stats().payload_bytes - bytes0) / 1e6 /
           steps;
@@ -192,36 +188,30 @@ int main(int argc, char** argv) {
   // AB_TRANSPORT would silently collapse the modes into one.
   ::unsetenv("AB_TRANSPORT");
 
-  std::vector<double> ms[3];
+  std::vector<double> ms[kNumModes];
   WireLoad load;
   for (int r = 0; r < reps; ++r)
     lockstep_rep(npes, steps, ms, r == 0 ? &load : nullptr);
 
   // Per-step ratios against the board step taken moments before; the
   // median is what survives a noisy shared host.
-  std::vector<double> socket_ratio, shm_ratio;
-  for (std::size_t i = 0; i < ms[0].size(); ++i) {
-    socket_ratio.push_back(ms[1][i] / ms[0][i]);
-    shm_ratio.push_back(ms[2][i] / ms[0][i]);
-  }
+  std::vector<double> shm_ratio;
+  for (std::size_t i = 0; i < ms[0].size(); ++i)
+    shm_ratio.push_back(ms[1][i] / ms[0][i]);
   const double board = median(ms[0]);
-  const double socket = median(ms[1]);
-  const double shm = median(ms[2]);
-  const double socket_frac = median(socket_ratio) - 1.0;
+  const double shm = median(ms[1]);
   const double shm_frac = median(shm_ratio) - 1.0;
 
   if (json) {
     std::printf(
         "{\n \"npes\": %d, \"steps\": %d, \"reps\": %d,\n"
         " \"board_ms_per_step\": %.6f,\n"
-        " \"socket_ms_per_step\": %.6f,\n"
         " \"shm_ms_per_step\": %.6f,\n"
-        " \"socket_overhead_frac\": %.6f,\n"
         " \"shm_overhead_frac\": %.6f,\n"
         " \"payload_mb_per_step\": %.3f,\n"
         " \"frames_per_step\": %.1f\n}\n",
-        npes, steps, reps, board, socket, shm, socket_frac, shm_frac,
-        load.payload_mb_per_step, load.frames_per_step);
+        npes, steps, reps, board, shm, shm_frac, load.payload_mb_per_step,
+        load.frames_per_step);
     return 0;
   }
 
@@ -231,14 +221,11 @@ int main(int argc, char** argv) {
       "wire):\n\n",
       npes, ms[0].size(), load.payload_mb_per_step, load.frames_per_step);
   std::printf("  %-28s %10.3f ms/step\n", "board (in-process)", board);
-  std::printf("  %-28s %10.3f ms/step  (%+.2f%%)\n", "socket (AF_UNIX)",
-              socket, 100.0 * socket_frac);
   std::printf("  %-28s %10.3f ms/step  (%+.2f%%)\n", "shm (rings)", shm,
               100.0 * shm_frac);
   std::printf(
       "\nthe gated number is the shm row: framing + CRC + ring copies must "
       "stay\nwithin 2%% of board (tools/check_bench_regression.py "
-      "--wire-overhead).\nsocket pays a kernel round trip per payload and "
-      "is reported, not gated.\n");
+      "--wire-overhead).\n");
   return 0;
 }

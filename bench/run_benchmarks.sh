@@ -92,8 +92,8 @@ trap 'rm -f "$raw" "$churn_raw" "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw"'
 # zero-cost-off contract; tools/check_bench_regression.py --obs-overhead
 # gates it at 2%.
 "$build_dir/bench/abl_obs_overhead" --json > "$obs_raw"
-# Wire transport ablation: board vs socket vs shm stepped in lockstep
-# (median per-step ratio). The shm-vs-board delta is the in-process wire
+# Wire transport ablation: board vs shm stepped in lockstep (median
+# per-step ratio). The shm-vs-board delta is the in-process wire
 # overhead contract; tools/check_bench_regression.py --wire-overhead gates it at
 # 2%. Extra reps here: each rep reconstructs the solvers (fresh memory
 # layout), and the gated median wants many layout draws.
@@ -206,8 +206,7 @@ obs = json.load(open(obs_path))
 solver_doc["obs_overhead"] = obs
 
 # Wire transport ablation (abl_wire_transport): ms/step over the
-# in-process board, AF_UNIX socketpairs, and shared-memory rings, all
-# single-process. The shm-vs-board fraction is the in-process wire
+# in-process board and the shared-memory rings, both single-process. The shm-vs-board fraction is the in-process wire
 # overhead number docs/PERFORMANCE.md quotes;
 # check_bench_regression.py --wire-overhead BENCH_solver.json gates it.
 wire = json.load(open(wire_path))
@@ -239,7 +238,6 @@ print(f"  obs_overhead: attached {100 * obs['attached_overhead_frac']:+.2f}%"
       f" / tracing {100 * obs['tracing_overhead_frac']:+.2f}% vs off"
       f" ({obs['off_ms_per_step']:.3f} ms/step baseline)")
 print(f"  wire_transport: shm {100 * wire['shm_overhead_frac']:+.2f}%"
-      f" / socket {100 * wire['socket_overhead_frac']:+.2f}% vs board"
-      f" ({wire['board_ms_per_step']:.3f} ms/step baseline, "
+      f" vs board ({wire['board_ms_per_step']:.3f} ms/step baseline, "
       f"{wire['payload_mb_per_step']:.2f} MB/step on the wire)")
 EOF

@@ -28,6 +28,11 @@ void heun_combine_half(BlockView<D> dst, ConstBlockView<D> src) {
   }
 }
 
+/// Density and pressure floors of the positivity fix
+/// (AmrConfig::apply_positivity_fix).
+constexpr double kRhoFloor = 1e-10;
+constexpr double kPFloor = 1e-12;
+
 /// Clip block `id` to the physics' positivity floors (no-op for physics
 /// without a fix_state member, e.g. linear advection).
 template <int D, class Phys>

@@ -73,9 +73,9 @@ struct AmrConfig {
   double cfl = 0.4;
   BcSet<D> bc{};
   int rk_stages = 2;  ///< 1 = forward Euler, 2 = Heun
+  /// Clip every block to the positivity floors (kRhoFloor, kPFloor) after
+  /// each stage.
   bool apply_positivity_fix = false;
-  double rho_floor = 1e-10;
-  double p_floor = 1e-12;
   /// Conservative coarse/fine flux correction (refluxing) after each
   /// stage — an extension beyond the paper's ghost-only coupling; makes
   /// global conservation machine-exact on periodic domains.
@@ -107,9 +107,6 @@ struct AmrConfig {
   bool autotune = false;
   /// Probe-table cache path (host-keyed JSON; see tune/cache.hpp).
   std::string tune_cache = ".ab_tune.json";
-  /// Candidates within this fraction of the fastest probe tie, and the
-  /// simplest tied layout (no pad, no sub-blocking, smallest m) wins.
-  double tune_noise_floor = 0.03;
   /// Probe measurement effort (tests shrink it to milliseconds).
   tune::ProbeBudget tune_budget{};
   /// Extra dim-0 cells in the block allocation, breaking cache-line
@@ -566,8 +563,8 @@ class SteppingCore {
 
   void fix_block(StoreSet& s, int id) {
     if (cfg_.apply_positivity_fix)
-      apply_positivity_fix<D, Phys>(phys_, store_of(s, id), id,
-                                    cfg_.rho_floor, cfg_.p_floor);
+      apply_positivity_fix<D, Phys>(phys_, store_of(s, id), id, kRhoFloor,
+                                    kPFloor);
   }
 
   /// Tag a step-phase span as a child of the in-flight step span (none

@@ -1,9 +1,6 @@
 #include "io/checkpoint.hpp"
 
-#include <unistd.h>
-
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/topo_codec.hpp"
@@ -106,37 +104,6 @@ std::vector<char> read_file(const std::string& path) {
   AB_REQUIRE(is.good() || bytes.empty(),
              "load_checkpoint: read failed on " + path);
   return bytes;
-}
-
-/// Write `bytes` to `path` atomically: assemble at a uniquely-named
-/// sibling tmp file, flush, close, then rename over the destination. A
-/// crash at any point leaves either the old checkpoint or a stray tmp —
-/// never a half-written file under the real name — and a write or rename
-/// that fails removes its tmp before throwing. The tmp name embeds the pid
-/// and a process-wide counter: concurrent savers (SPMD worker processes
-/// auto-checkpointing the same path, or two threads) each write their own
-/// tmp instead of interleaving into a shared one, so the rename always
-/// publishes one writer's complete bytes.
-void write_file_atomic(const std::string& path,
-                       const std::vector<char>& bytes) {
-  static std::atomic<std::uint64_t> seq{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-  bool written = false;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    AB_REQUIRE(os.good(), "save_checkpoint: cannot open " + tmp);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    written = os.good();
-  }
-  if (!written || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    AB_REQUIRE(false, written ? "save_checkpoint: cannot rename " + tmp +
-                                    " over " + path
-                              : "save_checkpoint: write failed on " + tmp);
-  }
 }
 
 /// Validate a parsed config section against the reader's forest
@@ -361,7 +328,7 @@ std::uint64_t save_checkpoint_view(
     file.put_raw(s->bytes().data(), s->bytes().size());
     file.put(crc32(s->bytes().data(), s->bytes().size()));
   }
-  write_file_atomic(path, file.bytes());
+  write_file_atomic(path, file.bytes().data(), file.bytes().size());
   return static_cast<std::uint64_t>(file.bytes().size());
 }
 

@@ -12,6 +12,9 @@
 #include <cstring>
 #include <string>
 
+#include "util/atomic_file.hpp"
+#include "util/error.hpp"
+
 namespace ab::obs {
 
 namespace {
@@ -82,18 +85,10 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
 }
 
 bool dump_metrics(MetricsRegistry& registry, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
   const std::string text = prometheus_text(registry.snapshot());
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  if (std::fclose(f) != 0 || !wrote) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  try {
+    write_file_atomic(path, text.data(), text.size());
+  } catch (const Error&) {
     return false;
   }
   return true;

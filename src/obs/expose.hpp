@@ -30,8 +30,8 @@ namespace ab::obs {
 /// cumulative _bucket{le=...} series plus _sum and _count.
 std::string prometheus_text(const MetricsSnapshot& snap);
 
-/// Atomically write prometheus_text(registry.snapshot()) to `path` via a
-/// sibling tmp file + rename. Returns false on I/O failure.
+/// Atomically write prometheus_text(registry.snapshot()) to `path`
+/// (write_file_atomic). Returns false on I/O failure.
 bool dump_metrics(MetricsRegistry& registry, const std::string& path);
 
 /// Minimal loopback snapshot server: one background thread, one client at

@@ -39,8 +39,6 @@
 #include "core/forest.hpp"
 #include "parsim/partition.hpp"
 #include "util/error.hpp"
-#include "util/hilbert.hpp"
-#include "util/morton.hpp"
 #include "util/vec.hpp"
 
 namespace ab {
@@ -55,62 +53,6 @@ struct BlockDesc {
   std::uint64_t key_begin = 0;  ///< first fine-grain curve key covered
   std::uint64_t key_end = 0;    ///< one past the last
   int owner = -1;
-};
-
-/// Maps blocks to fine-grain curve-key intervals for one SFC policy. The
-/// Hilbert variant reproduces partition_blocks' key construction exactly
-/// (same grid `bits`), so directory ranges line up with the partition.
-template <int D>
-class CurveMap {
- public:
-  /// Policies with a curve-key order (the distributed-metadata
-  /// prerequisite); RoundRobin/GreedyLpt scatter blocks arbitrarily.
-  static bool supports(PartitionPolicy policy) {
-    return policy == PartitionPolicy::Morton ||
-           policy == PartitionPolicy::Hilbert;
-  }
-
-  CurveMap(const typename Forest<D>::Config& cfg, PartitionPolicy policy)
-      : policy_(policy), max_level_(cfg.max_level),
-        root_blocks_(cfg.root_blocks) {
-    AB_REQUIRE(supports(policy),
-               "CurveMap: distributed metadata needs an SFC policy "
-               "(Morton or Hilbert)");
-    int maxc = 0;
-    for (int d = 0; d < D; ++d)
-      maxc = std::max(maxc, cfg.root_blocks[d] << max_level_);
-    bits_ = 1;
-    while ((1 << bits_) < maxc) ++bits_;
-  }
-
-  int max_level() const { return max_level_; }
-  const IVec<D>& root_blocks() const { return root_blocks_; }
-
-  /// Curve key of one fine-grain (max_level) cell.
-  std::uint64_t point_key(IVec<D> fine) const {
-    return policy_ == PartitionPolicy::Morton ? morton_encode<D>(fine)
-                                              : hilbert_index<D>(fine, bits_);
-  }
-
-  /// Fine keys covered by a block at `level`: 2^(D*(max_level-level)).
-  std::uint64_t span(int level) const {
-    return std::uint64_t{1} << (D * (max_level_ - level));
-  }
-
-  /// The block's aligned key interval [begin, begin + span(level)). The
-  /// key of the low corner lies inside the interval for both curves;
-  /// flooring to the span multiple gives the start (exact for Morton,
-  /// needed for Hilbert, whose cube visit order varies by orientation).
-  std::uint64_t interval_begin(int level, IVec<D> coords) const {
-    const std::uint64_t s = span(level);
-    return point_key(coords.shifted_left(max_level_ - level)) / s * s;
-  }
-
- private:
-  PartitionPolicy policy_;
-  int max_level_;
-  IVec<D> root_blocks_;
-  int bits_;  // Hilbert grid: smallest 2^bits covering the finest extent
 };
 
 // --- Hull-prefetch hints on a double-valued channel ----------------------

@@ -5,8 +5,6 @@
 #include <queue>
 
 #include "util/error.hpp"
-#include "util/hilbert.hpp"
-#include "util/morton.hpp"
 
 namespace ab {
 
@@ -61,22 +59,17 @@ std::vector<int> partition_blocks(const Forest<D>& forest, int npes,
       break;
 
     case PartitionPolicy::Hilbert: {
+      // Sort leaves (and their weights) by the Hilbert key of their
+      // low-corner fine cell: the key the distributed-metadata directory
+      // maps blocks by.
+      const CurveMap<D> curve(forest.config(), PartitionPolicy::Hilbert);
       const int ml = forest.config().max_level;
-      int maxc = 0;
-      for (int d = 0; d < D; ++d)
-        maxc = std::max(maxc, forest.config().root_blocks[d] << ml);
-      int bits = 1;
-      while ((1 << bits) < maxc) ++bits;
-      std::vector<int> ordered = leaves;
-      std::vector<std::pair<std::uint64_t, double>> keyed(n);
       std::vector<std::uint64_t> keys(n);
       for (std::size_t i = 0; i < n; ++i) {
-        const int id = ordered[i];
-        IVec<D> fine =
-            forest.coords(id).shifted_left(ml - forest.level(id));
-        keys[i] = hilbert_index<D>(fine, bits);
+        const int id = leaves[i];
+        keys[i] = curve.point_key(
+            forest.coords(id).shifted_left(ml - forest.level(id)));
       }
-      // Sort leaves (and their weights) by Hilbert key.
       std::vector<std::size_t> perm(n);
       std::iota(perm.begin(), perm.end(), std::size_t{0});
       std::sort(perm.begin(), perm.end(),
@@ -84,7 +77,7 @@ std::vector<int> partition_blocks(const Forest<D>& forest, int npes,
       std::vector<int> sorted(n);
       std::vector<double> wsorted(n);
       for (std::size_t i = 0; i < n; ++i) {
-        sorted[i] = ordered[perm[i]];
+        sorted[i] = leaves[perm[i]];
         wsorted[i] = w[perm[i]];
       }
       assign_contiguous(sorted, wsorted, npes, owner);

@@ -7,9 +7,15 @@
 // optimizes only the load, round-robin is the naive baseline.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/forest.hpp"
+#include "util/error.hpp"
+#include "util/hilbert.hpp"
+#include "util/morton.hpp"
+#include "util/vec.hpp"
 
 namespace ab {
 
@@ -18,6 +24,63 @@ enum class PartitionPolicy {
   Hilbert,    ///< contiguous chunks of the Hilbert-ordered leaf list
   RoundRobin, ///< leaf i -> PE i mod P (ignores locality)
   GreedyLpt   ///< longest-processing-time greedy (load only, no locality)
+};
+
+/// Maps blocks to fine-grain curve-key intervals for one SFC policy.
+/// partition_blocks' Hilbert policy sorts leaves by point_key, and the
+/// forest's leaf order is the Morton order, so the distributed-metadata
+/// directory ranges line up with the partition by construction.
+template <int D>
+class CurveMap {
+ public:
+  /// Policies with a curve-key order (the distributed-metadata
+  /// prerequisite); RoundRobin/GreedyLpt scatter blocks arbitrarily.
+  static bool supports(PartitionPolicy policy) {
+    return policy == PartitionPolicy::Morton ||
+           policy == PartitionPolicy::Hilbert;
+  }
+
+  CurveMap(const typename Forest<D>::Config& cfg, PartitionPolicy policy)
+      : policy_(policy), max_level_(cfg.max_level),
+        root_blocks_(cfg.root_blocks) {
+    AB_REQUIRE(supports(policy),
+               "CurveMap: distributed metadata needs an SFC policy "
+               "(Morton or Hilbert)");
+    int maxc = 0;
+    for (int d = 0; d < D; ++d)
+      maxc = std::max(maxc, cfg.root_blocks[d] << max_level_);
+    bits_ = 1;
+    while ((1 << bits_) < maxc) ++bits_;
+  }
+
+  int max_level() const { return max_level_; }
+  const IVec<D>& root_blocks() const { return root_blocks_; }
+
+  /// Curve key of one fine-grain (max_level) cell.
+  std::uint64_t point_key(IVec<D> fine) const {
+    return policy_ == PartitionPolicy::Morton ? morton_encode<D>(fine)
+                                              : hilbert_index<D>(fine, bits_);
+  }
+
+  /// Fine keys covered by a block at `level`: 2^(D*(max_level-level)).
+  std::uint64_t span(int level) const {
+    return std::uint64_t{1} << (D * (max_level_ - level));
+  }
+
+  /// The block's aligned key interval [begin, begin + span(level)). The
+  /// key of the low corner lies inside the interval for both curves;
+  /// flooring to the span multiple gives the start (exact for Morton,
+  /// needed for Hilbert, whose cube visit order varies by orientation).
+  std::uint64_t interval_begin(int level, IVec<D> coords) const {
+    const std::uint64_t s = span(level);
+    return point_key(coords.shifted_left(max_level_ - level)) / s * s;
+  }
+
+ private:
+  PartitionPolicy policy_;
+  int max_level_;
+  IVec<D> root_blocks_;
+  int bits_;  // Hilbert grid: smallest 2^bits covering the finest extent
 };
 
 /// Assign every leaf of `forest` to one of `npes` processors. Returns a

@@ -92,17 +92,17 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
     /// so a recovery point always exists before the first possible death.
     int checkpoint_every = 0;
     std::string checkpoint_path;
-    /// Which wire carries the exchange payloads (env AB_TRANSPORT=
-    /// board|socket|shm wins over config). Board is the in-process
-    /// MessageBoard path — the default and the bitwise reference; Socket
-    /// and Shm frame every payload (ghosts, flux, gathers, migration,
-    /// topology deltas) over a real kernel transport (src/parsim/wire/),
-    /// still bitwise identical to serial.
+    /// Which path carries the exchange payloads (env AB_TRANSPORT=
+    /// board|shm wins over config). Board is the in-process MessageBoard
+    /// path — the default and the bitwise reference; Shm frames every
+    /// payload (ghosts, flux, gathers, migration, topology deltas) over
+    /// shared-memory rings (src/parsim/wire/), still bitwise identical to
+    /// serial.
     wire::TransportKind transport = wire::TransportKind::Board;
     /// External wire hub: SPMD worker processes construct one hub before
-    /// forking and every worker's solver shares it (its kind overrides
-    /// `transport`). Null = the solver owns a private hub when the
-    /// resolved transport is not Board.
+    /// forking and every worker's solver shares it (it overrides
+    /// `transport`: the solver runs Shm). Null = the solver owns a private
+    /// hub when the resolved transport is Shm.
     wire::WireHub* wire = nullptr;
   };
 
@@ -130,12 +130,11 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
       AB_REQUIRE(rcfg_.wire->npes() == rcfg_.npes,
                  "RankSolver: wire hub sized for a different npes");
       hub_ = rcfg_.wire;
-      transport_kind_ = hub_->kind();
+      transport_kind_ = wire::TransportKind::Shm;
     } else {
       transport_kind_ = wire::resolve_transport(rcfg_.transport);
-      if (transport_kind_ != wire::TransportKind::Board) {
-        owned_hub_ =
-            std::make_unique<wire::WireHub>(transport_kind_, rcfg_.npes);
+      if (transport_kind_ == wire::TransportKind::Shm) {
+        owned_hub_ = std::make_unique<wire::WireHub>(rcfg_.npes);
         hub_ = owned_hub_.get();
       }
     }

@@ -36,15 +36,12 @@ struct WireHub::Chan {
   std::vector<std::uint8_t> scratch;  ///< frame assembly (send side)
 };
 
-WireHub::WireHub(TransportKind kind, int npes)
-    : kind_(kind), npes_(npes), transport_(make_transport(kind, npes)) {
+WireHub::WireHub(int npes) : npes_(npes), rings_(npes) {
   chans_.resize(static_cast<std::size_t>(npes_) *
                 static_cast<std::size_t>(npes_));
 }
 
 WireHub::~WireHub() = default;
-
-const char* WireHub::transport() const { return transport_->name(); }
 
 void WireHub::set_process(int w) {
   AB_REQUIRE(w >= -1 && w < npes_, "WireHub: process out of range");
@@ -74,17 +71,17 @@ void WireHub::emit_frame(Chan& ch, int src, int dst, std::uint32_t seq,
   std::uint8_t hdr[kFrameHeaderBytes];
   encode_frame_header(h, hdr);
   // Header and payload go down as two sends on the same ordered stream —
-  // the transport concatenates, and the payload never takes an assembly
+  // the rings concatenate, and the payload never takes an assembly
   // copy on the clean path.
-  transport_->send(src, dst, hdr, kFrameHeaderBytes);
+  rings_.send(src, dst, hdr, kFrameHeaderBytes);
   if (corrupt && nbytes > 0) {
     // One bit of in-flight damage; the header still carries the clean
     // payload's CRC, so the receiver's check rejects this frame.
     ch.scratch.assign(payload, payload + nbytes);
     ch.scratch[0] ^= 1u;
-    transport_->send(src, dst, ch.scratch.data(), nbytes);
+    rings_.send(src, dst, ch.scratch.data(), nbytes);
   } else if (nbytes > 0) {
-    transport_->send(src, dst, payload, nbytes);
+    rings_.send(src, dst, payload, nbytes);
   }
   ++stats_.frames_sent;
   stats_.wire_bytes += static_cast<std::int64_t>(kFrameHeaderBytes + nbytes);
@@ -126,13 +123,13 @@ bool WireHub::pump(Chan& ch, int src, int dst, DirectFill& df) {
   constexpr std::size_t kChunk = 1 << 16;
   bool progress = false;
   // Read straight into the tail of the unparsed buffer — no bounce
-  // buffer between the transport and the parser. The chunk is not zeroed:
+  // buffer between the rings and the parser. The chunk is not zeroed:
   // the resize after the read drops whatever it did not fill.
   for (;;) {
     const std::size_t old = ch.rxbuf.size();
     ch.rxbuf.resize(old + kChunk);
     const std::size_t got =
-        transport_->recv_some(src, dst, ch.rxbuf.data() + old, kChunk);
+        rings_.recv_some(src, dst, ch.rxbuf.data() + old, kChunk);
     ch.rxbuf.resize(old + got);
     if (got == 0) break;
     progress = true;
@@ -191,7 +188,7 @@ void WireHub::recv(int src, int dst, double* out, std::size_t n) {
     // Nothing readable: push our own spilled sends along (the progress
     // guarantee that keeps bulk-synchronous rounds deadlock-free), then
     // poll again.
-    transport_->flush();
+    rings_.flush();
     if (pump(ch, src, dst, df)) continue;
     const double waited =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -201,8 +198,7 @@ void WireHub::recv(int src, int dst, double* out, std::size_t n) {
                    std::to_string(timeout_sec_) + "s on channel " +
                    std::to_string(src) + "->" + std::to_string(dst) +
                    " (want " + std::to_string(want) + " bytes, have " +
-                   std::to_string(df.filled) + ") over " +
-                   transport_->name());
+                   std::to_string(df.filled) + ")");
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }

@@ -1,15 +1,15 @@
-// The wire hub: framing, sequencing and fault materialization over a byte
-// Transport.
+// The wire hub: framing, sequencing and fault materialization over the
+// shared-memory rings.
 //
 // MessageBoard calls send() once per channel it flushes and recv() when a
 // read passes the channel's pulled bytes; the hub turns each payload into
-// CRC-framed wire traffic (frame.hpp) over real sockets or shared-memory
-// rings (transport.hpp). Receives overwrite the caller's staging buffer with
+// CRC-framed wire traffic (frame.hpp) over its shared-memory rings
+// (transport.hpp). Receives overwrite the caller's staging buffer with
 // the bytes that physically crossed the wire, so the wire copy is the
 // authoritative one a receiver consumes — in single-process mode this
-// makes every equivalence test's payload take a genuine kernel round
-// trip; in multi-process (SPMD) mode it is how worker processes obtain
-// remote data at all. Each (src, dst) channel is one in-order stream:
+// makes every equivalence test's payload round-trip through the rings;
+// in multi-process (SPMD) mode it is how worker processes obtain remote
+// data at all. Each (src, dst) channel is one in-order stream:
 // every exchange round receives all it sends before the next round
 // starts, so the receiver reads payloads in the order they were sent.
 //
@@ -28,7 +28,7 @@
 // whose source rank it owns and wire-receives only channels whose
 // destination rank it owns. set_process(-1) (the default) is the
 // single-process mode where every payload is both sent and received
-// through the kernel by the same process.
+// through the rings by the same process.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +44,14 @@ namespace wire {
 
 class WireHub {
  public:
-  /// Creates the transport with all channels eagerly allocated (fork the
-  /// workers AFTER constructing the hub so they inherit the channels).
-  WireHub(TransportKind kind, int npes);
+  /// Maps the rings with all channels eagerly allocated (fork the workers
+  /// AFTER constructing the hub so they inherit the channels).
+  explicit WireHub(int npes);
   ~WireHub();
 
   WireHub(const WireHub&) = delete;
   WireHub& operator=(const WireHub&) = delete;
 
-  TransportKind kind() const { return kind_; }
-  const char* transport() const;
   int npes() const { return npes_; }
 
   /// Bind this hub (post-fork) to worker process `w` in [0, npes), or -1
@@ -105,16 +103,15 @@ class WireHub {
   void emit_frame(Chan& ch, int src, int dst, std::uint32_t seq,
                   const std::uint8_t* payload, std::size_t nbytes,
                   std::uint32_t crc_of, bool corrupt);
-  /// Read and parse whatever the transport has; returns true on progress
+  /// Read and parse whatever the rings hold; returns true on progress
   /// (bytes read or frames parsed). Parsing pauses once `df` is satisfied
   /// — later frames stay unparsed for the recv() that wants them.
   bool pump(Chan& ch, int src, int dst, DirectFill& df);
 
-  TransportKind kind_;
   int npes_;
   int my_process_ = -1;
   double timeout_sec_ = 60.0;
-  std::unique_ptr<Transport> transport_;
+  ShmRings rings_;
   std::vector<std::unique_ptr<Chan>> chans_;
   WireStats stats_;
 };

@@ -1,11 +1,11 @@
-// Fork-N-workers harness for the wire transports.
+// Fork-N-workers harness for the wire.
 //
 // The SPMD model the wire tests run: construct the WireHub FIRST (its
-// sockets / shared mappings must predate the fork so every worker inherits
-// them), then fork one real OS process per simulated rank. Each worker
-// binds the hub to itself (set_process), replicates the full deterministic
-// simulation, and sends/receives only the channels its rank owns — remote
-// payloads genuinely cross process boundaries through the kernel. Each
+// shared mapping must predate the fork so every worker inherits it), then
+// fork one real OS process per simulated rank. Each worker binds the hub
+// to itself (set_process), replicates the full deterministic simulation,
+// and sends/receives only the channels its rank owns — remote payloads
+// genuinely cross process boundaries through the shared rings. Each
 // worker returns a result blob (serialized state, digests) to the parent
 // over a per-worker pipe; the parent reaps every child and aggregates.
 //

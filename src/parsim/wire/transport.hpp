@@ -1,30 +1,26 @@
-// Byte transports between rank endpoints: the layer under the wire hub.
+// The byte layer under the wire hub: shared-memory rings between rank
+// endpoints.
 //
-// A Transport owns one ordered byte stream per (src, dst) pair and moves
-// raw bytes — framing, sequencing, CRC, and fault materialization all
-// live above it (hub.hpp). Two real backends exist:
+// ShmRings owns one ordered byte stream per (src, dst) pair and moves raw
+// bytes — framing, sequencing, CRC, and fault materialization all live
+// above it (hub.hpp). Each channel is a single-producer/single-consumer
+// ring in one MAP_SHARED | MAP_ANONYMOUS mapping: fork-safe shared memory
+// with acquire/release ordering, no kernel round trip per payload. The
+// mapping is created BEFORE any fork so every worker inherits it; every
+// worker is forked inside the one process tree, so no worker needs a
+// channel the mapping cannot carry.
 //
-//   SocketTransport   one AF_UNIX SOCK_STREAM socketpair per channel —
-//                     bytes cross the kernel, survive fork(), and carry
-//                     real inter-process traffic;
-//   ShmRingTransport  one single-producer/single-consumer ring per
-//                     channel in a MAP_SHARED | MAP_ANONYMOUS mapping —
-//                     fork-safe shared memory with acquire/release
-//                     ordering, no kernel round trip per payload.
-//
-// Both are created BEFORE any fork so the kernel objects are inherited by
-// every worker. Sends never block: bytes that do not fit the kernel
-// buffer / ring spill into a per-channel process-local queue, and flush()
-// pushes spilled bytes onward as space frees. Receivers poll recv_some()
-// and call flush() between attempts, so a process blocked on a receive
-// still makes progress on its own pending sends — the discipline that
-// keeps bulk-synchronous rounds deadlock-free over finite buffers.
+// Sends never block: bytes that do not fit a ring spill into a
+// per-channel process-local queue, and flush() pushes spilled bytes
+// onward as space frees. Receivers poll recv_some() and call flush()
+// between attempts, so a process blocked on a receive still makes progress
+// on its own pending sends — the discipline that keeps bulk-synchronous
+// rounds deadlock-free over finite rings.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,10 +31,10 @@ namespace wire {
 
 /// FIFO byte queue with an amortized-flat footprint: the head cursor walks
 /// forward and the storage resets whenever the queue drains (which it does
-/// at the end of every exchange round). The transports spill the bytes a
-/// backend could not take into one; the hub queues in-order payload past
-/// an open receive in another. Process-local: after a fork each worker
-/// owns its own copy.
+/// at the end of every exchange round). The rings spill the bytes they
+/// could not take into one; the hub queues in-order payload past an open
+/// receive in another. Process-local: after a fork each worker owns its
+/// own copy.
 class ByteQueue {
  public:
   bool empty() const { return head_ == data_.size(); }
@@ -72,18 +68,17 @@ class ByteQueue {
   std::size_t head_ = 0;
 };
 
-/// Which transport carries the exchange traffic (Config::transport, env
-/// override AB_TRANSPORT=board|socket|shm).
+/// Which path carries the exchange traffic (Config::transport, env
+/// override AB_TRANSPORT=board|shm).
 enum class TransportKind {
-  Board = 0,   ///< in-process MessageBoard only (the default; no wire)
-  Socket = 1,  ///< Unix-domain socketpairs
-  Shm = 2,     ///< shared-memory rings
+  Board = 0,  ///< in-process MessageBoard only (the default; no wire)
+  Shm = 2,    ///< framed payloads over shared-memory rings
 };
 
 const char* transport_name(TransportKind k);
 
-/// Parse a transport name ("board", "socket", "shm"); throws on anything
-/// else so a typo'd AB_TRANSPORT fails loudly instead of silently running
+/// Parse a transport name ("board", "shm"); throws on anything else so a
+/// typo'd AB_TRANSPORT fails loudly instead of silently running
 /// in-process.
 TransportKind parse_transport(const std::string& name);
 
@@ -91,34 +86,42 @@ TransportKind parse_transport(const std::string& name);
 /// precedence AB_AUTOTUNE uses).
 TransportKind resolve_transport(TransportKind cfg);
 
-class Transport {
+/// One SPSC byte ring per (src, dst) channel, all npes*npes of them
+/// mapped eagerly at construction (fork-safety: the mapping must predate
+/// the fork).
+class ShmRings {
  public:
-  virtual ~Transport() = default;
+  explicit ShmRings(int npes);
+  ~ShmRings();
+
+  ShmRings(const ShmRings&) = delete;
+  ShmRings& operator=(const ShmRings&) = delete;
 
   /// Queue `n` bytes on the (src, dst) stream. Never blocks: what the
-  /// backend cannot take immediately spills into a local queue.
-  virtual void send(int src, int dst, const void* data, std::size_t n) = 0;
+  /// ring cannot take immediately spills into a local queue.
+  void send(int src, int dst, const void* data, std::size_t n);
 
   /// Non-blocking read of up to `cap` bytes from the (src, dst) stream;
   /// returns the count read (0 = nothing available right now).
-  virtual std::size_t recv_some(int src, int dst, void* out,
-                                std::size_t cap) = 0;
+  std::size_t recv_some(int src, int dst, void* out, std::size_t cap);
 
   /// Push spilled bytes onward wherever space has freed, across all
   /// channels. Called by receivers between poll attempts.
-  virtual void flush() = 0;
+  void flush();
 
   /// Bytes spilled and still waiting, across all channels (0 when every
   /// send has fully left this process).
-  virtual std::size_t pending_bytes() const = 0;
+  std::size_t pending_bytes() const;
 
-  virtual const char* name() const = 0;
+ private:
+  std::size_t index(int src, int dst) const;
+  void flush_chan(std::size_t c);
+
+  int npes_;
+  std::size_t map_bytes_ = 0;
+  std::uint8_t* base_ = nullptr;
+  std::vector<ByteQueue> spills_;  // process-local, per channel
 };
-
-/// Construct the backend for `kind` with all npes*npes channels eagerly
-/// created (fork-safety: kernel objects must predate the fork). Board has
-/// no transport — callers must not ask for one.
-std::unique_ptr<Transport> make_transport(TransportKind kind, int npes);
 
 }  // namespace wire
 }  // namespace ab

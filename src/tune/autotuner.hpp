@@ -51,6 +51,11 @@ struct Selection {
   ProbeResult best{};
 };
 
+/// The noise floor the autotuner selects with: candidates within 3% of the
+/// fastest probe tie, and the simplest tied layout (no pad, no
+/// sub-blocking, smallest m) wins.
+constexpr double kNoiseFloor = 0.03;
+
 /// Pick the fastest applicable candidate from a probe table. A candidate is
 /// applicable when ghost <= m and m divides every entry of `global_cells`
 /// (pass empty to accept any m). Among candidates within
@@ -100,7 +105,7 @@ Cfg resolve_layout(Cfg cfg, const Phys& phys, TuneDecision* out) {
         static_cast<std::int64_t>(cfg.forest.root_blocks[d]) *
         cfg.cells_per_block[d];
   const Selection sel =
-      select_layout(dec.table, global, cfg.ghost, cfg.tune_noise_floor);
+      select_layout(dec.table, global, cfg.ghost, kNoiseFloor);
   if (sel.ok) {
     dec.tuned = true;
     dec.chosen = sel.best.cand;

@@ -12,6 +12,8 @@
 #include <sstream>
 
 #include "physics/lanes.hpp"
+#include "util/atomic_file.hpp"
+#include "util/error.hpp"
 #include "util/json_text.hpp"
 
 namespace ab::tune {
@@ -238,19 +240,11 @@ std::optional<TuneCache> parse_json(const std::string& text) {
 }
 
 bool save_cache(const std::string& path, const TuneCache& cache) {
-  const std::string bytes = to_json(cache);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os.good()) return false;
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.put('\n');
-    os.flush();
-    if (!os.good()) return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
+  const std::string bytes = to_json(cache) + "\n";
+  try {
+    write_file_atomic(path, bytes.data(), bytes.size());
+  } catch (const Error&) {
+    return false;  // a cache that cannot be written is only a cache miss
   }
   return true;
 }

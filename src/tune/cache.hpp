@@ -3,11 +3,12 @@
 // shape) so a recorded table is only reused on the machine/build/physics
 // combination that produced it.
 //
-// The file is written atomically (assemble bytes, write to path+".tmp",
-// rename — the checkpoint-v2 discipline) and doubles are serialized with
-// the shortest round-tripping precision, so saving a loaded cache
-// reproduces the file byte for byte: same cache => same bytes => same
-// selection, which is what makes autotuned runs reproducible.
+// The file is written atomically (util/atomic_file.hpp: a tmp file of its
+// own per writer, renamed over the path — the checkpoint discipline) and
+// doubles are serialized with the shortest round-tripping precision, so
+// saving a loaded cache reproduces the file byte for byte: same cache =>
+// same bytes => same selection, which is what makes autotuned runs
+// reproducible.
 //
 // load_cache is strict: any parse error, truncation, unknown format, or
 // host-key mismatch returns nullopt and the caller falls back to a fresh
@@ -42,9 +43,9 @@ std::string to_json(const TuneCache& cache);
 /// Strict parse of to_json's format. nullopt on any deviation.
 std::optional<TuneCache> parse_json(const std::string& text);
 
-/// Atomically write `cache` to `path` (tmp + rename). Returns false if the
-/// file could not be written (cache failures are never fatal: the next run
-/// simply probes again).
+/// Atomically write `cache` to `path` (write_file_atomic). Returns false if
+/// the file could not be written, leaving no tmp file behind (cache
+/// failures are never fatal: the next run simply probes again).
 bool save_cache(const std::string& path, const TuneCache& cache);
 
 /// Load and validate a cache. nullopt when the file is missing, malformed,

@@ -5,7 +5,6 @@
 // that fails part-way, and the rejection of v1 files.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -303,22 +302,6 @@ TEST(CheckpointCorruption, V1FileIsRejectedAsAnOlderRevision) {
   EXPECT_NE(msg.find("an older revision"), std::string::npos) << msg;
 }
 
-/// Tmp siblings of `path` (anything named <base>.tmp*) left in its
-/// directory — the atomic writer must never leave one behind.
-std::vector<std::string> stray_tmps(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = path.substr(0, slash);
-  const std::string prefix = path.substr(slash + 1) + ".tmp";
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* e = ::readdir(d))
-    if (std::strncmp(e->d_name, prefix.c_str(), prefix.size()) == 0)
-      out.push_back(dir + "/" + e->d_name);
-  ::closedir(d);
-  return out;
-}
-
 TEST(CheckpointCorruption, SaveIsAtomicAndLeavesNoTempFile) {
   Forest<2> f(forest_cfg());
   BlockStore<2> store(layout());
@@ -328,7 +311,7 @@ TEST(CheckpointCorruption, SaveIsAtomicAndLeavesNoTempFile) {
   save_checkpoint<2>(ckpt_path(), f, store, 2.0);
   struct stat st{};
   EXPECT_NE(stat(ckpt_path().c_str(), &st), -1);
-  EXPECT_TRUE(stray_tmps(ckpt_path()).empty())
+  EXPECT_TRUE(testing::stray_tmps(ckpt_path()).empty())
       << "temporary file left behind after save";
   EXPECT_DOUBLE_EQ(load_checkpoint<2>(ckpt_path(), forest_cfg(), layout()).time,
                    2.0);
@@ -354,7 +337,7 @@ TEST(CheckpointCorruption, FailedWriteLeavesNoTempFile) {
     try {
       save_checkpoint<2>(path, f, store, 1.0);
     } catch (const Error&) {
-      code = stray_tmps(path).empty() ? 0 : 2;
+      code = testing::stray_tmps(path).empty() ? 0 : 2;
     }
     _exit(code);
   }
@@ -364,7 +347,7 @@ TEST(CheckpointCorruption, FailedWriteLeavesNoTempFile) {
   EXPECT_NE(WEXITSTATUS(status), 1) << "the save over the limit did not throw";
   EXPECT_NE(WEXITSTATUS(status), 2) << "the failed save left its tmp file";
   EXPECT_EQ(WEXITSTATUS(status), 0);
-  for (const std::string& t : stray_tmps(path)) std::remove(t.c_str());
+  for (const std::string& t : testing::stray_tmps(path)) std::remove(t.c_str());
   std::remove(path.c_str());
 }
 
@@ -445,7 +428,7 @@ TEST(CheckpointCorruption, ConcurrentSaversNeverTearTheFile) {
   const double t = load_checkpoint<2>(path, forest_cfg(), lay).time;
   EXPECT_GE(t, 1.0);
   EXPECT_LE(t, static_cast<double>(kWriters));
-  EXPECT_TRUE(stray_tmps(path).empty());
+  EXPECT_TRUE(testing::stray_tmps(path).empty());
   std::remove(path.c_str());
 }
 

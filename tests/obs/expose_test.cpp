@@ -69,9 +69,8 @@ TEST(DumpMetrics, WritesAtomicallyAndLeavesNoTmpFile) {
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("ab_dump_events_total 7"), std::string::npos);
-  // The tmp sibling must be gone after the rename.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
+  // No tmp sibling is left after the rename.
+  EXPECT_TRUE(testing::stray_tmps(path).empty());
   std::remove(path.c_str());
 }
 

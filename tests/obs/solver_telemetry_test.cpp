@@ -405,7 +405,7 @@ TEST(RankSolverTelemetry, PublishedCountersEqualTheRunTotals) {
   rcfg.npes = 4;
   rcfg.policy = PartitionPolicy::Hilbert;
   rcfg.distributed_metadata = true;
-  rcfg.transport = wire::TransportKind::Socket;
+  rcfg.transport = wire::TransportKind::Shm;
   rcfg.faults = &plan;
   RankSolver<2, Euler<2>> ranks(rcfg, euler);
   ASSERT_NE(ranks.wire_hub(), nullptr);

@@ -1,13 +1,11 @@
-// Wire-transport suite (`wire` ctest label): the real inter-process
-// transports behind MessageBoard must carry every exchange round's
-// payloads while the simulation stays BITWISE identical to the serial
-// solver.
+// Wire-transport suite (`wire` ctest label): the shared-memory wire
+// behind MessageBoard must carry every exchange round's payloads while the
+// simulation stays BITWISE identical to the serial solver.
 //
 // Layers under test, bottom up:
 //   - frame codec + FrameSequencer: bounded-window dedup/reassembly whose
 //     memory stays flat over a long lossy run (the satellite regression),
-//   - Socket/Shm byte transports: spill-and-flush discipline over finite
-//     kernel buffers / rings,
+//   - the shm byte rings: spill-and-flush discipline over finite rings,
 //   - WireHub: CRC framing and fault materialization (corruptions become
 //     bad frames + clean retransmits, duplicates real double-sends,
 //     reorders sequence-swapped splits),
@@ -15,7 +13,7 @@
 //     flush, so a step's frames equal its pair-aggregated messages and a
 //     faulted frame carries every send() of its channel,
 //   - RankSolver over the wire, single-process (every payload takes a
-//     kernel round trip) and SPMD (run_process_group forks one real OS
+//     ring round trip) and SPMD (run_process_group forks one real OS
 //     process per rank; remote payloads genuinely cross process
 //     boundaries) — including mid-run regrids, lossy wires, and a
 //     killed-then-recovered rank.
@@ -163,52 +161,58 @@ TEST(WireFrame, SequencerWindowIsBoundedAndViolationsThrow) {
 
 // ------------------------------------------------------- byte transports
 
-class WireTransportBytes
-    : public ::testing::TestWithParam<wire::TransportKind> {};
-
-TEST_P(WireTransportBytes, BulkBytesSpillAndArriveInOrder) {
-  // 3 MB on one channel: far beyond both the socket buffer and the shm
-  // ring (64 KB at every process count), so the spill queue and flush()
-  // path are exercised for real.
-  auto t = wire::make_transport(GetParam(), 3);
+TEST(WireTransportBytes, BulkBytesSpillAndArriveInOrder) {
+  // 3 MB on one channel: far beyond the ring (64 KB at every process
+  // count), so the spill queue and flush() path are exercised for real.
+  wire::ShmRings t(3);
   const std::size_t n = 3u << 20;
   std::vector<std::uint8_t> in(n), out(n, 0);
   for (std::size_t i = 0; i < n; ++i)
     in[i] = static_cast<std::uint8_t>(splitmix64(i) & 0xFF);
-  t->send(0, 2, in.data(), n);
-  EXPECT_GT(t->pending_bytes(), 0u);  // the backend cannot hold 3 MB
+  t.send(0, 2, in.data(), n);
+  EXPECT_GT(t.pending_bytes(), 0u);  // the ring cannot hold 3 MB
   std::size_t got = 0;
   while (got < n) {
-    t->flush();
-    const std::size_t r = t->recv_some(0, 2, out.data() + got, n - got);
+    t.flush();
+    const std::size_t r = t.recv_some(0, 2, out.data() + got, n - got);
     got += r;
   }
   EXPECT_EQ(std::memcmp(in.data(), out.data(), n), 0);
-  t->flush();
-  EXPECT_EQ(t->pending_bytes(), 0u);
+  t.flush();
+  EXPECT_EQ(t.pending_bytes(), 0u);
   // The other direction of the pair is a distinct stream.
   const char msg[] = "reverse";
-  t->send(2, 0, msg, sizeof msg);
+  t.send(2, 0, msg, sizeof msg);
   char back[sizeof msg] = {0};
   std::size_t m = 0;
   while (m < sizeof msg) {
-    t->flush();
-    m += t->recv_some(2, 0, back + m, sizeof msg - m);
+    t.flush();
+    m += t.recv_some(2, 0, back + m, sizeof msg - m);
   }
   EXPECT_STREQ(back, msg);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, WireTransportBytes,
-                         ::testing::Values(wire::TransportKind::Socket,
-                                           wire::TransportKind::Shm));
+/// The message of the Error `parse_transport(name)` throws ("" if none).
+std::string parse_error(const std::string& name) {
+  try {
+    wire::parse_transport(name);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(WireTransport, ParseAndNames) {
   EXPECT_EQ(wire::parse_transport("board"), wire::TransportKind::Board);
-  EXPECT_EQ(wire::parse_transport("socket"), wire::TransportKind::Socket);
   EXPECT_EQ(wire::parse_transport("shm"), wire::TransportKind::Shm);
-  // A typo'd AB_TRANSPORT must fail loudly, not silently run in-process.
-  EXPECT_THROW(wire::parse_transport("sokcet"), Error);
-  EXPECT_THROW(wire::parse_transport(""), Error);
+  // A typo'd AB_TRANSPORT must fail loudly, not silently run in-process,
+  // and say what it accepts. "socket" names no wire any more.
+  for (const char* bad : {"sokcet", "", "socket"}) {
+    const std::string msg = parse_error(bad);
+    EXPECT_NE(msg.find("board"), std::string::npos) << bad << ": " << msg;
+    EXPECT_NE(msg.find("shm"), std::string::npos) << bad << ": " << msg;
+  }
+  EXPECT_STREQ(wire::transport_name(wire::TransportKind::Board), "board");
   EXPECT_STREQ(wire::transport_name(wire::TransportKind::Shm), "shm");
 }
 
@@ -220,7 +224,7 @@ TEST(WireHub, FaultsMaterializeAsRealFrames) {
   // be the clean bytes, and the hub's counters must match the plan's
   // exactly — one CRC reject per corruption, one dup discard per
   // duplicate, one stash per reorder.
-  wire::WireHub hub(wire::TransportKind::Socket, 2);
+  wire::WireHub hub(2);
   hub.set_recv_timeout(10.0);
   FaultPlan::Config fcfg;
   fcfg.seed = splitmix64(0xABCDu);
@@ -251,7 +255,7 @@ TEST(WireHub, FaultsMaterializeAsRealFrames) {
 }
 
 TEST(WireHub, RecvTimesOutLoudly) {
-  wire::WireHub hub(wire::TransportKind::Socket, 2);
+  wire::WireHub hub(2);
   hub.set_recv_timeout(0.05);
   double out[4];
   EXPECT_THROW(hub.recv(0, 1, out, 4), Error);
@@ -265,7 +269,7 @@ TEST(WireHub, DedupStateStaysFlatOverLongLossyRun) {
   // never exceeds a window-derived constant, and growth EVENTS are rare —
   // a per-sequence leak would grow on nearly every one of the thousands
   // of faulted rounds below.
-  wire::WireHub hub(wire::TransportKind::Shm, 2);
+  wire::WireHub hub(2);
   hub.set_recv_timeout(10.0);
   FaultPlan::Config fcfg;
   fcfg.seed = splitmix64(0xF1A7u);
@@ -327,7 +331,7 @@ TEST(WireHub, ShmResidentRingMemoryStaysBounded) {
   // with the rounds a long run carries: 600 rounds of one 2 KB frame on
   // every channel of 8 ranks, 1.2 MB per channel in all.
   constexpr int kPes = 8;
-  wire::WireHub hub(wire::TransportKind::Shm, kPes);
+  wire::WireHub hub(kPes);
   hub.set_recv_timeout(10.0);
   std::vector<double> buf(256), got(256);
   auto round = [&](int r) {
@@ -482,7 +486,8 @@ std::function<void(const RVec<2>&, Euler<2>::State&)> euler_ic(
 /// rank_solver_test runs on the Board path): two seeded adapt rounds,
 /// init, 6 steps with regrids (re-partition + migration) after steps 2
 /// and 4 — every exchange round crosses the transport. `hub` null means
-/// the solver owns a private single-process hub for `kind`.
+/// the solver resolves `kind` and owns a private single-process hub for
+/// Shm; a non-null `hub` makes the run Shm.
 template <class Phys>
 void run_wire_equivalence(
     const typename AmrSolver<2, Phys>::Config& scfg, const Phys& phys,
@@ -501,11 +506,12 @@ void run_wire_equivalence(
   rcfg.transport = kind;
   rcfg.wire = hub;
   RankSolver<2, Phys> ranks(rcfg, phys);
-  // An external hub's kind wins; otherwise env (AB_TRANSPORT) wins over
-  // the config axis, so the whole suite stays replayable under a forced
+  // An external hub wins; otherwise env (AB_TRANSPORT) wins over the
+  // config axis, so the whole suite stays replayable under a forced
   // transport.
   const wire::TransportKind expect =
-      hub != nullptr ? hub->kind() : wire::resolve_transport(kind);
+      hub != nullptr ? wire::TransportKind::Shm
+                     : wire::resolve_transport(kind);
   require(ranks.transport_kind() == expect, "transport resolution");
   if (expect != wire::TransportKind::Board) {
     require(ranks.wire_hub() != nullptr, "wire hub missing");
@@ -548,10 +554,10 @@ void run_wire_equivalence(
   if (digest_out != nullptr) *digest_out = state_digest(ranks);
 }
 
-// ----------------------------------- single-process kernel round trips
+// ------------------------------------- single-process ring round trips
 
 // Transport x rank count x policy (global metadata): the full script with
-// every payload routed through the kernel and back.
+// every payload routed through the rings and back.
 class WireEquivalence
     : public ::testing::TestWithParam<
           std::tuple<wire::TransportKind, int, PartitionPolicy, bool>> {};
@@ -571,8 +577,7 @@ TEST_P(WireEquivalence, BitwiseEqualsSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     Combos, WireEquivalence,
-    ::testing::Combine(::testing::Values(wire::TransportKind::Socket,
-                                         wire::TransportKind::Shm),
+    ::testing::Combine(::testing::Values(wire::TransportKind::Shm),
                        ::testing::Values(2, 5),
                        ::testing::Values(PartitionPolicy::Morton,
                                          PartitionPolicy::RoundRobin),
@@ -583,19 +588,18 @@ INSTANTIATE_TEST_SUITE_P(
 // each received before adapt() returns.
 INSTANTIATE_TEST_SUITE_P(
     DistMeta, WireEquivalence,
-    ::testing::Combine(::testing::Values(wire::TransportKind::Socket,
-                                         wire::TransportKind::Shm),
+    ::testing::Combine(::testing::Values(wire::TransportKind::Shm),
                        ::testing::Values(3, 5),
                        ::testing::Values(PartitionPolicy::Morton,
                                          PartitionPolicy::Hilbert),
                        ::testing::Values(true)));
 
-TEST(WireEquivalenceEuler, RefluxingOverBothBackends) {
+TEST(WireEquivalenceEuler, RefluxingWithGlobalAndDistributedMetadata) {
   // Flux correction adds a correction round to every step on top of ghost
   // fills and migration.
   Euler<2> phys;
   run_wire_equivalence<Euler<2>>(euler_cfg(true), phys, euler_ic(phys),
-                                 splitmix64(7501), wire::TransportKind::Socket,
+                                 splitmix64(7501), wire::TransportKind::Shm,
                                  4, PartitionPolicy::RoundRobin);
   run_wire_equivalence<Euler<2>>(euler_cfg(true), phys, euler_ic(phys),
                                  splitmix64(7502), wire::TransportKind::Shm, 3,
@@ -612,65 +616,59 @@ TEST(WireEquivalenceFaults, LossyWireStaysBitwise) {
   fcfg.corrupt_rate = 0.08;
   fcfg.duplicate_rate = 0.05;
   fcfg.reorder_rate = 0.05;
-  for (const auto kind :
-       {wire::TransportKind::Socket, wire::TransportKind::Shm}) {
-    SCOPED_TRACE(wire::transport_name(kind));
-    FaultPlan plan(fcfg);
-    AmrSolver<2, LinearAdvection<2>>::Config scfg = advection_cfg();
-    LinearAdvection<2> phys = advection_phys();
-    typename RankSolver<2, LinearAdvection<2>>::Config rcfg;
-    rcfg.solver = scfg;
-    rcfg.npes = 5;
-    rcfg.policy = PartitionPolicy::Hilbert;
-    rcfg.distributed_metadata = true;
-    rcfg.faults = &plan;
-    rcfg.transport = kind;
-    if (wire::resolve_transport(kind) == wire::TransportKind::Board)
-      GTEST_SKIP() << "AB_TRANSPORT forced the board path";
-    AmrSolver<2, LinearAdvection<2>> serial(scfg, phys);
-    RankSolver<2, LinearAdvection<2>> ranks(rcfg, phys);
-    ranks.wire_hub()->set_recv_timeout(20.0);
-    SeededTopologyCriterion<2> crit{splitmix64(0xFA23u), 2};
-    serial.adapt(crit);
-    ranks.adapt(crit);
-    serial.init(advection_ic);
-    ranks.init(advection_ic);
-    for (int s = 0; s < 6; ++s) {
-      const double dt = serial.compute_dt();
-      ASSERT_EQ(dt, ranks.compute_dt());
-      serial.step(dt);
-      ranks.step(dt);
-      if (s == 2 || s == 4) {
-        SeededTopologyCriterion<2> c2{splitmix64(0xFA24u + s), 2};
-        serial.adapt(c2);
-        ranks.adapt(c2);
-      }
+  FaultPlan plan(fcfg);
+  AmrSolver<2, LinearAdvection<2>>::Config scfg = advection_cfg();
+  LinearAdvection<2> phys = advection_phys();
+  typename RankSolver<2, LinearAdvection<2>>::Config rcfg;
+  rcfg.solver = scfg;
+  rcfg.npes = 5;
+  rcfg.policy = PartitionPolicy::Hilbert;
+  rcfg.distributed_metadata = true;
+  rcfg.faults = &plan;
+  rcfg.transport = wire::TransportKind::Shm;
+  if (wire::resolve_transport(rcfg.transport) == wire::TransportKind::Board)
+    GTEST_SKIP() << "AB_TRANSPORT forced the board path";
+  AmrSolver<2, LinearAdvection<2>> serial(scfg, phys);
+  RankSolver<2, LinearAdvection<2>> ranks(rcfg, phys);
+  ranks.wire_hub()->set_recv_timeout(20.0);
+  SeededTopologyCriterion<2> crit{splitmix64(0xFA23u), 2};
+  serial.adapt(crit);
+  ranks.adapt(crit);
+  serial.init(advection_ic);
+  ranks.init(advection_ic);
+  for (int s = 0; s < 6; ++s) {
+    const double dt = serial.compute_dt();
+    ASSERT_EQ(dt, ranks.compute_dt());
+    serial.step(dt);
+    ranks.step(dt);
+    if (s == 2 || s == 4) {
+      SeededTopologyCriterion<2> c2{splitmix64(0xFA24u + s), 2};
+      serial.adapt(c2);
+      ranks.adapt(c2);
     }
-    require_identical(serial, ranks);
-    ASSERT_GT(plan.stats().injected(), 0)
-        << "the wire injected nothing; the run proved nothing";
-    const wire::WireStats& ws = ranks.wire_hub()->stats();
-    if (plan.stats().corrupted > 0) {
-      EXPECT_GT(ws.crc_rejects, 0);
-    }
-    if (plan.stats().duplicated > 0) {
-      EXPECT_GT(ws.dup_discards, 0);
-    }
-    if (plan.stats().reordered > 0) {
-      EXPECT_GT(ws.reorder_stashes, 0);
-    }
+  }
+  require_identical(serial, ranks);
+  ASSERT_GT(plan.stats().injected(), 0)
+      << "the wire injected nothing; the run proved nothing";
+  const wire::WireStats& ws = ranks.wire_hub()->stats();
+  if (plan.stats().corrupted > 0) {
+    EXPECT_GT(ws.crc_rejects, 0);
+  }
+  if (plan.stats().duplicated > 0) {
+    EXPECT_GT(ws.dup_discards, 0);
+  }
+  if (plan.stats().reordered > 0) {
+    EXPECT_GT(ws.reorder_stashes, 0);
   }
 }
 
 // ------------------------------------------- one frame per channel flush
 
-class WireBoard : public ::testing::TestWithParam<wire::TransportKind> {};
-
-TEST_P(WireBoard, OneFramePerChannelFlush) {
+TEST(WireBoard, OneFramePerChannelFlush) {
   // k sends on (0, 1) and two on (2, 1) cross the wire as two frames — at
   // one frame per send() they would be k + 2 — and the receives return the
   // bytes sent.
-  wire::WireHub hub(GetParam(), 3);
+  wire::WireHub hub(3);
   hub.set_recv_timeout(10.0);
   MessageBoard board;
   board.set_wire(&hub);
@@ -718,10 +716,6 @@ TEST_P(WireBoard, OneFramePerChannelFlush) {
   EXPECT_EQ(*board.receive(1, 0, 1), 9.0);
   EXPECT_EQ(ws.frames_sent, 4);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, WireBoard,
-                         ::testing::Values(wire::TransportKind::Socket,
-                                           wire::TransportKind::Shm));
 
 /// The (source rank, destination rank, fill phase) channels one ghost fill
 /// of `ranks` sends, from the exchanger's plan and the partition.
@@ -809,8 +803,7 @@ TEST_P(WireFrames, StepAndMigrationFramesEqualPairChannels) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, WireFrames,
-                         ::testing::Values(wire::TransportKind::Socket,
-                                           wire::TransportKind::Shm));
+                         ::testing::Values(wire::TransportKind::Shm));
 
 enum class FrameFault { Corrupt, Duplicate, Reorder };
 
@@ -896,8 +889,7 @@ TEST_P(WireFaultedFrames, FaultedFrameCarriesEverySendOfItsChannel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, WireFaultedFrames,
-    ::testing::Combine(::testing::Values(wire::TransportKind::Socket,
-                                         wire::TransportKind::Shm),
+    ::testing::Combine(::testing::Values(wire::TransportKind::Shm),
                        ::testing::Values(FrameFault::Corrupt,
                                          FrameFault::Duplicate,
                                          FrameFault::Reorder)));
@@ -955,7 +947,7 @@ TEST(WireRounds, AdaptReceivesEveryFrameTracedOrNot) {
 
 TEST(WireTransportEnv, EnvOverridesConfigAndTyposFailLoudly) {
   // This test owns AB_TRANSPORT; stash any externally forced value (the
-  // whole suite is replayable under AB_TRANSPORT=socket) and restore it.
+  // whole suite is replayable under AB_TRANSPORT=shm) and restore it.
   const char* outer_env = std::getenv("AB_TRANSPORT");
   const std::string outer = outer_env ? outer_env : "";
   unsetenv("AB_TRANSPORT");
@@ -977,26 +969,43 @@ TEST(WireTransportEnv, EnvOverridesConfigAndTyposFailLoudly) {
   }
   ASSERT_EQ(setenv("AB_TRANSPORT", "board", 1), 0);
   {
-    // Env wins in both directions: board overrides a socket config.
+    // Env wins in both directions: board overrides a shm config.
     auto rr = rcfg;
-    rr.transport = wire::TransportKind::Socket;
+    rr.transport = wire::TransportKind::Shm;
     RankSolver<2, LinearAdvection<2>> r(rr, phys);
     EXPECT_EQ(r.transport_kind(), wire::TransportKind::Board);
     EXPECT_EQ(r.wire_hub(), nullptr);
   }
-  ASSERT_EQ(setenv("AB_TRANSPORT", "sokcet", 1), 0);
-  {
-    EXPECT_THROW((RankSolver<2, LinearAdvection<2>>(rcfg, phys)), Error);
+  // A typo, or the name of a wire that no longer exists, throws and
+  // names the values that work.
+  for (const char* bad : {"sokcet", "socket"}) {
+    ASSERT_EQ(setenv("AB_TRANSPORT", bad, 1), 0);
+    try {
+      RankSolver<2, LinearAdvection<2>> r(rcfg, phys);
+      ADD_FAILURE() << "AB_TRANSPORT=" << bad << " did not throw";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("board"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("shm"), std::string::npos) << msg;
+    }
   }
   unsetenv("AB_TRANSPORT");
   {
     // Config-requested transport without env.
     auto rr = rcfg;
-    rr.transport = wire::TransportKind::Socket;
+    rr.transport = wire::TransportKind::Shm;
     RankSolver<2, LinearAdvection<2>> r(rr, phys);
-    EXPECT_EQ(r.transport_kind(), wire::TransportKind::Socket);
-    ASSERT_NE(r.wire_hub(), nullptr);
-    EXPECT_EQ(r.wire_hub()->kind(), wire::TransportKind::Socket);
+    EXPECT_EQ(r.transport_kind(), wire::TransportKind::Shm);
+    EXPECT_NE(r.wire_hub(), nullptr);
+  }
+  {
+    // A hub the solver did not build carries the run over shm.
+    wire::WireHub hub(rcfg.npes);
+    auto rr = rcfg;
+    rr.wire = &hub;
+    RankSolver<2, LinearAdvection<2>> r(rr, phys);
+    EXPECT_EQ(r.transport_kind(), wire::TransportKind::Shm);
+    EXPECT_EQ(r.wire_hub(), &hub);
   }
   if (outer_env) {
     ASSERT_EQ(setenv("AB_TRANSPORT", outer.c_str(), 1), 0);
@@ -1005,22 +1014,19 @@ TEST(WireTransportEnv, EnvOverridesConfigAndTyposFailLoudly) {
 
 // -------------------------------------------- real multi-process (SPMD)
 
-// Transport x worker count x distmeta x lossy: the hub is built BEFORE
-// the fork, each worker binds to its rank and runs the full equivalence
+// Worker count x distmeta x lossy: the hub is built BEFORE the fork, each
+// worker binds to its rank and runs the full equivalence
 // script (serial solver included — every worker proves itself bitwise
 // against serial locally), and the parent asserts every worker's final
 // state digest is identical across processes AND equal to an in-process
 // Board-path reference.
 class WireSpmd
-    : public ::testing::TestWithParam<
-          std::tuple<wire::TransportKind, int, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
 
 TEST_P(WireSpmd, BitwiseAcrossRealProcesses) {
-  const auto [kind, npes, distmeta, lossy] = GetParam();
-  SCOPED_TRACE(::testing::Message()
-               << "transport=" << wire::transport_name(kind)
-               << " npes=" << npes << " distmeta=" << distmeta
-               << " lossy=" << lossy);
+  const auto [npes, distmeta, lossy] = GetParam();
+  SCOPED_TRACE(::testing::Message() << "npes=" << npes << " distmeta="
+                                    << distmeta << " lossy=" << lossy);
   const std::uint64_t seed = splitmix64(8000 + 8 * npes + (distmeta ? 4 : 0));
   const PartitionPolicy policy =
       distmeta ? PartitionPolicy::Hilbert : PartitionPolicy::Morton;
@@ -1044,7 +1050,7 @@ TEST_P(WireSpmd, BitwiseAcrossRealProcesses) {
     if (lossy) require(plan.stats().injected() > 0, "nothing injected");
   };
 
-  wire::WireHub hub(kind, npes);  // pre-fork: workers inherit the channels
+  wire::WireHub hub(npes);  // pre-fork: workers inherit the channels
   const std::vector<wire::WorkerResult> results =
       wire::run_process_group(npes, [&](int w) {
         hub.set_process(w);
@@ -1066,29 +1072,20 @@ TEST_P(WireSpmd, BitwiseAcrossRealProcesses) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, WireSpmd,
-    ::testing::Values(
-        std::make_tuple(wire::TransportKind::Socket, 2, false, false),
-        std::make_tuple(wire::TransportKind::Shm, 2, false, false),
-        std::make_tuple(wire::TransportKind::Socket, 4, false, false),
-        std::make_tuple(wire::TransportKind::Shm, 4, false, false),
-        std::make_tuple(wire::TransportKind::Socket, 4, true, false),
-        std::make_tuple(wire::TransportKind::Shm, 4, true, false),
-        std::make_tuple(wire::TransportKind::Socket, 2, false, true),
-        std::make_tuple(wire::TransportKind::Shm, 4, true, true)));
+INSTANTIATE_TEST_SUITE_P(Matrix, WireSpmd,
+                         ::testing::Values(std::make_tuple(2, false, false),
+                                           std::make_tuple(4, false, false),
+                                           std::make_tuple(4, true, false),
+                                           std::make_tuple(2, false, true),
+                                           std::make_tuple(4, true, true)));
 
 // A rank dies mid-run in every process (the fault plan replays the same
 // kill everywhere); each worker recovers from its own checkpoint file and
 // the survivors' final state must be identical across processes and equal
 // to the in-process recovery reference.
-class WireSpmdRecovery
-    : public ::testing::TestWithParam<wire::TransportKind> {};
-
-TEST_P(WireSpmdRecovery, KilledRankRecoversBitwise) {
-  const wire::TransportKind kind = GetParam();
+TEST(WireSpmdRecovery, KilledRankRecoversBitwise) {
   const int npes = 3;
-  const std::string base = testing::temp_path(wire::transport_name(kind));
+  const std::string base = testing::temp_path("spmd_recovery");
   Euler<2> phys;
   const auto scfg = euler_cfg(true);
   const auto ic = euler_ic(phys);
@@ -1133,7 +1130,7 @@ TEST_P(WireSpmdRecovery, KilledRankRecoversBitwise) {
     return digest;
   };
 
-  wire::WireHub hub(kind, npes);
+  wire::WireHub hub(npes);
   const std::vector<wire::WorkerResult> results =
       wire::run_process_group(npes, [&](int w) {
         hub.set_process(w);
@@ -1150,10 +1147,6 @@ TEST_P(WireSpmdRecovery, KilledRankRecoversBitwise) {
                            << " recovered to a different state";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, WireSpmdRecovery,
-                         ::testing::Values(wire::TransportKind::Socket,
-                                           wire::TransportKind::Shm));
 
 }  // namespace
 }  // namespace ab

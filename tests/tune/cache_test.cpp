@@ -1,7 +1,11 @@
 // Tuning-cache serialization: round-trip stability, strict rejection of
 // damaged files, host-key gating, and the solver's fresh-probe fallback.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -165,6 +169,39 @@ TEST(TuneCache, SolverReprobesOnForeignHostKey) {
   const std::optional<tune::TuneCache> now = tune::load_cache(path, "");
   ASSERT_TRUE(now.has_value());
   EXPECT_EQ(now->host_key, solver.tune_decision().host_key);
+  std::remove(path.c_str());
+}
+
+TEST(TuneCache, FailedSaveReturnsFalseAndLeavesNoTempFile) {
+  // A full disk, modelled by a 16-byte file-size limit in a forked child
+  // (with SIGXFSZ ignored, so the write fails with EFBIG instead of killing
+  // the process): the save reports failure without throwing and removes
+  // its partial tmp file.
+  const std::string path = testing::temp_path("tune.json");
+  const tune::TuneCache c = sample_cache();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit lim{16, 16};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(3);
+    int code = 0;
+    try {
+      if (tune::save_cache(path, c)) code = 1;
+    } catch (...) {
+      code = 2;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died (status " << status << ")";
+  EXPECT_NE(WEXITSTATUS(status), 1) << "the save over the limit succeeded";
+  EXPECT_NE(WEXITSTATUS(status), 2) << "a failed save must not throw";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const std::vector<std::string> left = testing::stray_tmps(path);
+  EXPECT_TRUE(left.empty()) << "the failed save left " << left.front();
+  for (const std::string& t : left) std::remove(t.c_str());
   std::remove(path.c_str());
 }
 

@@ -36,8 +36,7 @@ echoed but not gated.
 the shared-memory ring transport (framing + CRC + ring copies, run
 single-process so one process pays both ends) costs no more than
 --wire-overhead-max (default 2%) over the in-process MessageBoard, as the
-median per-step lockstep ratio; the socket figure is echoed but not gated —
-it pays a kernel round trip per payload by design.
+median per-step lockstep ratio.
 """
 
 import argparse
@@ -170,11 +169,9 @@ def check_wire_overhead(path, max_frac):
                  "BENCH_solver.json from bench/run_benchmarks.sh or raw "
                  "abl_wire_transport --json output)")
     shm = wt["shm_overhead_frac"]
-    socket = wt.get("socket_overhead_frac")
     print(f"wire overhead: board "
           f"{wt.get('board_ms_per_step', float('nan')):.3f} ms/step, "
-          f"shm {100 * shm:+.2f}%"
-          + (f", socket {100 * socket:+.2f}%" if socket is not None else ""))
+          f"shm {100 * shm:+.2f}%")
     if shm > max_frac:
         print(f"FAIL: the shm wire path costs {100 * shm:.2f}% over the "
               f"in-process board (gate: {100 * max_frac:.1f}%) — framing, "

@@ -37,9 +37,9 @@ cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
 # the metrics server's serving thread racing registry mutation, and the
 # span conservation matrix, which runs causal message tracing — the
 # cross-rank tracing hot path. The wire suite
-# runs the threaded steppers over real socket/shm transports (including
-# the fork-based SPMD cases, which fork while only the main thread is
-# live) — the shm ring's acquire/release pairing is exactly the kind of
-# ordering bug only TSan sees.
+# runs the threaded steppers over the shm rings (including the fork-based
+# SPMD cases, which fork while only the main thread is live) — the ring's
+# acquire/release pairing is exactly the kind of ordering bug only TSan
+# sees.
 ctest --test-dir "$build_dir" --output-on-failure \
   -R 'ThreadPool|BlockPool|BlockStorePool|Ghost|ParallelSolver|AmrSolver|Subcycling|Determinism|SubstrateDeterminism|CheckpointCorruption|FaultPlan|FaultyWire|Recovery|Tune|ReBlocking|TopoCodec|TopoDelta|LocalTopology|Tracer|ChromeTraceJson|PhaseScope|MsgTrace|SpanContext|MsgPhase|PrometheusText|DumpMetrics|MetricsServer|SpanConservation|Wire'
