@@ -31,7 +31,7 @@ Result run(Prolongation kind) {
   phys.velocity = {1.0, 0.0};
   Result r;
   auto make = [&](auto icfun) {
-    auto cfg = typename AmrSolver<2, LinearAdvection<2>>::Config{};
+    typename AmrSolver<2, LinearAdvection<2>>::Config cfg;
     cfg.forest.root_blocks = {4, 4};
     cfg.forest.periodic = {true, true};
     cfg.forest.max_level = 1;

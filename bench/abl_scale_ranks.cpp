@@ -100,8 +100,9 @@ int main(int argc, char** argv) {
   GhostExchanger<3> gx(forest, lay);
   const MachineModel machine = MachineModel::cray_t3d();
 
-  // What the global path charges every rank: the forest topology plus the
-  // node-indexed owner map.
+  // What the global path charges every rank: the forest topology, with the
+  // per-face neighbor table the exchanger's plan was just built from, plus
+  // the node-indexed owner map.
   const std::size_t global_rank_bytes =
       forest.topology_bytes() +
       static_cast<std::size_t>(forest.node_capacity()) * sizeof(int);

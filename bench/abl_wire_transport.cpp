@@ -21,11 +21,13 @@
 //
 // The two solvers advance in lockstep — the modes are bitwise identical,
 // so step s is the same work in both — and each timed shm step is
-// compared against the board step taken just before it, with the
-// reported overhead the median of the per-step ratios. Host-level drift
-// (frequency scaling, background load on a shared box) moves adjacent
-// steps together and cancels in the ratio; a min-across-runs scheme at
-// run granularity does not survive it at the 2% level.
+// compared against its partner board step, with the reported overhead the
+// median of the per-step ratios. Host-level drift (frequency scaling,
+// background load on a shared box) moves adjacent steps together and
+// cancels in the ratio; a min-across-runs scheme at run granularity does
+// not survive it at the 2% level. The order alternates every step, because
+// the second solver of an identical pair reads about 1% slower: with a
+// fixed order that position effect would count as wire overhead.
 //
 // Usage: abl_wire_transport [--json] [--reps N] [--steps N] [--npes N]
 #include <algorithm>
@@ -99,9 +101,10 @@ constexpr wire::TransportKind kModes[] = {wire::TransportKind::Board,
 constexpr int kNumModes = 2;
 
 /// One lockstep repetition: one solver per mode over the same seeded
-/// script, stepped alternately, each step timed. Appends one per-step
-/// wall-ms sample per mode to `ms[mode]`; `load` accumulates the shm
-/// solver's wire traffic over the timed steps.
+/// script, each step timed, with the mode that steps first alternating
+/// from step to step. Appends one per-step wall-ms sample per mode to
+/// `ms[mode]`; `load` accumulates the shm solver's wire traffic over the
+/// timed steps.
 void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[kNumModes],
                   WireLoad* load) {
   LinearAdvection<3> phys;
@@ -128,7 +131,8 @@ void lockstep_rep(int npes, int steps, std::vector<double> (&ms)[kNumModes],
   }
 
   for (int s = 0; s < steps; ++s) {
-    for (int m = 0; m < kNumModes; ++m) {
+    for (int k = 0; k < kNumModes; ++k) {
+      const int m = s % 2 == 0 ? k : kNumModes - 1 - k;
       auto& ranks = *solvers[static_cast<std::size_t>(m)];
       const double dt = ranks.compute_dt();
       const auto t0 = std::chrono::steady_clock::now();
@@ -193,8 +197,8 @@ int main(int argc, char** argv) {
   for (int r = 0; r < reps; ++r)
     lockstep_rep(npes, steps, ms, r == 0 ? &load : nullptr);
 
-  // Per-step ratios against the board step taken moments before; the
-  // median is what survives a noisy shared host.
+  // Per-step ratios against the partner board step, taken moments before
+  // or after; the median is what survives a noisy shared host.
   std::vector<double> shm_ratio;
   for (std::size_t i = 0; i < ms[0].size(); ++i)
     shm_ratio.push_back(ms[1][i] / ms[0][i]);

@@ -304,10 +304,7 @@ class SteppingCore {
     }
 
     const bool changed = res.refined || res.coarsened;
-    if (changed) {
-      forest_.rebuild_neighbor_table();
-      exchanger_.rebuild();
-    }
+    if (changed) exchanger_.rebuild();
     self().regrid_end(changed, ps);
     pending_refined_ += res.refined;
     pending_coarsened_ += res.coarsened;
@@ -425,7 +422,6 @@ class SteppingCore {
   /// owns it.
   void install_checkpoint(Checkpoint<D> ckpt, const std::string& path) {
     forest_ = std::move(ckpt.forest);
-    forest_.rebuild_neighbor_table();
     exchanger_.rebuild();
     time_ = ckpt.time;
     for (std::size_t r = 0; r < u_.size(); ++r) {

@@ -7,15 +7,21 @@
 // aligned. An optional `pad0` appends unused cells along dimension 0 — the
 // paper notes the Figure 5 cache peak at 12^3 "can be removed by padding the
 // array with an additional surface of cells"; pad0 reproduces that ablation.
+//
+// The block is the unit of allocation, communication and restart, and each
+// has one form of each: a BlockStore holds every block as a slab of a
+// BlockPool (util/block_pool.hpp), and pack_interior/unpack_interior are
+// the one image of a block's interior that migrations, coarsen gathers and
+// checkpoints carry.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/aligned.hpp"
 #include "util/block_pool.hpp"
 #include "util/box.hpp"
 #include "util/error.hpp"
@@ -145,23 +151,21 @@ struct ConstBlockView {
 /// Field storage for all active blocks, indexed by forest node id. Only
 /// leaves carry data; slots follow node-id reuse in the forest.
 ///
-/// Two backing modes share one interface:
-///  - malloc mode (single-argument constructor): each block is its own
-///    AlignedBuffer, allocated on ensure() and freed on release();
-///  - pooled mode (pool constructor): blocks are slabs acquired from a
-///    shared BlockPool arena sized to this layout, so regrid churn
-///    recycles slabs instead of round-tripping through the allocator.
-///    Stores that swap blocks (or whole stores) with each other must
-///    share the same pool.
-/// Both modes zero-fill on ensure() and keep block addresses stable for
-/// the block's lifetime, so they are bitwise interchangeable.
+/// Every block is a slab of a BlockPool sized to this layout: ensure()
+/// acquires a zero-filled slab, release() hands it back for reuse, and a
+/// block's address is stable for its lifetime. Stores that swap blocks
+/// (or whole stores) with each other must share one pool; a store built
+/// from a layout alone owns a private pool.
 template <int D>
 class BlockStore {
  public:
-  explicit BlockStore(BlockLayout<D> layout) : layout_(layout) {}
+  explicit BlockStore(BlockLayout<D> layout)
+      : BlockStore(layout,
+                   std::make_shared<BlockPool>(layout.block_doubles())) {}
 
-  /// Pooled mode. The pool's slab size must match this layout exactly —
-  /// a pool is per-layout, shared by the store pairs the steppers swap.
+  /// A store drawing from `pool`, whose slab size must match this layout
+  /// exactly — a pool is per-layout, shared by the store pairs the
+  /// steppers swap.
   BlockStore(BlockLayout<D> layout, std::shared_ptr<BlockPool> pool)
       : layout_(layout), pool_(std::move(pool)) {
     AB_REQUIRE(pool_ != nullptr, "BlockStore: null pool");
@@ -173,7 +177,6 @@ class BlockStore {
   BlockStore& operator=(const BlockStore&) = delete;
   BlockStore(BlockStore&& o) noexcept
       : layout_(o.layout_),
-        buffers_(std::move(o.buffers_)),
         pool_(std::move(o.pool_)),
         handles_(std::move(o.handles_)),
         ptrs_(std::move(o.ptrs_)),
@@ -182,7 +185,6 @@ class BlockStore {
     if (this != &o) {
       release_all();
       layout_ = o.layout_;
-      buffers_ = std::move(o.buffers_);
       pool_ = std::move(o.pool_);
       handles_ = std::move(o.handles_);
       ptrs_ = std::move(o.ptrs_);
@@ -193,88 +195,59 @@ class BlockStore {
   ~BlockStore() { release_all(); }
 
   const BlockLayout<D>& layout() const { return layout_; }
-  bool pooled() const { return pool_ != nullptr; }
   const std::shared_ptr<BlockPool>& pool() const { return pool_; }
 
   /// Allocate (zero-filled) data for block `id` if not already present.
   void ensure(int id) {
     AB_REQUIRE(id >= 0, "BlockStore: bad id");
-    if (pool_ != nullptr) {
-      if (id >= static_cast<int>(handles_.size())) {
-        handles_.resize(static_cast<std::size_t>(id) + 1);
-        ptrs_.resize(static_cast<std::size_t>(id) + 1, nullptr);
-      }
-      if (!handles_[static_cast<std::size_t>(id)].valid()) {
-        handles_[static_cast<std::size_t>(id)] = pool_->acquire();
-        ptrs_[static_cast<std::size_t>(id)] =
-            pool_->data(handles_[static_cast<std::size_t>(id)]);
-        ++num_allocated_;
-      }
-      return;
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= handles_.size()) {
+      handles_.resize(i + 1);
+      ptrs_.resize(i + 1, nullptr);
     }
-    if (id >= static_cast<int>(buffers_.size()))
-      buffers_.resize(static_cast<std::size_t>(id) + 1);
-    if (buffers_[id].empty()) {
-      buffers_[id].allocate(static_cast<std::size_t>(layout_.block_doubles()));
+    if (!handles_[i].valid()) {
+      handles_[i] = pool_->acquire();
+      ptrs_[i] = pool_->data(handles_[i]);
       ++num_allocated_;
     }
   }
 
-  /// Free the data of block `id` (no-op if absent). Pooled slabs go back
-  /// to the arena for reuse; malloc'd buffers are freed.
+  /// Return the slab of block `id` to the pool (no-op if absent).
   void release(int id) {
-    if (pool_ != nullptr) {
-      if (id >= 0 && id < static_cast<int>(handles_.size()) &&
-          handles_[static_cast<std::size_t>(id)].valid()) {
-        pool_->release(handles_[static_cast<std::size_t>(id)]);
-        handles_[static_cast<std::size_t>(id)] = BlockPool::Handle{};
-        ptrs_[static_cast<std::size_t>(id)] = nullptr;
-        --num_allocated_;
-      }
-      return;
-    }
-    if (id >= 0 && id < static_cast<int>(buffers_.size()) &&
-        !buffers_[id].empty()) {
-      buffers_[id].release();
-      --num_allocated_;
-    }
+    if (!has(id)) return;
+    const auto i = static_cast<std::size_t>(id);
+    pool_->release(handles_[i]);
+    handles_[i] = BlockPool::Handle{};
+    ptrs_[i] = nullptr;
+    --num_allocated_;
   }
 
   bool has(int id) const {
-    if (pool_ != nullptr)
-      return id >= 0 && id < static_cast<int>(handles_.size()) &&
-             handles_[static_cast<std::size_t>(id)].valid();
-    return id >= 0 && id < static_cast<int>(buffers_.size()) &&
-           !buffers_[id].empty();
+    return id >= 0 && id < static_cast<int>(handles_.size()) &&
+           handles_[static_cast<std::size_t>(id)].valid();
   }
 
   BlockView<D> view(int id) {
     AB_ASSERT(has(id));
-    return BlockView<D>{base_of(id), &layout_};
+    return BlockView<D>{ptrs_[static_cast<std::size_t>(id)], &layout_};
   }
   ConstBlockView<D> view(int id) const {
     AB_ASSERT(has(id));
-    return ConstBlockView<D>{base_of(id), &layout_};
+    return ConstBlockView<D>{ptrs_[static_cast<std::size_t>(id)], &layout_};
   }
 
-  /// Swap one block's buffer with the same block in another store of the
-  /// same layout (O(1); used by steppers to retire a block's old state).
-  /// Pooled stores must share one pool, so either store can later release
-  /// the swapped-in slab to the arena that owns it.
+  /// Swap one block's slab with the same block in another store of the
+  /// same layout and pool (O(1); used by steppers to retire a block's old
+  /// state). Sharing the pool lets either store later release the
+  /// swapped-in slab to the arena that owns it.
   void swap_block(BlockStore& other, int id) {
     AB_REQUIRE(layout_ == other.layout_, "swap_block: layout mismatch");
     AB_REQUIRE(pool_.get() == other.pool_.get(),
                "swap_block: stores do not share a pool");
     AB_REQUIRE(has(id) && other.has(id), "swap_block: missing data");
-    if (pool_ != nullptr) {
-      std::swap(handles_[static_cast<std::size_t>(id)],
-                other.handles_[static_cast<std::size_t>(id)]);
-      std::swap(ptrs_[static_cast<std::size_t>(id)],
-                other.ptrs_[static_cast<std::size_t>(id)]);
-      return;
-    }
-    std::swap(buffers_[static_cast<std::size_t>(id)],
-              other.buffers_[static_cast<std::size_t>(id)]);
+    const auto i = static_cast<std::size_t>(id);
+    std::swap(handles_[i], other.handles_[i]);
+    std::swap(ptrs_[i], other.ptrs_[i]);
   }
 
   /// Number of allocated blocks. O(1): maintained by ensure/release (the
@@ -288,19 +261,9 @@ class BlockStore {
   }
 
  private:
-  const double* base_of(int id) const {
-    return pool_ != nullptr ? ptrs_[static_cast<std::size_t>(id)]
-                            : buffers_[static_cast<std::size_t>(id)].data();
-  }
-  double* base_of(int id) {
-    return pool_ != nullptr ? ptrs_[static_cast<std::size_t>(id)]
-                            : buffers_[static_cast<std::size_t>(id)].data();
-  }
-
-  /// Return every pooled slab to the arena (malloc buffers free
-  /// themselves). Called by the destructor and move-assignment.
+  /// Return every slab to the arena. Called by the destructor and
+  /// move-assignment; a moved-from store holds none.
   void release_all() {
-    if (pool_ == nullptr) return;
     for (auto& h : handles_) {
       if (h.valid()) pool_->release(h);
       h = BlockPool::Handle{};
@@ -309,11 +272,52 @@ class BlockStore {
   }
 
   BlockLayout<D> layout_;
-  std::vector<AlignedBuffer> buffers_;     // malloc mode
-  std::shared_ptr<BlockPool> pool_;        // pooled mode (null = malloc)
-  std::vector<BlockPool::Handle> handles_; // pooled mode, by block id
-  std::vector<double*> ptrs_;              // cached slab addresses, by id
+  std::shared_ptr<BlockPool> pool_;
+  std::vector<BlockPool::Handle> handles_;  // by block id
+  std::vector<double*> ptrs_;               // cached slab addresses, by id
   int num_allocated_ = 0;
 };
+
+/// Doubles in one block's interior image: every variable's interior cells,
+/// no ghosts.
+template <int D>
+std::int64_t interior_doubles(const BlockLayout<D>& lay) {
+  return lay.interior_cells() * lay.nvar;
+}
+
+/// The one serialization of a block's interior, which migrations, coarsen
+/// gathers and checkpoints all carry: variables outer, cells in
+/// for_each_cell order (dimension 0 fastest), interior_doubles() entries,
+/// no ghosts. Rows are copied with memcpy, so `out` needs no alignment (a
+/// checkpoint image gives none).
+template <int D>
+void pack_interior(ConstBlockView<D> v, void* out) {
+  const BlockLayout<D>& lay = *v.layout;
+  char* cursor = static_cast<char*>(out);
+  for (int var = 0; var < lay.nvar; ++var) {
+    const double* field = v.field(var);
+    for_each_row<D>(lay.interior_box(), [&](IVec<D> p, int n) {
+      const std::size_t len = static_cast<std::size_t>(n) * sizeof(double);
+      std::memcpy(cursor, field + lay.offset(p), len);
+      cursor += len;
+    });
+  }
+}
+
+/// Write an image made by pack_interior into the interior of `v`; ghost
+/// cells are left as they are.
+template <int D>
+void unpack_interior(const void* in, BlockView<D> v) {
+  const BlockLayout<D>& lay = *v.layout;
+  const char* cursor = static_cast<const char*>(in);
+  for (int var = 0; var < lay.nvar; ++var) {
+    double* field = v.field(var);
+    for_each_row<D>(lay.interior_box(), [&](IVec<D> p, int n) {
+      const std::size_t len = static_cast<std::size_t>(n) * sizeof(double);
+      std::memcpy(field + lay.offset(p), cursor, len);
+      cursor += len;
+    });
+  }
+}
 
 }  // namespace ab

@@ -312,7 +312,7 @@ typename Forest<D>::CoarsenEvent Forest<D>::coarsen(int parent_id) {
 }
 
 template <int D>
-void Forest<D>::rebuild_neighbor_table() {
+void Forest<D>::rebuild_neighbor_table() const {
   neighbor_table_.assign(nodes_.size(), {});
   for (int id = 0; id < static_cast<int>(nodes_.size()); ++id) {
     if (!nodes_[id].live || !nodes_[id].leaf) continue;

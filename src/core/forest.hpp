@@ -168,15 +168,14 @@ class Forest {
   /// difference (supports max_level_diff > 1). Empty at a domain boundary.
   std::vector<int> face_neighbor_leaves(int id, int dim, int side) const;
 
-  /// Rebuild the explicit neighbor table for all leaves. O(#leaves).
-  void rebuild_neighbor_table();
-  bool neighbor_table_valid() const { return neighbor_table_valid_; }
-
-  /// Fast table lookup of the neighbor record (the paper's explicit
-  /// pointer). The table must be valid.
+  /// The neighbor record across face (dim, side) of leaf `id`, read from
+  /// the explicit per-face table (the paper's neighbor pointer). The table
+  /// is rebuilt from face_neighbor() on the first read after a topology
+  /// change, as leaves() is; it needs max_level_diff == 1.
   const FaceNeighbor& neighbor(int id, int dim, int side) const {
-    AB_ASSERT(neighbor_table_valid_ && is_leaf(id));
-    return neighbor_table_[id][2 * dim + side];
+    if (!neighbor_table_valid_) rebuild_neighbor_table();
+    AB_ASSERT(is_leaf(id));
+    return neighbor_table_[static_cast<std::size_t>(id)][2 * dim + side];
   }
 
   // --- Leaf iteration ---------------------------------------------------
@@ -273,6 +272,8 @@ class Forest {
 
   int allocate_node();
   void free_node(int id);
+  /// Rebuild the explicit neighbor table for all leaves. O(#leaves).
+  void rebuild_neighbor_table() const;
   /// Refine `id` without constraint enforcement; id must be a leaf.
   RefineEvent refine_raw(int id);
   /// Leaves adjacent across (dim,side) that are *coarser than* `min_level`,
@@ -288,8 +289,8 @@ class Forest {
   int live_nodes_ = 0;
   int num_leaves_ = 0;
 
-  std::vector<std::array<FaceNeighbor, kNumFaces>> neighbor_table_;
-  bool neighbor_table_valid_ = false;
+  mutable std::vector<std::array<FaceNeighbor, kNumFaces>> neighbor_table_;
+  mutable bool neighbor_table_valid_ = false;
 
   mutable std::vector<int> leaves_;
   mutable bool leaves_valid_ = false;

@@ -28,7 +28,7 @@ void GhostExchanger<D>::plan_face(int id, int dim, int side) {
   const int g = layout_.ghost;
   const Box<D> slab = layout_.interior_box().face_ghost_slab(dim, side, g);
 
-  auto nb = f.face_neighbor(id, dim, side);
+  const auto& nb = f.neighbor(id, dim, side);
   if (nb.kind == Forest<D>::NeighborKind::Boundary) {
     boundary_faces_.push_back(BoundaryFace{id, dim, side});
     return;
@@ -108,7 +108,7 @@ void GhostExchanger<D>::plan_face(int id, int dim, int side) {
         // The face toward dst is (dim, 1-side) as seen from the source.
         extend = (s == 1 - side);
       } else {
-        const auto k = f.face_neighbor(op.src, d, s).kind;
+        const auto k = f.neighbor(op.src, d, s).kind;
         extend = (k == Forest<D>::NeighborKind::Same ||
                   k == Forest<D>::NeighborKind::Finer);
       }

@@ -42,6 +42,12 @@ class ByteWriter {
     const auto* p = static_cast<const char*>(data);
     bytes_.insert(bytes_.end(), p, p + n);
   }
+  /// Append `n` bytes for the caller to fill; the pointer is valid until
+  /// the next append.
+  char* extend(std::size_t n) {
+    bytes_.resize(bytes_.size() + n);
+    return bytes_.data() + bytes_.size() - n;
+  }
   const std::vector<char>& bytes() const { return bytes_; }
 
  private:
@@ -263,8 +269,7 @@ Checkpoint<D> load_v2(std::vector<char> bytes,
   }
 
   const std::size_t block_bytes =
-      static_cast<std::size_t>(lay.interior_cells() * lay.nvar) *
-      sizeof(double);
+      static_cast<std::size_t>(interior_doubles(lay)) * sizeof(double);
   const std::size_t want = static_cast<std::size_t>(n) * block_bytes;
   AB_REQUIRE(sections[2].size == want,
              "checkpoint: data section holds " +
@@ -306,18 +311,13 @@ std::uint64_t save_checkpoint_view(
   ByteWriter config, topo, data;
   build_config_section<D>(config, forest, lay, time,
                           static_cast<std::int64_t>(leaves.size()));
-  std::vector<double> buf(static_cast<std::size_t>(lay.interior_cells()));
+  const std::size_t block_bytes =
+      static_cast<std::size_t>(interior_doubles(lay)) * sizeof(double);
   for (int id : leaves) {
     topo.put(static_cast<std::int32_t>(forest.level(id)));
     for (int d = 0; d < D; ++d)
       topo.put(static_cast<std::int32_t>(forest.coords(id)[d]));
-    ConstBlockView<D> v = view_of(id);
-    for (int var = 0; var < lay.nvar; ++var) {
-      std::size_t k = 0;
-      for_each_cell<D>(lay.interior_box(),
-                       [&](IVec<D> p) { buf[k++] = v.at(var, p); });
-      data.put_raw(buf.data(), buf.size() * sizeof(double));
-    }
+    pack_interior<D>(view_of(id), data.extend(block_bytes));
   }
 
   ByteWriter file;
@@ -345,16 +345,8 @@ std::uint64_t save_checkpoint(const std::string& path, const Forest<D>& forest,
 template <int D>
 void Checkpoint<D>::write_leaves(
     const std::function<BlockView<D>(int)>& view_of) const {
-  for (const auto& [id, at] : leaves) {
-    const BlockView<D> v = view_of(id);
-    const char* src = bytes.data() + at;
-    for (int var = 0; var < v.layout->nvar; ++var)
-      for_each_row<D>(v.layout->interior_box(), [&](IVec<D> p, int n) {
-        const std::size_t len = static_cast<std::size_t>(n) * sizeof(double);
-        std::memcpy(&v.at(var, p), src, len);
-        src += len;
-      });
-  }
+  for (const auto& [id, at] : leaves)
+    unpack_interior<D>(bytes.data() + at, view_of(id));
 }
 
 template <int D>

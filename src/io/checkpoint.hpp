@@ -10,7 +10,8 @@
 //     section 0 "config"   — dimension, forest configuration, block
 //                            layout, solution time, leaf count
 //     section 1 "topology" — per leaf: level + logical coordinates
-//     section 2 "data"     — per leaf: interior cells, variable-major
+//     section 2 "data"     — per leaf: its interior image (pack_interior:
+//                            variable-major, no ghosts)
 //
 // Writes are atomic: the file is assembled at `<path>.tmp.<pid>.<n>` and
 // renamed over `path` only after every byte has been flushed to the OS, so

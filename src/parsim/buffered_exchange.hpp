@@ -264,7 +264,11 @@ class BufferedExchange {
       }
       const auto [it, fresh] =
           index.try_emplace({ps, pd}, static_cast<int>(messages_.size()));
-      if (fresh) messages_.push_back(Message{ps, pd});
+      if (fresh) {
+        messages_.emplace_back();
+        messages_.back().src_pe = ps;
+        messages_.back().dst_pe = pd;
+      }
       Message& msg = messages_[static_cast<std::size_t>(it->second)];
       msg.phase_ops[phase].push_back(i);
       msg.phase_doubles[phase] += exchanger_->op_payload_doubles(op);

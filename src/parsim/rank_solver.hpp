@@ -71,7 +71,10 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
   using SolverConfig = typename AmrSolver<D, Phys>::Config;
 
   struct Config {
-    SolverConfig solver{};
+    // Default-initialized (every AmrConfig member has an initializer):
+    // GCC 12 reports a false -Wmaybe-uninitialized on the std::function in
+    // the forest config when this is value-initialized.
+    SolverConfig solver;
     int npes = 1;
     PartitionPolicy policy = PartitionPolicy::Morton;
     MachineModel machine = MachineModel::cray_t3d();
@@ -610,15 +613,16 @@ class RankSolver : public SteppingCore<D, Phys, RankSolver<D, Phys>> {
 
   /// Gather remote siblings onto the surviving parent's rank `pe`.
   void gather(const Family& kids, int pe) {
-    const std::int64_t payload = block_payload_doubles<D>(layout_);
+    const std::int64_t payload = interior_doubles<D>(layout_);
+    BlockStore<D>& dst = u_[static_cast<std::size_t>(pe)];
     for (int c : kids) {
       const int cp = owner_at(c);
       if (cp == pe) continue;
-      pack_block_payload<D>(u_[static_cast<std::size_t>(cp)], c,
-                            board_.append(cp, pe, payload));
-      unpack_block_payload<D>(u_[static_cast<std::size_t>(pe)], c,
-                              board_.receive(cp, pe, payload));
-      u_[static_cast<std::size_t>(cp)].release(c);
+      BlockStore<D>& src = u_[static_cast<std::size_t>(cp)];
+      pack_interior<D>(src.view(c), board_.append(cp, pe, payload));
+      dst.ensure(c);
+      unpack_interior<D>(board_.receive(cp, pe, payload), dst.view(c));
+      src.release(c);
     }
   }
 

@@ -1,4 +1,4 @@
-// Pooled slab arena for block field storage.
+// Pooled slab arena: the one backing of every BlockStore.
 //
 // Every BlockStore buffer has the same size (one layout per store), and
 // regrid-heavy runs churn those buffers hard: each refine allocates 2^D
@@ -14,8 +14,8 @@
 // Design (after Boostibot/c_lib's stable_array, see SNIPPETS.md):
 //  - stable addresses: a slab's address never changes between acquire and
 //    release, and acquiring/releasing other slabs never moves it — so
-//    BlockView pointers taken from a pooled store survive unrelated
-//    ensure()/release() calls, exactly like the malloc path;
+//    BlockView pointers taken from a store survive unrelated
+//    ensure()/release() calls;
 //  - chunked allocation: one 64-byte-aligned allocation serves
 //    kSlabsPerChunk slabs (two dereferences to reach a slab: chunk table,
 //    then base + slot * stride);
@@ -27,8 +27,11 @@
 //    linked list (indices, heads embedded in the chunk records), so
 //    acquire never scans full chunks.
 //
-// Acquired slabs are zero-filled, matching AlignedBuffer::allocate, so a
-// pooled store is bitwise identical to a malloc'd one by construction.
+// Fill only what is handed out: a chunk is allocated without being
+// written, and acquire() zero-fills the one slab it returns — the only
+// fill of slab memory. A slot that is never acquired is never touched, so
+// at large block sizes (where the chunk is its own mmap) its pages never
+// become resident, and a one-off store of a few blocks costs what it uses.
 //
 // Thread safety: none — the pool is mutated only from the serial sections
 // of the solvers (construction, init, adapt/regrid, migration, restore),
@@ -39,7 +42,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "util/aligned.hpp"
@@ -146,8 +152,12 @@ class BlockPool {
   static constexpr std::int64_t kDoublesPerLine =
       static_cast<std::int64_t>(AlignedBuffer::kAlign / sizeof(double));
 
+  struct FreeStorage {
+    void operator()(double* p) const { std::free(p); }
+  };
+
   struct Chunk {
-    AlignedBuffer storage;          // kSlabsPerChunk * slab_stride_ doubles
+    std::unique_ptr<double[], FreeStorage> storage;  // unfilled slots
     std::uint64_t free_mask = ~std::uint64_t{0};  // bit set = slot free
     std::uint64_t used_mask = 0;    // bit set = slot handed out at least once
     std::int32_t next_nonfull = -1;
@@ -155,17 +165,20 @@ class BlockPool {
   };
 
   double* slab_ptr(Chunk& c, int slot) {
-    return c.storage.data() +
-           static_cast<std::int64_t>(slot) * slab_stride_;
+    return c.storage.get() + static_cast<std::int64_t>(slot) * slab_stride_;
   }
 
   void add_chunk() {
-    chunks_.emplace_back();
-    Chunk& c = chunks_.back();
-    c.storage.allocate(
-        static_cast<std::size_t>(slab_stride_) * kSlabsPerChunk);
-    c.next_nonfull = -1;
+    // The stride is a whole number of alignment lines, so the byte size is
+    // a multiple of the alignment, as std::aligned_alloc requires.
+    const std::size_t bytes = static_cast<std::size_t>(slab_stride_) *
+                              kSlabsPerChunk * sizeof(double);
+    Chunk c;
+    c.storage.reset(
+        static_cast<double*>(std::aligned_alloc(AlignedBuffer::kAlign, bytes)));
+    if (c.storage == nullptr) throw std::bad_alloc();
     c.in_nonfull_list = true;
+    chunks_.push_back(std::move(c));
     nonfull_head_ = static_cast<std::int32_t>(chunks_.size()) - 1;
     ++stats_.chunks;
   }

@@ -86,8 +86,9 @@ std::uint64_t orszag_tang_digest() {
   }
   for (int s = 0; s < 4; ++s) {
     solver.step(solver.compute_dt());
-    if (s == 1)
+    if (s == 1) {
       EXPECT_GT(solver.adapt(RegionCriterion{0.5, 0.75}).coarsened, 0);
+    }
   }
   EXPECT_GT(solver.forest().stats().max_level, 0);
   return interior_digest(solver);

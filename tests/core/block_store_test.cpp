@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 namespace ab {
 namespace {
@@ -131,7 +133,7 @@ namespace {
 
 TEST(BlockStore, SwapBlockExchangesBuffers) {
   BlockLayout<2> lay({4, 4}, 1, 1);
-  BlockStore<2> a(lay), b(lay);
+  BlockStore<2> a(lay), b(lay, a.pool());  // swapping stores share a pool
   a.ensure(2);
   b.ensure(2);
   a.view(2).at(0, {1, 1}) = 5.0;
@@ -151,8 +153,44 @@ TEST(BlockStore, SwapBlockRejectsMismatch) {
   a.ensure(0);
   b.ensure(0);
   EXPECT_THROW(a.swap_block(b, 0), Error);
-  BlockStore<2> c(BlockLayout<2>({4, 4}, 1, 1));
+  BlockStore<2> c(BlockLayout<2>({4, 4}, 1, 1), a.pool());
   EXPECT_THROW(a.swap_block(c, 0), Error);  // c has no data
+  BlockStore<2> d(BlockLayout<2>({4, 4}, 1, 1));
+  d.ensure(0);
+  EXPECT_THROW(a.swap_block(d, 0), Error);  // d has a pool of its own
+}
+
+// The interior codec: variables outer, cells in for_each_cell order, no
+// ghosts, through a buffer with no alignment; unpack leaves ghosts alone.
+TEST(BlockStore, InteriorCodecRoundTripsThroughUnalignedBuffer) {
+  BlockLayout<3> lay({4, 2, 2}, 1, 2, /*pad=*/1);
+  BlockStore<3> a(lay), b(lay, a.pool());
+  a.ensure(0);
+  b.ensure(0);
+  BlockView<3> va = a.view(0);
+  for_each_cell<3>(lay.ghosted_box(), [&](IVec<3> p) {
+    for (int v = 0; v < 2; ++v)
+      va.at(v, p) = 100.0 * v + 16 * p[2] + 4 * p[1] + p[0];
+  });
+  const std::int64_t n = interior_doubles(lay);
+  ASSERT_EQ(n, 32);
+  std::vector<char> image(static_cast<std::size_t>(n) * sizeof(double) + 1);
+  pack_interior<3>(a.view(0), image.data() + 1);
+  std::int64_t k = 0;
+  for (int v = 0; v < 2; ++v)
+    for_each_cell<3>(lay.interior_box(), [&](IVec<3> p) {
+      double got;
+      std::memcpy(&got, image.data() + 1 + k++ * sizeof(double),
+                  sizeof got);
+      EXPECT_EQ(got, va.at(v, p));
+    });
+  BlockView<3> vb = b.view(0);
+  vb.at(1, IVec<3>{-1, 0, 0}) = -7.0;  // a ghost the codec must not touch
+  unpack_interior<3>(image.data() + 1, vb);
+  for_each_cell<3>(lay.interior_box(), [&](IVec<3> p) {
+    for (int v = 0; v < 2; ++v) EXPECT_EQ(vb.at(v, p), va.at(v, p));
+  });
+  EXPECT_EQ(vb.at(1, IVec<3>{-1, 0, 0}), -7.0);
 }
 
 }  // namespace

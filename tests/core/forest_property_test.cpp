@@ -134,7 +134,6 @@ void random_churn(unsigned seed, int max_level_diff, bool periodic) {
 
   // The explicit neighbor table agrees with computed neighbors (k=1 only).
   if (max_level_diff == 1) {
-    f.rebuild_neighbor_table();
     for (int id : f.leaves()) {
       for (int dim = 0; dim < D; ++dim)
         for (int side = 0; side < 2; ++side) {

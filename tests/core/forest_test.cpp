@@ -170,20 +170,23 @@ TEST(Forest, NeighborTableMatchesComputed) {
   Forest<2> f(cfg2(2, 2, 5));
   f.refine(f.find(0, {0, 0}));
   f.refine(f.find(1, {0, 0}));
-  f.rebuild_neighbor_table();
-  ASSERT_TRUE(f.neighbor_table_valid());
-  for (int id : f.leaves()) {
-    for (int dim = 0; dim < 2; ++dim)
-      for (int side = 0; side < 2; ++side) {
-        auto a = f.neighbor(id, dim, side);
-        auto b = f.face_neighbor(id, dim, side);
-        EXPECT_EQ(a.kind, b.kind);
-        for (int i = 0; i < a.count(); ++i) EXPECT_EQ(a.ids[i], b.ids[i]);
-      }
-  }
-  // Topology change invalidates the table.
+  auto check = [&f] {
+    for (int id : f.leaves()) {
+      for (int dim = 0; dim < 2; ++dim)
+        for (int side = 0; side < 2; ++side) {
+          auto a = f.neighbor(id, dim, side);
+          auto b = f.face_neighbor(id, dim, side);
+          EXPECT_EQ(a.kind, b.kind);
+          for (int i = 0; i < a.count(); ++i) EXPECT_EQ(a.ids[i], b.ids[i]);
+        }
+    }
+  };
+  check();
+  // A topology change is seen by the next read: the table is rebuilt.
   f.refine(f.leaves()[0]);
-  EXPECT_FALSE(f.neighbor_table_valid());
+  check();
+  f.coarsen(f.find(2, {0, 0}));
+  check();
 }
 
 TEST(Forest, LeavesAreMortonSorted) {
@@ -373,7 +376,7 @@ TEST(Forest, TopologyBytesAmortizedOverBlocks) {
   Forest<3> f(c);
   const auto before = f.topology_bytes();
   f.refine(f.leaves()[0]);
-  f.rebuild_neighbor_table();
+  f.neighbor(f.leaves()[0], 0, 0);  // the first read builds the table
   EXPECT_GT(f.topology_bytes(), before);
   // Per-CELL topology cost with 16^3 blocks is tiny: whole-forest topology
   // divided by cells must be well under a double per cell.

@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "amr/solver.hpp"
+#include "parsim/rank_solver.hpp"
 #include "physics/euler.hpp"
+#include "support/churn_criterion.hpp"
+#include "support/interior_digest.hpp"
 #include "support/temp_path.hpp"
 
 namespace ab {
@@ -293,6 +300,72 @@ TEST(Checkpoint, AdaptedSolverRestoresAnEarlierSaveBitwise) {
     expect_same_solution(a, twin);
   }
   std::remove(path.c_str());
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+std::uint64_t fnv1a(const std::vector<char>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// One small regridded 2D run, saved by the serial solver and by 4 ranks
+// whose regrids gather siblings and migrate blocks. The two files must be
+// the same bytes, and those bytes are pinned: the file format cannot drift
+// with the code that writes or reads block interiors. Restoring the file
+// and saving again gives it back unchanged.
+TEST(Checkpoint, PinnedFileFromSerialAndRankSolvers) {
+  Euler<2> phys;
+  AmrSolver<2, Euler<2>>::Config cfg;
+  cfg.forest = forest_cfg();
+  cfg.forest.root_blocks = {3, 3};
+  cfg.forest.max_level = 2;
+  cfg.cells_per_block = {8, 8};
+  auto ic = [&](const RVec<2>& x, Euler<2>::State& s) {
+    const double dx = x[0] - 0.4, dy = x[1] - 0.6;
+    s = phys.from_primitive(1.0 + 0.5 * std::exp(-30 * (dx * dx + dy * dy)),
+                            {0.3, -0.2}, 1.0);
+  };
+  auto script = [&](auto& solver) {
+    solver.init(ic);
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      solver.adapt(testing::ChurnCriterion<2>{0x5eed + round, 2});
+      solver.step(solver.compute_dt());
+    }
+  };
+  AmrSolver<2, Euler<2>> serial(cfg, phys);
+  script(serial);
+  RankSolver<2, Euler<2>>::Config rcfg;
+  rcfg.solver = cfg;
+  rcfg.npes = 4;
+  RankSolver<2, Euler<2>> ranks(rcfg, phys);
+  script(ranks);
+  EXPECT_GT(ranks.totals().migrated_blocks, 0);
+  EXPECT_GT(ranks.totals().gather_messages, 0);
+
+  const std::string serial_path = testing::temp_path("serial.ckpt");
+  const std::string rank_path = testing::temp_path("ranks.ckpt");
+  serial.save(serial_path);
+  ranks.save(rank_path);
+  const std::vector<char> bytes = file_bytes(serial_path);
+  EXPECT_EQ(file_bytes(rank_path), bytes);
+  EXPECT_EQ(fnv1a(bytes), 0x98c5dea47be61b4bull)
+      << "checkpoint bytes changed: " << testing::digest_hex(fnv1a(bytes));
+
+  AmrSolver<2, Euler<2>> back(cfg, phys);
+  back.restore(rank_path);
+  back.save(serial_path);
+  EXPECT_EQ(file_bytes(serial_path), bytes);
+  std::remove(serial_path.c_str());
+  std::remove(rank_path.c_str());
 }
 
 }  // namespace

@@ -54,7 +54,10 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableHandles) {
   Counter* b = reg.counter("y");
   EXPECT_NE(a, b);
   // Creating more metrics must not invalidate earlier handles.
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+  // Built by append: GCC 12 reports a false -Wrestrict on the inlined
+  // insert of "c" + std::to_string(i).
+  for (int i = 0; i < 100; ++i)
+    reg.counter(std::string("c").append(std::to_string(i)));
   EXPECT_EQ(reg.counter("x"), a);
   EXPECT_EQ(reg.counter("y"), b);
   Gauge* g = reg.gauge("g");

@@ -547,8 +547,12 @@ TEST(Recovery, TelemetryCountsCheckpointsFaultsAndRecoveries) {
   EXPECT_EQ(counter("fault.rank_deaths"), 1);
   EXPECT_EQ(counter("fault.recoveries"), 1);
   const FaultStats& fs = plan.stats();
-  if (fs.dropped > 0) EXPECT_EQ(counter("fault.dropped"), fs.dropped);
-  if (fs.corrupted > 0) EXPECT_EQ(counter("fault.corrupted"), fs.corrupted);
+  if (fs.dropped > 0) {
+    EXPECT_EQ(counter("fault.dropped"), fs.dropped);
+  }
+  if (fs.corrupted > 0) {
+    EXPECT_EQ(counter("fault.corrupted"), fs.corrupted);
+  }
   EXPECT_GT(fs.injected(), 0);
   std::remove(ckpt.c_str());
 }

@@ -311,6 +311,11 @@ TEST(Partition, EmptyRankKeyRangesAreSkippedNotZeroWidth) {
   }
 }
 
+// GCC 12 folds npes = 1 into the inlined LocalTopologySet constructor and
+// then reports -Warray-bounds on hull lookups into its one-rank table, not
+// seeing that a one-range directory names only rank 0.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
 TEST(Partition, SingleRankKeyRangeCoversEveryLeaf) {
   Forest<2> f = make_forest(2);
   for (PartitionPolicy policy :
@@ -330,6 +335,7 @@ TEST(Partition, SingleRankKeyRangeCoversEveryLeaf) {
     }
   }
 }
+#pragma GCC diagnostic pop
 
 TEST(Partition, HilbertChunksAreContiguousInCurveOrder) {
   // The distributed directory assumes BOTH SFC policies hand each rank one

@@ -138,8 +138,9 @@ void run_equivalence(const typename AmrSolver<2, Phys>::Config& scfg,
   const RankRunTotals& t = ranks.totals();
   EXPECT_EQ(t.steps, steps);
   EXPECT_EQ(t.flops, ranks.total_flops());
-  if (npes > 1 && ranks.forest().num_leaves() > 1)
+  if (npes > 1 && ranks.forest().num_leaves() > 1) {
     EXPECT_GT(t.ghost_messages, 0);
+  }
   if (distmeta) {
     // The local views exist, and any regrid that changed topology shipped
     // delta records to neighbor ranks (every populated rank on this

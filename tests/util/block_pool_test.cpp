@@ -1,11 +1,14 @@
 // BlockPool arena: O(1) acquire/release bookkeeping, address stability
-// under churn, zero-fill on reuse, and the pooled BlockStore mode built on
-// top of it (layout matching, swap, running counters).
+// under churn, zero-fill on reuse, memory touched only for the slabs handed
+// out, and the BlockStore built on top of it (layout matching, swap,
+// running counters).
 #include "util/block_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -78,6 +81,40 @@ TEST(BlockPool, DoubleFreeAndBadHandleAreRejected) {
   EXPECT_THROW(pool.release(BlockPool::Handle{7, 0}), Error);
 }
 
+/// Resident anonymous memory of this process in KiB, or -1 where the
+/// kernel does not report RssAnon.
+long rss_anon_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("RssAnon:", 0) == 0) return std::stol(line.substr(8));
+  return -1;
+}
+
+// A chunk is allocated unfilled: acquiring one slab from a fresh pool makes
+// that slab resident, not the kSlabsPerChunk slabs of its chunk.
+TEST(BlockPool, FreshChunkTouchesOnlyTheSlabHandedOut) {
+  const std::int64_t slab_doubles = std::int64_t{1} << 17;  // 1 MiB
+  const long slab_kib = static_cast<long>(slab_doubles * 8 / 1024);
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer's shadow of the written slab is resident "
+                  "anonymous memory too, several times the slab's size";
+#endif
+  const long before = rss_anon_kib();
+  if (before < 0) GTEST_SKIP() << "the kernel does not report RssAnon";
+  BlockPool pool(slab_doubles);
+  BlockPool::Handle h = pool.acquire();
+  double* p = pool.data(h);
+  EXPECT_EQ(p[0], 0.0);
+  EXPECT_EQ(p[slab_doubles - 1], 0.0);
+  const long grown = rss_anon_kib() - before;
+  EXPECT_LE(grown, 4 * slab_kib)
+      << "one acquire made " << grown << " KiB resident; a slab is "
+      << slab_kib << " KiB and a chunk "
+      << slab_kib * BlockPool::kSlabsPerChunk;
+  pool.release(h);
+}
+
 // Address-stability fuzz: slabs held across arbitrary unrelated
 // acquire/release churn never move and never alias a concurrently held
 // slab. Seeded via splitmix64; the seed is printed on failure.
@@ -121,7 +158,7 @@ TEST(BlockPool, AddressStabilityUnderChurnFuzz) {
   EXPECT_GT(pool.stats().reuse_hits, 0);
 }
 
-// --- Pooled BlockStore mode ---------------------------------------------
+// --- BlockStore on the pool --------------------------------------------
 
 TEST(BlockStorePool, RejectsLayoutMismatchedPool) {
   BlockLayout<2> lay(IVec<2>(8), 2, 3);
@@ -132,25 +169,20 @@ TEST(BlockStorePool, RejectsLayoutMismatchedPool) {
   EXPECT_THROW(BlockStore<2>(lay, nullptr), Error);
 }
 
-TEST(BlockStorePool, EnsureReleaseReuseMatchesMallocSemantics) {
+TEST(BlockStorePool, ReleasedBlockComesBackZeroed) {
   BlockLayout<2> lay(IVec<2>(4), 1, 2);
   auto pool = std::make_shared<BlockPool>(lay.block_doubles());
   BlockStore<2> store(lay, pool);
   store.ensure(3);
-  ASSERT_TRUE(store.has(3));
-  EXPECT_FALSE(store.has(2));
   BlockView<2> v = store.view(3);
-  for_each_cell<2>(lay.ghosted_box(), [&](IVec<2> p) {
-    EXPECT_EQ(v.at(0, p), 0.0);
-    v.at(1, p) = 7.0;
-  });
-  store.ensure(3);  // idempotent: does not reset data
-  EXPECT_EQ(store.view(3).at(1, IVec<2>{0, 0}), 7.0);
+  for_each_cell<2>(lay.ghosted_box(), [&](IVec<2> p) { v.at(1, p) = 7.0; });
   store.release(3);
-  EXPECT_FALSE(store.has(3));
-  store.release(3);  // no-op on absent id, like the malloc path
-  store.ensure(3);   // recycled slab comes back zero-filled
-  EXPECT_EQ(store.view(3).at(1, IVec<2>{0, 0}), 0.0);
+  store.release(3);  // no-op on an absent id
+  store.ensure(3);   // the recycled slab comes back zero-filled
+  EXPECT_EQ(store.view(3).base, v.base);
+  for_each_cell<2>(lay.ghosted_box(), [&](IVec<2> p) {
+    EXPECT_EQ(store.view(3).at(1, p), 0.0);
+  });
   EXPECT_EQ(pool->stats().reuse_hits, 1);
 }
 
@@ -169,8 +201,8 @@ TEST(BlockStorePool, SwapBlockAndWholeStoreSwapAcrossSharedPool) {
   EXPECT_EQ(b.view(0).base, pa);  // O(1) handle swap, no copy
   std::swap(a, b);
   EXPECT_EQ(a.view(0).at(0, IVec<2>{0, 0}), 1.0);
-  // A pooled and a malloc'd store must not swap blocks.
-  BlockStore<2> c(lay);
+  // Stores with different pools must not swap blocks.
+  BlockStore<2> c(lay);  // a private pool
   c.ensure(0);
   EXPECT_THROW(a.swap_block(c, 0), Error);
   // Destruction of a,b returns every slab; the arena sees them all free.
@@ -180,6 +212,7 @@ TEST(BlockStorePool, SwapBlockAndWholeStoreSwapAcrossSharedPool) {
 }
 
 TEST(BlockStorePool, RunningCountersMatchScanBothModes) {
+  // Both ways to build a store: its own private pool, or a shared one.
   BlockLayout<3> lay(IVec<3>(4), 1, 2);
   auto pool = std::make_shared<BlockPool>(lay.block_doubles());
   ab::testing::SplitMix64 rng(0xc0117e5ull);
